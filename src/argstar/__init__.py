@@ -33,6 +33,7 @@ from .verify import (
     ConclusionCheck,
     DiskGrid,
     Lemma1Report,
+    NonFiniteValue,
     NotAttained,
     ParamOutOfRange,
     ScanReport,

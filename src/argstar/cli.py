@@ -36,6 +36,7 @@ from .series import ArgOfZero, DivisionNearZero, PowerSeries, differentiate
 from .verify import (
     DiskGrid,
     Lemma1Report,
+    NonFiniteValue,
     NotAttained,
     ParamOutOfRange,
     ScanReport,
@@ -529,7 +530,7 @@ def run(argv) -> int:
     except FunctionFileError as e:
         print(f"argstar: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (ZeroOnGrid, DivisionNearZero, NoConvergence, ArgOfZero, BracketInvalid) as e:
+    except (ZeroOnGrid, NonFiniteValue, DivisionNearZero, NoConvergence, ArgOfZero, BracketInvalid) as e:
         print(f"argstar: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except ParamOutOfRange as e:

@@ -1,11 +1,20 @@
-"""Grid verification of the argument-bound implications on |z| <= r_max.
+"""Verification of the argument-bound implications on |z| <= r_max.
 
-Every check here has the same shape: evaluate a hypothesis functional over a
-polar grid, compare its supremum (or minimum of the real part) against the
-theorem's bound, and if the hypothesis holds, do the same for each conclusion
-functional. Conclusions are strict inequalities, so a violation is declared
-only beyond a small slack that separates genuine counterexamples from
-floating-point noise at the closed boundary.
+Every check here has the same shape: evaluate a hypothesis functional, compare
+its supremum (or minimum of the real part) against the theorem's bound, and if
+the hypothesis holds, do the same for each conclusion functional. Conclusions
+are strict inequalities, so a violation is declared only beyond a small slack
+that separates genuine counterexamples from floating-point noise at the closed
+boundary.
+
+The functionals are sampled on the outer ring |z| = r_max of the grid only.
+Re g is harmonic for analytic g, and so is arg g where g has no zero, so both
+take their extremes over the closed disk on that circle. Every polynomial
+whose argument is taken, and every denominator of a real-part ratio, is first
+certified zero-free on the closed disk: a root makes sup|arg| exactly pi with
+the root as witness, and a root of a real-part denominator is a pole
+(ZeroOnGrid). Each check differentiates f once per derivative order it needs
+and evaluates all of them in one Horner pass over the ring.
 
 Ratios such as z f'(z)/f(z) are always evaluated with the z-power divided out
 of numerator and denominator separately (f^(k)(z)/z^(p-k) is a polynomial with
@@ -38,17 +47,27 @@ VERDICT_PASS = "PASS"
 VERDICT_FAIL = "FAIL"
 VERDICT_HYP = "HYPOTHESIS_NOT_SATISFIED"
 
+_THEOREM_IDS = ("T1", "C1", "C2", "T3", "T4", "T5", "L2", "L3")
+
 
 class ZeroOnGrid(ArithmeticError):
-    """A sampled denominator fell below the zero tolerance."""
+    """A sampled denominator fell below the zero tolerance, or a certified
+    denominator has a root in the closed disk (magnitude None)."""
 
-    def __init__(self, point: complex, magnitude: float, context: str = ""):
+    def __init__(self, point: complex, magnitude: Optional[float], context: str = ""):
         self.point = point
         self.magnitude = magnitude
         where = f" in {context}" if context else ""
-        super().__init__(
-            f"|value| = {magnitude:.3e} below tolerance {ZERO_TOL} at z = {point}{where}"
-        )
+        if magnitude is None:
+            super().__init__(f"denominator has a root in |z| <= r_max at z = {point}{where}")
+        else:
+            super().__init__(
+                f"|value| = {magnitude:.3e} below tolerance {ZERO_TOL} at z = {point}{where}"
+            )
+
+
+class NonFiniteValue(ArithmeticError):
+    """A polynomial of the check is not finite on the ring (float64 overflow)."""
 
 
 class NotAttained(RuntimeError):
@@ -106,6 +125,13 @@ class DiskGrid:
         z.flags.writeable = False
         return z
 
+    @cached_property
+    def ring(self) -> np.ndarray:
+        """The outer circle |z| = r_max, bit-identical to the last row of points."""
+        z = self.radii[-1] * np.exp(1j * self.angles)
+        z.flags.writeable = False
+        return z
+
     @property
     def size(self) -> int:
         return self.n_radial * self.n_angular
@@ -118,7 +144,7 @@ DEFAULT_GRID = DiskGrid()
 class SupArgResult:
     sup_abs_arg: float
     witness: complex
-    samples_used: int
+    samples_used: int  # ring points, or the whole grid when every point ties
 
 
 @dataclass(frozen=True)
@@ -184,9 +210,18 @@ class ScanReport:
 # ------------------------------------------------------------ grid evaluation
 
 def _horner_many(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    acc = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
-    for j in range(coeffs.size - 2, -1, -1):
-        acc = acc * zs + coeffs[j]
+    """Each polynomial along the last axis of coeffs (ascending powers) at every z.
+
+    The result has shape coeffs.shape[:-1] + zs.shape; every element goes
+    through the same operations as a one-polynomial Horner loop.
+    """
+    lead = coeffs.shape[:-1]
+    c = coeffs.reshape(lead + (1,) * zs.ndim + coeffs.shape[-1:])
+    acc = np.empty(lead + zs.shape, dtype=np.complex128)
+    acc[...] = c[..., -1]
+    for j in range(coeffs.shape[-1] - 2, -1, -1):
+        acc *= zs
+        acc += c[..., j]
     return acc
 
 
@@ -200,51 +235,12 @@ def _grid_values(s: PowerSeries, divisor_power: int, grid: DiskGrid) -> np.ndarr
     return vals
 
 
-def _first_below_tol(vals: np.ndarray, grid: DiskGrid, context: str):
+def _first_below_tol(vals: np.ndarray, points: np.ndarray, context: str):
     mag = np.abs(vals)
     mask = mag < ZERO_TOL
     if mask.any():
         idx = int(np.argmax(mask))  # first offending point in (radial, angular) order
-        pt = complex(grid.points.flat[idx])
-        raise ZeroOnGrid(pt, float(mag.flat[idx]), context)
-
-
-def sup_arg(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> SupArgResult:
-    """max over the grid of |arg(s(z)/z**divisor_power)|, first-occurrence witness."""
-    if divisor_power < 0:
-        raise ValueError("divisor_power must be >= 0")
-    vals = _grid_values(s, divisor_power, grid)
-    _first_below_tol(vals, grid, "sup_arg")
-    absarg = np.abs(np.angle(vals))
-    idx = int(np.argmax(absarg))  # ties: lexicographically first (radial, angular)
-    return SupArgResult(
-        sup_abs_arg=float(absarg.flat[idx]),
-        witness=complex(grid.points.flat[idx]),
-        samples_used=grid.size,
-    )
-
-
-def min_real(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> tuple[float, complex]:
-    """min over the grid of Re(s(z)/z**divisor_power), first-occurrence witness."""
-    if divisor_power < 0:
-        raise ValueError("divisor_power must be >= 0")
-    vals = _grid_values(s, divisor_power, grid)
-    _first_below_tol(vals, grid, "min_real")
-    re = vals.real
-    idx = int(np.argmin(re))
-    return float(re.flat[idx]), complex(grid.points.flat[idx])
-
-
-def _sup_arg_of(vals: np.ndarray, grid: DiskGrid) -> tuple[float, complex]:
-    absarg = np.abs(np.angle(vals))
-    idx = int(np.argmax(absarg))
-    return float(absarg.flat[idx]), complex(grid.points.flat[idx])
-
-
-def _min_real_of(vals: np.ndarray, grid: DiskGrid) -> tuple[float, complex]:
-    re = vals.real
-    idx = int(np.argmin(re))
-    return float(re.flat[idx]), complex(grid.points.flat[idx])
+        raise ZeroOnGrid(complex(points.flat[idx]), float(mag.flat[idx]), context)
 
 
 def _ratio_to_lower_derivative(f: PowerSeries, upper: int, grid: DiskGrid, context: str) -> np.ndarray:
@@ -257,8 +253,152 @@ def _ratio_to_lower_derivative(f: PowerSeries, upper: int, grid: DiskGrid, conte
     m = f.order_p - upper
     num = _grid_values(differentiate(f, upper), m, grid)
     den = _grid_values(differentiate(f, upper - 1), m + 1, grid)
-    _first_below_tol(den, grid, context)
+    _first_below_tol(den, grid.points, context)
     return num / den
+
+
+# ---------------------------------------------------------- ring certificate
+
+# |c_0| must beat the tail sum by more than its rounding error
+_DOMINANCE_RTOL = 1e-12
+
+
+def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex]:
+    """Smallest-modulus root of sum coeffs[j] z^j in |z| <= r_max, or None."""
+    nonzero = np.flatnonzero(coeffs)
+    if nonzero.size == 0:
+        return 0j  # the zero polynomial vanishes everywhere
+    d = int(nonzero[-1])
+    companion = np.zeros((d, d), dtype=np.complex128)
+    companion[0, :] = -coeffs[d - 1::-1] / coeffs[d]
+    companion[np.arange(1, d), np.arange(d - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    inside = roots[np.abs(roots) <= r_max]
+    if inside.size == 0:
+        return None
+    return complex(inside[np.argmin(np.abs(inside))])
+
+
+@dataclass(frozen=True)
+class _Quantity:
+    """sup|arg| or min Re of add + N/D, where N = f^(k)/z^m for num = (k, m)
+    and D likewise for den (1 when den is None)."""
+
+    kind: str  # "sup_arg" | "min_real"
+    num: tuple[int, int]
+    den: Optional[tuple[int, int]] = None
+    add: int = 0
+    context: str = ""
+
+
+def _plain(kind: str, k: int, m: int) -> _Quantity:
+    return _Quantity(kind, (k, m), context=kind)
+
+
+def _ratio(kind: str, p: int, upper: int, context: str, add: int = 0) -> _Quantity:
+    """add + z f^(upper)/f^(upper-1): f^(upper)/z^m over f^(upper-1)/z^(m+1), m = p - upper."""
+    m = p - upper
+    return _Quantity(kind, (upper, m), (upper - 1, m + 1), add, context)
+
+
+class _RingEvaluation:
+    """The derivatives f^(k) a check needs, each evaluated once on the outer
+    ring in one Horner pass, and the functionals taken from them."""
+
+    def __init__(self, f: PowerSeries, orders, grid: DiskGrid):
+        self.grid = grid
+        polys = [differentiate(f, k) for k in orders]
+        n = max(q.coeffs.size for q in polys)
+        stack = np.zeros((len(polys), n), dtype=np.complex128)
+        for i, q in enumerate(polys):
+            stack[i, : q.coeffs.size] = q.coeffs
+        values = _horner_many(stack, grid.ring)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            k = orders[int(np.argmin(finite))]
+            raise NonFiniteValue(f"f^({k}) is not finite on |z| = {grid.r_max} (float64 overflow)")
+        self.row = {k: i for i, k in enumerate(orders)}
+        self.order = [q.order_p for q in polys]
+        self.coeffs = stack
+        self.values = values
+        mag = np.abs(stack)
+        tail = mag[:, 1:] @ (grid.r_max ** np.arange(1, n))
+        self.dominant = mag[:, 0] > tail * (1.0 + _DOMINANCE_RTOL)
+
+    def _term(self, term) -> tuple[int, int]:
+        """(row, shift): f^(k)/z^m is the row's polynomial times z**shift."""
+        k, m = term
+        i = self.row[k]
+        return i, self.order[i] - m
+
+    def _values(self, term) -> np.ndarray:
+        i, shift = self._term(term)
+        vals = self.values[i]
+        return vals if shift == 0 else vals * self.grid.ring**shift
+
+    def _root(self, i: int) -> Optional[complex]:
+        if self.dominant[i]:
+            return None
+        return _smallest_root_in_disk(self.coeffs[i], self.grid.r_max)
+
+    def _obstruction(self, q: _Quantity) -> Optional[complex]:
+        """Smallest root or pole in the closed disk that the functional must not have."""
+        num, shift = self._term(q.num)
+        certified = [num] if q.kind == "sup_arg" else []
+        if q.den is not None:
+            den, den_shift = self._term(q.den)
+            certified.append(den)
+            shift -= den_shift
+        found = [r for r in map(self._root, certified) if r is not None]
+        if shift < 0 or (shift > 0 and q.kind == "sup_arg"):
+            found.append(0j)  # the net z-power is a pole, or a zero of an argument
+        return min(found, key=abs, default=None)
+
+    def take(self, q: _Quantity) -> tuple[float, complex, int]:
+        """(value, witness, samples used) of one functional."""
+        ring = self.grid.ring
+        vals = self._values(q.num)
+        if q.den is None:
+            _first_below_tol(vals, ring, q.context)
+        else:
+            den = self._values(q.den)
+            _first_below_tol(den, ring, q.context)
+            vals = vals / den
+        if q.add:
+            vals = q.add + vals
+        root = self._obstruction(q)
+        if root is not None:
+            if q.kind == "min_real":
+                raise ZeroOnGrid(root, None, q.context)
+            return math.pi, root, ring.size
+        reduced = np.abs(np.angle(vals)) if q.kind == "sup_arg" else vals.real
+        if reduced.min() == reduced.max():
+            # constant on the circle, so constant on the disk: every grid point
+            # ties and the witness is the first one, as on the full grid
+            return float(reduced[0]), complex(self.grid.radii[0]), self.grid.size
+        idx = int(np.argmax(reduced) if q.kind == "sup_arg" else np.argmin(reduced))
+        return float(reduced[idx]), complex(ring[idx]), ring.size
+
+
+def _take_one(s: PowerSeries, kind: str, divisor_power: int, grid: DiskGrid):
+    if divisor_power < 0:
+        raise ValueError("divisor_power must be >= 0")
+    return _RingEvaluation(s, (0,), grid).take(_plain(kind, 0, divisor_power))
+
+
+def sup_arg(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> SupArgResult:
+    """sup over |z| <= r_max of |arg(s(z)/z**divisor_power)|, sampled on the outer ring.
+
+    A zero in the closed disk gives exactly pi with the zero as witness.
+    """
+    value, witness, used = _take_one(s, "sup_arg", divisor_power, grid)
+    return SupArgResult(sup_abs_arg=value, witness=witness, samples_used=used)
+
+
+def min_real(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> tuple[float, complex]:
+    """min over |z| <= r_max of Re(s(z)/z**divisor_power), sampled on the outer ring."""
+    value, witness, _ = _take_one(s, "min_real", divisor_power, grid)
+    return value, witness
 
 
 # ------------------------------------------------------------- theorem checks
@@ -270,7 +410,7 @@ def _coefficient_of(f: PowerSeries, exponent: int) -> complex:
     return complex(f.coeffs[j])
 
 
-def _check_params(theorem_id, f, alpha1, alpha0, delta, s):
+def _check_params(theorem_id, alpha1, alpha0, delta, s):
     allowed = {"T1": ("alpha1",), "T3": ("alpha0",), "T4": ("alpha0",), "T5": ("delta", "s")}
     given = {"alpha1": alpha1, "alpha0": alpha0, "delta": delta, "s": s}
     needs = allowed.get(theorem_id, ())
@@ -290,12 +430,90 @@ def _check_params(theorem_id, f, alpha1, alpha0, delta, s):
             )
         if not isinstance(s, (int, np.integer)) or s < 2:
             raise ParamOutOfRange("s must be an integer >= 2")
-        if _coefficient_of(f, s - 1) != 0:
-            raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
-        if _coefficient_of(f, s) == 0:
-            raise ParamOutOfRange(f"coefficient of z^{s} must be nonzero")
-    if f.order_p < 1:
-        raise ParamOutOfRange("f must have order_p >= 1")
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One implication for series of order p: everything that does not depend
+    on the coefficients of f, so a scan builds it once."""
+
+    theorem_id: str
+    params: dict
+    hypothesis: _Quantity
+    hypothesis_bound: float
+    conclusions: tuple[tuple[str, _Quantity, float], ...]  # (label, quantity, bound)
+    notes: tuple[str, ...]
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        quantities = (self.hypothesis, *(q for _, q, _ in self.conclusions))
+        return tuple(sorted({t[0] for q in quantities for t in (q.num, q.den) if t is not None}))
+
+
+def _build_plan(theorem_id, p, alpha1, alpha0, delta, s, cfg) -> _Plan:
+    notes: list[str] = []
+    concl: list = []
+    hyp = _plain("sup_arg", p, 0)  # all but T5, L2 and L3
+    if theorem_id == "T5":
+        hyp = _plain("sup_arg", s, 0)
+        hyp_bound = (math.pi / 2) * delta + math.atan(delta)
+        params = {"s": int(s), "delta": delta}
+        concl.append(("|arg(z f^(s)/f^(s-1))|", _ratio("sup_arg", p, s, "T5 conclusion"),
+                      (math.pi / 2) * delta + 2 * math.atan(delta)))
+    elif theorem_id == "L2":
+        hyp = _ratio("min_real", p, p, "L2 hypothesis")
+        hyp_bound, params = 0.0, {"p": p}
+        for k in range(1, p + 1):
+            concl.append((f"Re(z f^({k})/f^({k - 1}))", _ratio("min_real", p, k, f"L2 k={k}"), 0.0))
+    elif theorem_id == "L3":
+        hyp = _ratio("min_real", p, p + 1, "L3 hypothesis", add=p)
+        hyp_bound, params = 0.0, {"p": p}
+        for k in range(1, p):
+            concl.append((f"Re({k} + z f^({k + 1})/f^({k}))",
+                          _ratio("min_real", p, k + 1, f"L3 k={k}", add=k), 0.0))
+    elif theorem_id == "T1":
+        hyp_bound = (math.pi / 2) * (alpha1 + (2 / math.pi) * math.atan(alpha1))
+        params = {"p": p, "alpha1": alpha1}
+        concl.append((f"|arg(f^({p - 1})/z)|", _plain("sup_arg", p - 1, 1), alpha1 * math.pi / 2))
+    elif theorem_id == "C1":
+        hyp_bound, params = 3 * math.pi / 4, {"p": p}
+        concl.append((f"|arg(f^({p - 1})/z)|", _plain("sup_arg", p - 1, 1), math.pi / 2))
+        for k in range(p):
+            concl.append((f"Re(f^({p - k - 1})/z^{k + 1})", _plain("min_real", p - k - 1, k + 1), 0.0))
+    elif theorem_id == "C2":
+        _, composite = solve_gamma0(cfg)
+        hyp_bound, params = (math.pi / 2) * composite, {"p": p}
+        concl.append(("|arg(z f'/f)|", _ratio("sup_arg", p, 1, "C2 conclusion"), math.pi / 2))
+    else:  # T3 / T4
+        hyp_bound = math.pi * alpha0 / 2
+        params = {"p": p, "alpha0": alpha0}
+        chain = alpha_sequence(alpha0, p, cfg)
+        if theorem_id == "T3":
+            for k in range(1, p + 1):
+                concl.append((f"|arg(f^({p - k})/z^{k})|", _plain("sup_arg", p - k, k),
+                              math.pi * chain.values[k] / 2))
+        else:
+            # the s=1 ratio is meaningful only under this extra pair-sum condition
+            first_s = 1 if alpha0 + chain.values[1] < 2.0 else 2
+            for s_ in range(first_s, p + 1):
+                concl.append((f"|arg(z f^({p - s_ + 1})/f^({p - s_}))| (s={s_})",
+                              _ratio("sup_arg", p, p - s_ + 1, f"T4 s={s_}"),
+                              (math.pi / 2) * (chain.values[s_] + chain.values[s_ - 1])))
+            sigma = sigma_index(chain.values)
+            if sigma is not None:
+                concl.append(("starlike: |arg(z f'/f)|", _ratio("sup_arg", p, 1, "T4 starlike"),
+                              math.pi / 2))
+                if sigma == 1:
+                    notes.append(
+                        "pair-sum condition first holds at sigma=1, below the "
+                        "usual range {2..p}; the starlike bound is reported anyway"
+                    )
+            else:
+                notes.append(
+                    f"no sigma <= p={p} with alpha_sigma + alpha_(sigma-1) <= 1; "
+                    "starlikeness conclusion not applicable"
+                )
+    return _Plan(theorem_id, params, hyp, hyp_bound, tuple(concl), tuple(notes))
 
 
 def check_theorem(
@@ -308,10 +526,12 @@ def check_theorem(
     delta: Optional[float] = None,
     s: Optional[int] = None,
     cfg: RootConfig = DEFAULT_CONFIG,
+    _plan: Optional[_Plan] = None,
 ) -> VerificationReport:
     """Verify one hypothesis -> conclusions implication on the grid.
 
-    Implications by id (p = f.order_p, all quantities sampled on the grid):
+    Implications by id (p = f.order_p, all quantities sampled on the outer
+    ring of the grid, see the module docstring):
 
     * T1: sup|arg f^(p)| < (pi/2)(a1 + (2/pi)atan a1)  =>
           sup|arg(f^(p-1)/z)| < a1 pi/2, for a1 in (0, 1].
@@ -334,139 +554,52 @@ def check_theorem(
           k in {1..p}.
     * L3: min Re(p + z f^(p+1)/f^(p)) > 0  =>
           min Re(k + z f^(k+1)/f^(k)) > 0 for k in {1..p-1}.
+
+    counterexample_scan passes the `_plan` it built once for all its draws,
+    which satisfy the parameter and order checks by construction.
     """
-    theorem_id = theorem_id.upper()
-    if theorem_id not in ("T1", "C1", "C2", "T3", "T4", "T5", "L2", "L3"):
-        raise ParamOutOfRange(f"unknown theorem id {theorem_id!r}")
-    _check_params(theorem_id, f, alpha1, alpha0, delta, s)
-    p = f.order_p
-    notes: list[str] = []
+    if _plan is None:
+        theorem_id = theorem_id.upper()
+        if theorem_id not in _THEOREM_IDS:
+            raise ParamOutOfRange(f"unknown theorem id {theorem_id!r}")
+        _check_params(theorem_id, alpha1, alpha0, delta, s)
+        if theorem_id == "T5":
+            if _coefficient_of(f, s - 1) != 0:
+                raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
+            if _coefficient_of(f, s) == 0:
+                raise ParamOutOfRange(f"coefficient of z^{s} must be nonzero")
+        if f.order_p < 1:
+            raise ParamOutOfRange("f must have order_p >= 1")
+        _plan = _build_plan(theorem_id, f.order_p, alpha1, alpha0, delta, s, cfg)
+
+    ev = _RingEvaluation(f, _plan.orders, grid)
+    hyp_value, hyp_witness, _ = ev.take(_plan.hypothesis)
+    if _plan.hypothesis.kind == "min_real":
+        hyp_ok = hyp_value > _plan.hypothesis_bound
+    else:
+        hyp_ok = hyp_value < _plan.hypothesis_bound
+
     conclusions: list[ConclusionCheck] = []
-
-    if theorem_id == "T5":
-        hyp = sup_arg(differentiate(f, s), 0, grid)
-        hyp_value, hyp_witness = hyp.sup_abs_arg, hyp.witness
-        hyp_bound = (math.pi / 2) * delta + math.atan(delta)
-        params = {"s": int(s), "delta": delta}
-    elif theorem_id in ("L2", "L3"):
-        if theorem_id == "L2":
-            vals = _ratio_to_lower_derivative(f, p, grid, "L2 hypothesis")
-        else:
-            vals = p + _ratio_to_lower_derivative(f, p + 1, grid, "L3 hypothesis")
-        hyp_value, hyp_witness = _min_real_of(vals, grid)
-        hyp_bound = 0.0
-        params = {"p": p}
-    else:
-        hyp = sup_arg(differentiate(f, p), 0, grid)
-        hyp_value, hyp_witness = hyp.sup_abs_arg, hyp.witness
-        if theorem_id == "T1":
-            hyp_bound = (math.pi / 2) * (alpha1 + (2 / math.pi) * math.atan(alpha1))
-            params = {"p": p, "alpha1": alpha1}
-        elif theorem_id == "C1":
-            hyp_bound = 3 * math.pi / 4
-            params = {"p": p}
-        elif theorem_id == "C2":
-            _, composite = solve_gamma0(cfg)
-            hyp_bound = (math.pi / 2) * composite
-            params = {"p": p}
-        else:  # T3 / T4
-            hyp_bound = math.pi * alpha0 / 2
-            params = {"p": p, "alpha0": alpha0}
-
-    if theorem_id in ("L2", "L3"):
-        hyp_ok = hyp_value > hyp_bound
-    else:
-        hyp_ok = hyp_value < hyp_bound
-
     if hyp_ok:
-        if theorem_id == "T1":
-            res = sup_arg(differentiate(f, p - 1), 1, grid)
-            conclusions.append(ConclusionCheck(
-                f"|arg(f^({p - 1})/z)|", "sup_arg", res.sup_abs_arg, alpha1 * math.pi / 2, res.witness))
-        elif theorem_id == "C1":
-            res = sup_arg(differentiate(f, p - 1), 1, grid)
-            conclusions.append(ConclusionCheck(
-                f"|arg(f^({p - 1})/z)|", "sup_arg", res.sup_abs_arg, math.pi / 2, res.witness))
-            for k in range(p):
-                value, witness = min_real(differentiate(f, p - k - 1), k + 1, grid)
-                conclusions.append(ConclusionCheck(
-                    f"Re(f^({p - k - 1})/z^{k + 1})", "min_real", value, 0.0, witness))
-        elif theorem_id == "C2":
-            vals = _ratio_to_lower_derivative(f, 1, grid, "C2 conclusion")
-            value, witness = _sup_arg_of(vals, grid)
-            conclusions.append(ConclusionCheck(
-                "|arg(z f'/f)|", "sup_arg", value, math.pi / 2, witness))
-        elif theorem_id == "T3":
-            chain = alpha_sequence(alpha0, p, cfg)
-            for k in range(1, p + 1):
-                res = sup_arg(differentiate(f, p - k), k, grid)
-                conclusions.append(ConclusionCheck(
-                    f"|arg(f^({p - k})/z^{k})|", "sup_arg", res.sup_abs_arg,
-                    math.pi * chain.values[k] / 2, res.witness))
-        elif theorem_id == "T4":
-            chain = alpha_sequence(alpha0, p, cfg)
-            first_s = 2
-            if alpha0 + chain.values[1] < 2.0 and p >= 1:
-                first_s = 1  # meaningful only under this extra pair-sum condition
-            for s_ in range(first_s, p + 1):
-                vals = _ratio_to_lower_derivative(f, p - s_ + 1, grid, f"T4 s={s_}")
-                value, witness = _sup_arg_of(vals, grid)
-                conclusions.append(ConclusionCheck(
-                    f"|arg(z f^({p - s_ + 1})/f^({p - s_}))| (s={s_})", "sup_arg", value,
-                    (math.pi / 2) * (chain.values[s_] + chain.values[s_ - 1]), witness))
-            sigma = sigma_index(chain.values)
-            if sigma is not None:
-                vals = _ratio_to_lower_derivative(f, 1, grid, "T4 starlike")
-                value, witness = _sup_arg_of(vals, grid)
-                conclusions.append(ConclusionCheck(
-                    "starlike: |arg(z f'/f)|", "sup_arg", value, math.pi / 2, witness))
-                if sigma == 1:
-                    notes.append(
-                        "pair-sum condition first holds at sigma=1, below the "
-                        "usual range {2..p}; the starlike bound is reported anyway"
-                    )
-            else:
-                notes.append(
-                    f"no sigma <= p={p} with alpha_sigma + alpha_(sigma-1) <= 1; "
-                    "starlikeness conclusion not applicable"
-                )
-        elif theorem_id == "T5":
-            m = f.order_p - s
-            num = _grid_values(differentiate(f, s), m, grid)
-            den = _grid_values(differentiate(f, s - 1), m + 1, grid)
-            _first_below_tol(den, grid, "T5 conclusion")
-            value, witness = _sup_arg_of(num / den, grid)
-            conclusions.append(ConclusionCheck(
-                "|arg(z f^(s)/f^(s-1))|", "sup_arg", value,
-                (math.pi / 2) * delta + 2 * math.atan(delta), witness))
-        elif theorem_id == "L2":
-            for k in range(1, p + 1):
-                vals = _ratio_to_lower_derivative(f, k, grid, f"L2 k={k}")
-                value, witness = _min_real_of(vals, grid)
-                conclusions.append(ConclusionCheck(
-                    f"Re(z f^({k})/f^({k - 1}))", "min_real", value, 0.0, witness))
-        else:  # L3
-            for k in range(1, p):
-                vals = k + _ratio_to_lower_derivative(f, k + 1, grid, f"L3 k={k}")
-                value, witness = _min_real_of(vals, grid)
-                conclusions.append(ConclusionCheck(
-                    f"Re({k} + z f^({k + 1})/f^({k}))", "min_real", value, 0.0, witness))
+        for label, q, bound in _plan.conclusions:
+            value, witness, _ = ev.take(q)
+            conclusions.append(ConclusionCheck(label, q.kind, value, bound, witness))
 
     verdict = VERDICT_HYP
     if hyp_ok:
         verdict = VERDICT_PASS if all(c.ok for c in conclusions) else VERDICT_FAIL
 
     return VerificationReport(
-        theorem_id=theorem_id,
-        params=params,
+        theorem_id=_plan.theorem_id,
+        params=_plan.params,
         hypothesis_sup=hyp_value,
-        hypothesis_bound=hyp_bound,
+        hypothesis_bound=_plan.hypothesis_bound,
         hypothesis_satisfied=hyp_ok,
         conclusions=tuple(conclusions),
         verdict=verdict,
         witnesses=(hyp_witness, *(c.witness for c in conclusions)),
         grid=grid,
-        notes=tuple(notes),
+        notes=_plan.notes,
     )
 
 
@@ -532,7 +665,7 @@ def lemma1_probe(
         raise ParamOutOfRange("gamma must be > 0")
     if q.order_p != 0 or q.coeffs[0] != 1:
         raise ParamOutOfRange("q must satisfy q(0) = 1 (order_p 0, constant term 1)")
-    _first_below_tol(_grid_values(q, 0, grid), grid, "lemma1 probe")
+    _first_below_tol(_grid_values(q, 0, grid), grid.points, "lemma1 probe")
     level = math.pi * gamma / 2.0
 
     coeffs = q.coeffs
@@ -616,36 +749,10 @@ def sample_hypothesis_function(
 
 
 _SAMPLER_CAP = math.pi / 2.0 - 1e-9
-
-
-def _scan_setup(theorem_id, p, alpha1, alpha0, delta, s, cfg):
-    """(sampler bound, sampler order args, check_theorem kwargs) for one scan."""
-    needs = {"T1": ("alpha1",), "T3": ("alpha0",), "T4": ("alpha0",), "T5": ("delta", "s")}.get(theorem_id, ())
-    for name, value in (("alpha1", alpha1), ("alpha0", alpha0), ("delta", delta), ("s", s)):
-        if value is None and name in needs:
-            raise ParamOutOfRange(f"{theorem_id} scan requires parameter {name}")
-        if value is not None and name not in needs:
-            raise ParamOutOfRange(f"{theorem_id} scan does not take parameter {name}")
-    if theorem_id == "T1":
-        hyp = (math.pi / 2) * (alpha1 + (2 / math.pi) * math.atan(alpha1))
-        return min(hyp, _SAMPLER_CAP), {"p": p}, {"alpha1": alpha1}
-    if theorem_id == "C1":
-        return min(3 * math.pi / 4, _SAMPLER_CAP), {"p": p}, {}
-    if theorem_id == "C2":
-        hyp = (math.pi / 2) * solve_gamma0(cfg)[1]
-        return min(hyp, _SAMPLER_CAP), {"p": p}, {}
-    if theorem_id in ("T3", "T4"):
-        return min(math.pi * alpha0 / 2, _SAMPLER_CAP), {"p": p}, {"alpha0": alpha0}
-    if theorem_id == "T5":
-        hyp = (math.pi / 2) * delta + math.atan(delta)
-        return min(hyp, _SAMPLER_CAP), {"p": s, "s_gap": s}, {"delta": delta, "s": s}
-    if theorem_id == "L2":
-        # asin(S) + asin(S/2) <= 1.44 < pi/2 for S <= sin(1), so the L2
-        # hypothesis holds by construction at this bound
-        return 1.0, {"p": p}, {}
-    if theorem_id == "L3":
-        return 0.9, {"p": p}, {}
-    raise ParamOutOfRange(f"unknown theorem id {theorem_id!r}")
+# Sampler bounds of the real-part implications. asin(S) + asin(S/2) <= 1.44 <
+# pi/2 for S <= sin(1), so the L2 hypothesis holds by construction at 1.0;
+# L3 draws can miss theirs and are redrawn.
+_RE_SAMPLER_BOUND = {"L2": 1.0, "L3": 0.9}
 
 
 def counterexample_scan(
@@ -664,18 +771,28 @@ def counterexample_scan(
 ) -> ScanReport:
     """Run check_theorem over `trials` sampled hypothesis-satisfying functions.
 
-    Draws that fail the hypothesis on the grid are discarded and redrawn (only
-    L3 can produce them; the other samplers guarantee the hypothesis), capped
-    at 10x the requested trials. FAIL counts are expected to be 0: the
-    implications are proved, so any FAIL is an artifact bug or a genuinely
-    interesting sample worth inspecting via worst_function.
+    The bounds and implicit constants are solved once, then applied to every
+    draw. Draws that fail the hypothesis on the grid are discarded and
+    redrawn (only L3 can produce them; the other samplers guarantee the
+    hypothesis), capped at 10x the requested trials. FAIL counts are expected
+    to be 0: the implications are proved, so any FAIL is an artifact bug or a
+    genuinely interesting sample worth inspecting via worst_function.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     theorem_id = theorem_id.upper()
-    bound, sampler_args, check_kwargs = _scan_setup(theorem_id, p, alpha1, alpha0, delta, s, cfg)
-    if theorem_id != "T5" and (p is None or p < 1):
+    if theorem_id not in _THEOREM_IDS:
+        raise ParamOutOfRange(f"unknown theorem id {theorem_id!r}")
+    _check_params(theorem_id, alpha1, alpha0, delta, s)
+    if theorem_id == "T5":
+        order, sampler_args = s, {"p": s, "s_gap": s}
+    elif p is None or p < 1:
         raise ParamOutOfRange(f"{theorem_id} scan requires p >= 1")
+    else:
+        order, sampler_args = p, {"p": p}
+    plan = _build_plan(theorem_id, order, alpha1, alpha0, delta, s, cfg)
+    bound = _RE_SAMPLER_BOUND.get(theorem_id, min(plan.hypothesis_bound, _SAMPLER_CAP))
+    given = (("alpha1", alpha1), ("alpha0", alpha0), ("delta", delta), ("s", s))
 
     counts = {VERDICT_PASS: 0, VERDICT_FAIL: 0, VERDICT_HYP: 0}
     verdicts: list[str] = []
@@ -685,7 +802,7 @@ def counterexample_scan(
         f = sample_hypothesis_function(
             np.random.SeedSequence((seed, attempts)), bound=bound, N=N, **sampler_args
         )
-        report = check_theorem(theorem_id, f, grid, cfg=cfg, **check_kwargs)
+        report = check_theorem(theorem_id, f, grid, _plan=plan)
         attempt = attempts
         attempts += 1
         if report.verdict == VERDICT_HYP:
@@ -704,7 +821,7 @@ def counterexample_scan(
     return ScanReport(
         theorem_id=theorem_id,
         p=p,
-        params=check_kwargs,
+        params={name: value for name, value in given if value is not None},
         trials=trials,
         seed=seed,
         sampler_N=N,

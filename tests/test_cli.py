@@ -212,6 +212,23 @@ def test_exit_4_zero_on_grid(tmp_path, capsys):
     assert "below tolerance" in capsys.readouterr().err
 
 
+def test_exit_4_interior_pole(tmp_path, capsys):
+    # z - 2z^2: the L2 denominator f/z = 1 - 2z has its root 0.5 inside the disk
+    path = write_spec(tmp_path, "pole.json", {"p": 1, "coefficients": [[-2.0, 0]]})
+    assert run(["verify", "--theorem", "l2", "--function", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "root" in captured.err
+
+
+def test_exit_4_overflowing_derivative(tmp_path, capsys):
+    # 171! overflows float64, so f^(171) of z^171 is not finite
+    path = write_spec(tmp_path, "big.json", {"p": 171, "coefficients": [[0.0, 0.0]]})
+    with pytest.warns(RuntimeWarning):
+        assert run(["verify", "--theorem", "t1", "--function", path, "--alpha1", "1.0"]) == 4
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_exit_4_not_attained_emits_partial(probe, capsys):
     assert run(["lemma1", "--function", probe, "--gamma", "1.9"]) == 4
     captured = capsys.readouterr()

@@ -22,6 +22,7 @@ from argstar import (
     sample_hypothesis_function,
     sup_arg,
 )
+from argstar import verify
 from argstar.verify import SLACK, ConclusionCheck
 
 # Independently computed: with q = 1 + z the max of |arg q| on |z| = r is
@@ -77,6 +78,12 @@ def test_grid_arrays_deterministic_and_readonly():
     assert a.points.tobytes() == b.points.tobytes()
     with pytest.raises(ValueError):
         a.radii[0] = 9.0
+
+
+def test_ring_is_last_row_of_points():
+    for g in (DiskGrid(), DiskGrid(r_max=0.5, n_radial=1, n_angular=4), DiskGrid(n_radial=16, n_angular=64)):
+        assert g.ring.tobytes() == g.points[-1].tobytes()
+        assert not g.ring.flags.writeable
 
 
 def test_angular_doubling_is_nested():
@@ -136,6 +143,29 @@ def test_zero_on_grid_reports_first_point():
 def test_sup_arg_zero_series_trips_tolerance():
     with pytest.raises(ZeroOnGrid):
         sup_arg(PowerSeries(1, np.array([0.0])), 1)
+
+
+def test_sup_arg_interior_zero_is_pi():
+    # f/z = 1 - 2z vanishes at 0.5, strictly inside and off every grid point
+    r = sup_arg(make_series(1, [-2.0], 2), 1, DiskGrid(r_max=0.9))
+    assert r.sup_abs_arg == math.pi
+    assert r.witness == 0.5
+
+
+def test_min_real_ignores_interior_zero():
+    # Re(1 - 2z) is harmonic whatever its zeros: the minimum sits at z = r_max
+    v, w = min_real(make_series(1, [-2.0], 2), 1, DiskGrid(r_max=0.9))
+    assert v == pytest.approx(-0.8, abs=1e-12)
+    assert w == 0.9
+
+
+def test_sup_arg_without_dominant_constant_term():
+    # 1 + 0.9z + 0.9z^2 fails the dominance test on |z| <= 0.995 but its roots
+    # lie at |z| = 1.054, so the ring maximum is the maximum over the grid
+    f = PowerSeries(0, np.array([1.0, 0.9, 0.9]))
+    g = DiskGrid(n_radial=16, n_angular=64)
+    full = np.abs(np.angle(np.polynomial.polynomial.polyval(g.points, f.coeffs)))
+    assert sup_arg(f, 0, g).sup_abs_arg == full.max()
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -342,6 +372,107 @@ def test_l3_p1_has_no_conclusions():
     assert rep.conclusions == ()
 
 
+def test_l2_interior_pole_raises():
+    # z - 2z^2: the L2 denominator f/z = 1 - 2z vanishes at 0.5
+    with pytest.raises(ZeroOnGrid) as exc:
+        check_theorem("L2", make_series(1, [-2.0], 2))
+    assert exc.value.point == pytest.approx(0.5, abs=1e-15)
+    assert exc.value.magnitude is None
+
+
+# ------------------------------------------------- ring against the full grid
+
+def _full_grid(f, k, m, grid):
+    """f^(k)(z)/z^m at every grid point, by numpy's polyval."""
+    d = differentiate(f, k)
+    z = grid.points
+    return np.polynomial.polynomial.polyval(z, d.coeffs) * z ** (d.order_p - m)
+
+
+def _full_ratio(f, upper, grid):
+    p = f.order_p
+    return _full_grid(f, upper, p - upper, grid) / _full_grid(f, upper - 1, p - upper + 1, grid)
+
+
+def _brute_force(tid, f, grid, s=None):
+    """(hypothesis value, conclusion values) over every grid point."""
+    def sup(v):
+        return float(np.abs(np.angle(v)).max())
+
+    def low(v):
+        return float(v.real.min())
+
+    p = f.order_p
+    if tid == "L2":
+        return low(_full_ratio(f, p, grid)), [low(_full_ratio(f, k, grid)) for k in range(1, p + 1)]
+    if tid == "L3":
+        return low(p + _full_ratio(f, p + 1, grid)), [low(k + _full_ratio(f, k + 1, grid)) for k in range(1, p)]
+    if tid == "T5":
+        return sup(_full_grid(f, s, 0, grid)), [sup(_full_ratio(f, s, grid))]
+    hyp = sup(_full_grid(f, p, 0, grid))
+    if tid == "T1":
+        return hyp, [sup(_full_grid(f, p - 1, 1, grid))]
+    if tid == "C1":
+        return hyp, [sup(_full_grid(f, p - 1, 1, grid))] + [
+            low(_full_grid(f, p - k - 1, k + 1, grid)) for k in range(p)]
+    if tid == "C2":
+        return hyp, [sup(_full_ratio(f, 1, grid))]
+    if tid == "T3":
+        return hyp, [sup(_full_grid(f, p - k, k, grid)) for k in range(1, p + 1)]
+    # T4 at alpha0 = 1, p = 3: s = 1..3 (alpha0 + alpha1 < 2), then starlike (sigma = 3)
+    return hyp, [sup(_full_ratio(f, p - s_ + 1, grid)) for s_ in range(1, p + 1)] + [sup(_full_ratio(f, 1, grid))]
+
+
+RING_CASES = [
+    ("T1", {"alpha1": 0.5}, {"p": 2, "bound": 1.2}),
+    ("C1", {}, {"p": 3, "bound": 1.5}),
+    ("C2", {}, {"p": 2, "bound": 0.96}),
+    ("T3", {"alpha0": 1.0}, {"p": 3, "bound": 1.5}),
+    ("T4", {"alpha0": 1.0}, {"p": 3, "bound": 1.5}),
+    ("T5", {"delta": 0.3, "s": 2}, {"p": 2, "s_gap": 2, "bound": 0.76}),
+    ("L2", {}, {"p": 3, "bound": 1.0}),
+    ("L3", {}, {"p": 3, "bound": 0.9}),
+]
+
+
+@pytest.mark.parametrize("tid,params,sampler", RING_CASES, ids=[c[0] for c in RING_CASES])
+def test_ring_matches_full_grid(tid, params, sampler):
+    grid = DiskGrid(n_radial=16, n_angular=64)
+    for seed in range(6):
+        f = sample_hypothesis_function(np.random.SeedSequence((77, seed)), N=16, **sampler)
+        rep = check_theorem(tid, f, grid, **params)
+        hyp, values = _brute_force(tid, f, grid, params.get("s"))
+        assert rep.hypothesis_sup == pytest.approx(hyp, abs=1e-12)
+        hyp_ok = hyp > 0.0 if tid in ("L2", "L3") else hyp < rep.hypothesis_bound
+        assert rep.hypothesis_satisfied == hyp_ok
+        if not hyp_ok:
+            assert rep.verdict == "HYPOTHESIS_NOT_SATISFIED"
+            continue
+        assert [c.value for c in rep.conclusions] == pytest.approx(values, abs=1e-12)
+        margins = [
+            c.bound - v if c.kind == "sup_arg" else v - c.bound for c, v in zip(rep.conclusions, values)
+        ]
+        assert rep.verdict == ("PASS" if min(margins, default=0.0) >= -SLACK else "FAIL")
+
+
+def test_t4_check_runs_kernel_once(monkeypatch):
+    calls = []
+    kernel = verify._horner_many
+
+    def counted(coeffs, zs):
+        calls.append((coeffs.shape, zs.shape))
+        return kernel(coeffs, zs)
+
+    monkeypatch.setattr(verify, "_horner_many", counted)
+    grid = DiskGrid(n_radial=16, n_angular=64)
+    f = sample_hypothesis_function(5, p=5, bound=1.5, N=16)
+    rep = check_theorem("T4", f, grid, alpha0=1.0)
+    assert rep.verdict == "PASS"
+    assert len(rep.conclusions) == 6  # s = 1..5 and the starlike ratio
+    # f^(0) .. f^(5), each once, on the 64 ring points
+    assert calls == [((6, 16), (64,))]
+
+
 def test_conclusion_slack_window():
     good = ConclusionCheck("x", "sup_arg", 1.0, 1.0 - SLACK / 2, 0j)
     bad = ConclusionCheck("x", "sup_arg", 1.0 + 2 * SLACK, 1.0, 0j)
@@ -488,6 +619,24 @@ def test_scan_t5_uses_gap_sampler():
     assert rep.counts["FAIL"] == 0
     assert rep.worst_function.order_p == 3
     assert rep.params == {"delta": 0.3, "s": 3}
+
+
+@pytest.mark.parametrize(
+    "tid,solver,kwargs",
+    [("T4", "alpha_sequence", {"p": 5, "alpha0": 1.0}), ("C2", "solve_gamma0", {"p": 2})],
+)
+def test_scan_solves_constants_once(monkeypatch, tid, solver, kwargs):
+    calls = []
+    real = getattr(verify, solver)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(verify, solver, counted)
+    rep = counterexample_scan(tid, trials=200, seed=501, N=16, grid=DiskGrid(n_radial=1, n_angular=64), **kwargs)
+    assert len(rep.verdicts) == 200
+    assert len(calls) == 1
 
 
 def test_scan_rejects_bad_args():
