@@ -32,20 +32,19 @@ from .roots import (
     solve_delta_max,
     solve_gamma0,
 )
-from .series import ArgOfZero, DivisionNearZero, PowerSeries, differentiate
+from .series import ArgOfZero, PowerSeries
 from .verify import (
+    HEATMAP_QUANTITIES,
     DiskGrid,
     Lemma1Report,
     NonFiniteValue,
     NotAttained,
-    ParamOutOfRange,
     ScanReport,
     VerificationReport,
     ZeroOnGrid,
-    _grid_values,
-    _ratio_to_lower_derivative,
     check_theorem,
     counterexample_scan,
+    heatmap_values,
     lemma1_probe,
 )
 
@@ -54,8 +53,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
-
-HEATMAP_QUANTITIES = ("arg-fp", "arg-fp1-over-z", "arg-jst", "re-ratio")
 
 
 class FunctionFileError(ValueError):
@@ -286,26 +283,8 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def emit_heatmap(f: PowerSeries, quantity: str, grid: DiskGrid, path) -> None:
     """Write quantity sampled over the grid as CSV rows r,theta,value in
-    (radial, angular) order. Arguments are reported on the principal branch."""
-    if quantity not in HEATMAP_QUANTITIES:
-        raise ParamOutOfRange(f"unknown quantity {quantity!r}; choose from {HEATMAP_QUANTITIES}")
-    p = f.order_p
-    if quantity == "arg-fp":
-        vals = np.angle(_grid_values(differentiate(f, p), 0, grid))
-    elif quantity == "arg-fp1-over-z":
-        if p < 1:
-            raise ParamOutOfRange("arg-fp1-over-z requires p >= 1")
-        vals = np.angle(_grid_values(differentiate(f, p - 1), 1, grid))
-    elif quantity == "arg-jst":
-        if p < 1:
-            raise ParamOutOfRange("arg-jst requires p >= 1")
-        vals = np.angle(_ratio_to_lower_derivative(f, 1, grid, "arg-jst"))
-    else:  # re-ratio
-        if p < 1:
-            raise ParamOutOfRange("re-ratio requires p >= 1")
-        vals = _ratio_to_lower_derivative(f, p, grid, "re-ratio").real
-    vals = np.where(vals == -np.pi, np.pi, vals)  # fold onto (-pi, pi]
-
+    (radial, angular) order (see verify.heatmap_values)."""
+    vals = heatmap_values(f, quantity, grid)
     lines = ["r,theta,value"]
     radii, angles = grid.radii, grid.angles
     for i in range(grid.n_radial):
@@ -416,11 +395,8 @@ def _cmd_scan(args, argv) -> int:
         seed=args.seed,
         p=args.p,
         grid=grid,
-        alpha1=args.alpha1,
-        alpha0=args.alpha0,
-        delta=args.delta,
-        s=args.s,
         N=args.ncoeffs,
+        **_theorem_kwargs(args, {}),
     )
     _write(_render(_envelope(argv, _scan_payload(rep), grid=grid), args.format), args.out)
     return EXIT_FAIL if rep.counts["FAIL"] > 0 else EXIT_PASS
@@ -530,13 +506,10 @@ def run(argv) -> int:
     except FunctionFileError as e:
         print(f"argstar: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (ZeroOnGrid, NonFiniteValue, DivisionNearZero, NoConvergence, ArgOfZero, BracketInvalid) as e:
+    except (ZeroOnGrid, NonFiniteValue, NoConvergence, ArgOfZero, BracketInvalid) as e:
         print(f"argstar: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ParamOutOfRange as e:
-        print(f"argstar: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except ValueError as e:  # ParamOutOfRange among them
         print(f"argstar: {e}", file=sys.stderr)
         return EXIT_USAGE
 

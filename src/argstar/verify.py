@@ -14,7 +14,8 @@ whose argument is taken, and every denominator of a real-part ratio, is first
 certified zero-free on the closed disk: a root makes sup|arg| exactly pi with
 the root as witness, and a root of a real-part denominator is a pole
 (ZeroOnGrid). Each check differentiates f once per derivative order it needs
-and evaluates all of them in one Horner pass over the ring.
+and evaluates all of them in one Horner pass over the ring; heatmap_values
+takes the same quantities at every point of the grid.
 
 Ratios such as z f'(z)/f(z) are always evaluated with the z-power divided out
 of numerator and denominator separately (f^(k)(z)/z^(p-k) is a polynomial with
@@ -46,9 +47,6 @@ SLACK = 1e-9  # strict "<" conclusions fail only beyond this
 VERDICT_PASS = "PASS"
 VERDICT_FAIL = "FAIL"
 VERDICT_HYP = "HYPOTHESIS_NOT_SATISFIED"
-
-_THEOREM_IDS = ("T1", "C1", "C2", "T3", "T4", "T5", "L2", "L3")
-
 
 class ZeroOnGrid(ArithmeticError):
     """A sampled denominator fell below the zero tolerance, or a certified
@@ -225,16 +223,6 @@ def _horner_many(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _grid_values(s: PowerSeries, divisor_power: int, grid: DiskGrid) -> np.ndarray:
-    """Values of s(z)/z**divisor_power over the grid, z-power folded analytically."""
-    pts = grid.points
-    vals = _horner_many(s.coeffs, pts)
-    shift = s.order_p - divisor_power
-    if shift != 0:
-        vals = vals * pts**shift
-    return vals
-
-
 def _first_below_tol(vals: np.ndarray, points: np.ndarray, context: str):
     mag = np.abs(vals)
     mask = mag < ZERO_TOL
@@ -243,21 +231,7 @@ def _first_below_tol(vals: np.ndarray, points: np.ndarray, context: str):
         raise ZeroOnGrid(complex(points.flat[idx]), float(mag.flat[idx]), context)
 
 
-def _ratio_to_lower_derivative(f: PowerSeries, upper: int, grid: DiskGrid, context: str) -> np.ndarray:
-    """z f^(upper)(z) / f^(upper-1)(z) over the grid, z-powers folded out.
-
-    With m = f.order_p - upper, f^(upper)/z^m and f^(upper-1)/z^(m+1) are both
-    polynomials with nonzero constant term for admissible inputs, and their
-    pointwise quotient is exactly the wanted ratio.
-    """
-    m = f.order_p - upper
-    num = _grid_values(differentiate(f, upper), m, grid)
-    den = _grid_values(differentiate(f, upper - 1), m + 1, grid)
-    _first_below_tol(den, grid.points, context)
-    return num / den
-
-
-# ---------------------------------------------------------- ring certificate
+# ------------------------------------------------ certificate and evaluation
 
 # |c_0| must beat the tail sum by more than its rounding error
 _DOMINANCE_RTOL = 1e-12
@@ -301,29 +275,40 @@ def _ratio(kind: str, p: int, upper: int, context: str, add: int = 0) -> _Quanti
     return _Quantity(kind, (upper, m), (upper - 1, m + 1), add, context)
 
 
-class _RingEvaluation:
-    """The derivatives f^(k) a check needs, each evaluated once on the outer
-    ring in one Horner pass, and the functionals taken from them."""
+def _orders(*quantities: _Quantity) -> tuple[int, ...]:
+    """The distinct derivative orders the quantities read, ascending."""
+    return tuple(sorted({t[0] for q in quantities for t in (q.num, q.den) if t is not None}))
 
-    def __init__(self, f: PowerSeries, orders, grid: DiskGrid):
+
+class _Evaluation:
+    """The derivatives f^(k) of the given orders, each evaluated once at the
+    sample points (grid.ring for the checks, grid.points for heatmap and the
+    lemma1 probe) in one Horner pass, and the quantities taken from them."""
+
+    def __init__(self, f: PowerSeries, orders, grid: DiskGrid, points: np.ndarray):
         self.grid = grid
+        self.points = points
         polys = [differentiate(f, k) for k in orders]
         n = max(q.coeffs.size for q in polys)
         stack = np.zeros((len(polys), n), dtype=np.complex128)
         for i, q in enumerate(polys):
             stack[i, : q.coeffs.size] = q.coeffs
-        values = _horner_many(stack, grid.ring)
-        finite = np.isfinite(values).all(axis=1)
+        rows = _horner_many(stack, points)
+        finite = np.isfinite(rows.reshape(len(polys), -1)).all(axis=1)
         if not finite.all():
             k = orders[int(np.argmin(finite))]
             raise NonFiniteValue(f"f^({k}) is not finite on |z| = {grid.r_max} (float64 overflow)")
         self.row = {k: i for i, k in enumerate(orders)}
         self.order = [q.order_p for q in polys]
         self.coeffs = stack
-        self.values = values
-        mag = np.abs(stack)
-        tail = mag[:, 1:] @ (grid.r_max ** np.arange(1, n))
-        self.dominant = mag[:, 0] > tail * (1.0 + _DOMINANCE_RTOL)
+        self.rows = rows
+
+    @cached_property
+    def dominant(self) -> np.ndarray:
+        """Per row: the constant term beats the rest on |z| <= r_max, so no root there."""
+        mag = np.abs(self.coeffs)
+        tail = mag[:, 1:] @ (self.grid.r_max ** np.arange(1, mag.shape[1]))
+        return mag[:, 0] > tail * (1.0 + _DOMINANCE_RTOL)
 
     def _term(self, term) -> tuple[int, int]:
         """(row, shift): f^(k)/z^m is the row's polynomial times z**shift."""
@@ -333,8 +318,17 @@ class _RingEvaluation:
 
     def _values(self, term) -> np.ndarray:
         i, shift = self._term(term)
-        vals = self.values[i]
-        return vals if shift == 0 else vals * self.grid.ring**shift
+        vals = self.rows[i]
+        return vals if shift == 0 else vals * self.points**shift
+
+    def values(self, q: _Quantity) -> np.ndarray:
+        """add + N/D at every sample point; a denominator below ZERO_TOL raises ZeroOnGrid."""
+        vals = self._values(q.num)
+        if q.den is not None:
+            den = self._values(q.den)
+            _first_below_tol(den, self.points, q.context)
+            vals = vals / den
+        return q.add + vals if q.add else vals
 
     def _root(self, i: int) -> Optional[complex]:
         if self.dominant[i]:
@@ -355,35 +349,29 @@ class _RingEvaluation:
         return min(found, key=abs, default=None)
 
     def take(self, q: _Quantity) -> tuple[float, complex, int]:
-        """(value, witness, samples used) of one functional."""
-        ring = self.grid.ring
-        vals = self._values(q.num)
+        """(value, witness, samples used) of one functional on the ring."""
+        points = self.points
+        vals = self.values(q)
         if q.den is None:
-            _first_below_tol(vals, ring, q.context)
-        else:
-            den = self._values(q.den)
-            _first_below_tol(den, ring, q.context)
-            vals = vals / den
-        if q.add:
-            vals = q.add + vals
+            _first_below_tol(vals, points, q.context)
         root = self._obstruction(q)
         if root is not None:
             if q.kind == "min_real":
                 raise ZeroOnGrid(root, None, q.context)
-            return math.pi, root, ring.size
+            return math.pi, root, points.size
         reduced = np.abs(np.angle(vals)) if q.kind == "sup_arg" else vals.real
         if reduced.min() == reduced.max():
             # constant on the circle, so constant on the disk: every grid point
             # ties and the witness is the first one, as on the full grid
             return float(reduced[0]), complex(self.grid.radii[0]), self.grid.size
         idx = int(np.argmax(reduced) if q.kind == "sup_arg" else np.argmin(reduced))
-        return float(reduced[idx]), complex(ring[idx]), ring.size
+        return float(reduced[idx]), complex(points[idx]), points.size
 
 
 def _take_one(s: PowerSeries, kind: str, divisor_power: int, grid: DiskGrid):
     if divisor_power < 0:
         raise ValueError("divisor_power must be >= 0")
-    return _RingEvaluation(s, (0,), grid).take(_plain(kind, 0, divisor_power))
+    return _Evaluation(s, (0,), grid, grid.ring).take(_plain(kind, 0, divisor_power))
 
 
 def sup_arg(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> SupArgResult:
@@ -401,6 +389,29 @@ def min_real(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) 
     return value, witness
 
 
+HEATMAP_QUANTITIES = ("arg-fp", "arg-fp1-over-z", "arg-jst", "re-ratio")
+
+
+def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
+    """One of the checks' functionals at every grid point, shape (n_radial,
+    n_angular): arg f^(p), arg(f^(p-1)/z) or arg(z f'/f) on (-pi, pi], or
+    Re(z f^(p)/f^(p-1)), p = f.order_p."""
+    if quantity not in HEATMAP_QUANTITIES:
+        raise ParamOutOfRange(f"unknown quantity {quantity!r}; choose from {HEATMAP_QUANTITIES}")
+    p = f.order_p
+    if quantity != "arg-fp" and p < 1:
+        raise ParamOutOfRange(f"{quantity} requires p >= 1")
+    q = {
+        "arg-fp": _plain("sup_arg", p, 0),
+        "arg-fp1-over-z": _plain("sup_arg", p - 1, 1),
+        "arg-jst": _ratio("sup_arg", p, 1, quantity),
+        "re-ratio": _ratio("min_real", p, p, quantity),
+    }[quantity]
+    vals = _Evaluation(f, _orders(q), grid, grid.points).values(q)
+    vals = np.angle(vals) if q.kind == "sup_arg" else vals.real
+    return np.where(vals == -np.pi, np.pi, vals)  # fold onto (-pi, pi]
+
+
 # ------------------------------------------------------------- theorem checks
 
 def _coefficient_of(f: PowerSeries, exponent: int) -> complex:
@@ -408,28 +419,6 @@ def _coefficient_of(f: PowerSeries, exponent: int) -> complex:
     if j < 0 or j >= f.coeffs.size:
         return 0j
     return complex(f.coeffs[j])
-
-
-def _check_params(theorem_id, alpha1, alpha0, delta, s):
-    allowed = {"T1": ("alpha1",), "T3": ("alpha0",), "T4": ("alpha0",), "T5": ("delta", "s")}
-    given = {"alpha1": alpha1, "alpha0": alpha0, "delta": delta, "s": s}
-    needs = allowed.get(theorem_id, ())
-    for name, value in given.items():
-        if value is not None and name not in needs:
-            raise ParamOutOfRange(f"{theorem_id} does not take parameter {name}")
-        if value is None and name in needs:
-            raise ParamOutOfRange(f"{theorem_id} requires parameter {name}")
-    if theorem_id == "T1" and not 0 < alpha1 <= 1:
-        raise ParamOutOfRange("alpha1 must lie in (0, 1]")
-    if theorem_id in ("T3", "T4") and not 0 < alpha0 <= 1.5:
-        raise ParamOutOfRange("alpha0 must lie in (0, 3/2]")
-    if theorem_id == "T5":
-        if not (delta > 0 and 2 * delta + (2 / math.pi) * math.atan(delta) < 2.0):
-            raise ParamOutOfRange(
-                "delta must satisfy delta > 0 and 2 delta + (2/pi)atan(delta) < 2"
-            )
-        if not isinstance(s, (int, np.integer)) or s < 2:
-            raise ParamOutOfRange("s must be an integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -446,45 +435,74 @@ class _Plan:
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
-        quantities = (self.hypothesis, *(q for _, q, _ in self.conclusions))
-        return tuple(sorted({t[0] for q in quantities for t in (q.num, q.den) if t is not None}))
+        return _orders(self.hypothesis, *(q for _, q, _ in self.conclusions))
 
 
 def _build_plan(theorem_id, p, alpha1, alpha0, delta, s, cfg) -> _Plan:
+    """Check the theorem id and parameters and plan the implication for series
+    of order p. Each branch names the parameters its theorem takes, checks
+    their ranges, and lists the hypothesis, bounds and conclusions."""
+    theorem_id = theorem_id.upper()
+    given = {"alpha1": alpha1, "alpha0": alpha0, "delta": delta, "s": s}
+
+    def takes(*names):
+        for name, value in given.items():
+            if value is not None and name not in names:
+                raise ParamOutOfRange(f"{theorem_id} does not take parameter {name}")
+            if value is None and name in names:
+                raise ParamOutOfRange(f"{theorem_id} requires parameter {name}")
+
     notes: list[str] = []
     concl: list = []
     hyp = _plain("sup_arg", p, 0)  # all but T5, L2 and L3
     if theorem_id == "T5":
+        takes("delta", "s")
+        if not (delta > 0 and 2 * delta + (2 / math.pi) * math.atan(delta) < 2.0):
+            raise ParamOutOfRange(
+                "delta must satisfy delta > 0 and 2 delta + (2/pi)atan(delta) < 2"
+            )
+        if not isinstance(s, (int, np.integer)) or s < 2:
+            raise ParamOutOfRange("s must be an integer >= 2")
         hyp = _plain("sup_arg", s, 0)
         hyp_bound = (math.pi / 2) * delta + math.atan(delta)
         params = {"s": int(s), "delta": delta}
         concl.append(("|arg(z f^(s)/f^(s-1))|", _ratio("sup_arg", p, s, "T5 conclusion"),
                       (math.pi / 2) * delta + 2 * math.atan(delta)))
     elif theorem_id == "L2":
+        takes()
         hyp = _ratio("min_real", p, p, "L2 hypothesis")
         hyp_bound, params = 0.0, {"p": p}
         for k in range(1, p + 1):
             concl.append((f"Re(z f^({k})/f^({k - 1}))", _ratio("min_real", p, k, f"L2 k={k}"), 0.0))
     elif theorem_id == "L3":
+        takes()
         hyp = _ratio("min_real", p, p + 1, "L3 hypothesis", add=p)
         hyp_bound, params = 0.0, {"p": p}
         for k in range(1, p):
             concl.append((f"Re({k} + z f^({k + 1})/f^({k}))",
                           _ratio("min_real", p, k + 1, f"L3 k={k}", add=k), 0.0))
     elif theorem_id == "T1":
+        takes("alpha1")
+        if not 0 < alpha1 <= 1:
+            raise ParamOutOfRange("alpha1 must lie in (0, 1]")
         hyp_bound = (math.pi / 2) * (alpha1 + (2 / math.pi) * math.atan(alpha1))
         params = {"p": p, "alpha1": alpha1}
         concl.append((f"|arg(f^({p - 1})/z)|", _plain("sup_arg", p - 1, 1), alpha1 * math.pi / 2))
     elif theorem_id == "C1":
+        takes()
         hyp_bound, params = 3 * math.pi / 4, {"p": p}
         concl.append((f"|arg(f^({p - 1})/z)|", _plain("sup_arg", p - 1, 1), math.pi / 2))
         for k in range(p):
             concl.append((f"Re(f^({p - k - 1})/z^{k + 1})", _plain("min_real", p - k - 1, k + 1), 0.0))
     elif theorem_id == "C2":
+        takes()
         _, composite = solve_gamma0(cfg)
         hyp_bound, params = (math.pi / 2) * composite, {"p": p}
         concl.append(("|arg(z f'/f)|", _ratio("sup_arg", p, 1, "C2 conclusion"), math.pi / 2))
-    else:  # T3 / T4
+    elif theorem_id in ("T3", "T4"):
+        takes("alpha0")
+        if not 0 < alpha0 <= 1.5:
+            raise ParamOutOfRange("alpha0 must lie in (0, 3/2]")
         hyp_bound = math.pi * alpha0 / 2
         params = {"p": p, "alpha0": alpha0}
         chain = alpha_sequence(alpha0, p, cfg)
@@ -513,6 +531,8 @@ def _build_plan(theorem_id, p, alpha1, alpha0, delta, s, cfg) -> _Plan:
                     f"no sigma <= p={p} with alpha_sigma + alpha_(sigma-1) <= 1; "
                     "starlikeness conclusion not applicable"
                 )
+    else:
+        raise ParamOutOfRange(f"unknown theorem id {theorem_id!r}")
     return _Plan(theorem_id, params, hyp, hyp_bound, tuple(concl), tuple(notes))
 
 
@@ -559,20 +579,16 @@ def check_theorem(
     which satisfy the parameter and order checks by construction.
     """
     if _plan is None:
-        theorem_id = theorem_id.upper()
-        if theorem_id not in _THEOREM_IDS:
-            raise ParamOutOfRange(f"unknown theorem id {theorem_id!r}")
-        _check_params(theorem_id, alpha1, alpha0, delta, s)
-        if theorem_id == "T5":
+        if f.order_p < 1:
+            raise ParamOutOfRange("f must have order_p >= 1")
+        _plan = _build_plan(theorem_id, f.order_p, alpha1, alpha0, delta, s, cfg)
+        if _plan.theorem_id == "T5":
             if _coefficient_of(f, s - 1) != 0:
                 raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
             if _coefficient_of(f, s) == 0:
                 raise ParamOutOfRange(f"coefficient of z^{s} must be nonzero")
-        if f.order_p < 1:
-            raise ParamOutOfRange("f must have order_p >= 1")
-        _plan = _build_plan(theorem_id, f.order_p, alpha1, alpha0, delta, s, cfg)
 
-    ev = _RingEvaluation(f, _plan.orders, grid)
+    ev = _Evaluation(f, _plan.orders, grid, grid.ring)
     hyp_value, hyp_witness, _ = ev.take(_plan.hypothesis)
     if _plan.hypothesis.kind == "min_real":
         hyp_ok = hyp_value > _plan.hypothesis_bound
@@ -665,7 +681,7 @@ def lemma1_probe(
         raise ParamOutOfRange("gamma must be > 0")
     if q.order_p != 0 or q.coeffs[0] != 1:
         raise ParamOutOfRange("q must satisfy q(0) = 1 (order_p 0, constant term 1)")
-    _first_below_tol(_grid_values(q, 0, grid), grid.points, "lemma1 probe")
+    _first_below_tol(_Evaluation(q, (0,), grid, grid.points).rows[0], grid.points, "lemma1 probe")
     level = math.pi * gamma / 2.0
 
     coeffs = q.coeffs
@@ -781,15 +797,15 @@ def counterexample_scan(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     theorem_id = theorem_id.upper()
-    if theorem_id not in _THEOREM_IDS:
-        raise ParamOutOfRange(f"unknown theorem id {theorem_id!r}")
-    _check_params(theorem_id, alpha1, alpha0, delta, s)
     if theorem_id == "T5":
-        order, sampler_args = s, {"p": s, "s_gap": s}
+        # T5 draws gap series of order s
+        if p is not None:
+            raise ParamOutOfRange("T5 does not take parameter p")
+        order, s_gap = s, s
     elif p is None or p < 1:
         raise ParamOutOfRange(f"{theorem_id} scan requires p >= 1")
     else:
-        order, sampler_args = p, {"p": p}
+        order, s_gap = p, None
     plan = _build_plan(theorem_id, order, alpha1, alpha0, delta, s, cfg)
     bound = _RE_SAMPLER_BOUND.get(theorem_id, min(plan.hypothesis_bound, _SAMPLER_CAP))
     given = (("alpha1", alpha1), ("alpha0", alpha0), ("delta", delta), ("s", s))
@@ -800,7 +816,7 @@ def counterexample_scan(
     attempts = 0
     while len(verdicts) < trials and attempts < 10 * trials:
         f = sample_hypothesis_function(
-            np.random.SeedSequence((seed, attempts)), bound=bound, N=N, **sampler_args
+            np.random.SeedSequence((seed, attempts)), p=order, bound=bound, N=N, s_gap=s_gap
         )
         report = check_theorem(theorem_id, f, grid, _plan=plan)
         attempt = attempts

@@ -195,6 +195,14 @@ def test_exit_2_t5_gap_violation(lin, capsys):
     assert run(["verify", "--theorem", "t5", "--function", lin, "--delta", "0.3", "--s", "2"]) == 2
 
 
+def test_exit_2_t5_scan_rejects_p(capsys):
+    # T5 draws gap series of order s, so a p would be ignored
+    assert run(["scan", "--theorem", "t5", "--s", "2", "--delta", "0.3", "--p", "7", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "T5 does not take parameter p" in captured.err
+
+
 def test_exit_3_parse_errors(tmp_path):
     assert run(["verify", "--theorem", "t1", "--function", str(tmp_path / "nope.json"), "--alpha1", "1.0"]) == 3
     bad = tmp_path / "bad.json"
@@ -224,9 +232,18 @@ def test_exit_4_interior_pole(tmp_path, capsys):
 def test_exit_4_overflowing_derivative(tmp_path, capsys):
     # 171! overflows float64, so f^(171) of z^171 is not finite
     path = write_spec(tmp_path, "big.json", {"p": 171, "coefficients": [[0.0, 0.0]]})
-    with pytest.warns(RuntimeWarning):
-        assert run(["verify", "--theorem", "t1", "--function", path, "--alpha1", "1.0"]) == 4
-    assert "not finite" in capsys.readouterr().err
+    # z + 1e308 z^2 is finite on the grid, its derivative 1 + 2e308 z is not
+    wide = write_spec(tmp_path, "wide.json", {"p": 1, "coefficients": [[1e308, 0.0]]})
+    out = tmp_path / "hm.csv"
+    for argv in (
+        ["verify", "--theorem", "t1", "--function", path, "--alpha1", "1.0"],
+        ["heatmap", "--function", path, "--quantity", "re-ratio", "--out", str(out)],
+        ["heatmap", "--function", wide, "--quantity", "arg-jst", "--out", str(out)],
+    ):
+        with pytest.warns(RuntimeWarning):
+            assert run(argv) == 4
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_exit_4_not_attained_emits_partial(probe, capsys):

@@ -216,8 +216,12 @@ def test_unknown_theorem_id():
     ],
 )
 def test_parameter_validation(tid, kw):
-    with pytest.raises(ParamOutOfRange):
+    with pytest.raises(ParamOutOfRange) as checked:
         check_theorem(tid, make_series(2, [0.0, 1.0], 3), **kw)
+    # the scan validates through the same plan; T5 draws at order s and takes no p
+    with pytest.raises(ParamOutOfRange) as scanned:
+        counterexample_scan(tid, trials=1, seed=1, p=None if tid == "T5" else 2, **kw)
+    assert str(scanned.value) == str(checked.value)
 
 
 def test_t5_gap_structure_enforced():
@@ -455,6 +459,31 @@ def test_ring_matches_full_grid(tid, params, sampler):
         assert rep.verdict == ("PASS" if min(margins, default=0.0) >= -SLACK else "FAIL")
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_heatmap_values_match_full_grid(p):
+    def arg_diff(a, b):
+        return np.remainder(a - b + np.pi, 2 * np.pi) - np.pi
+
+    for grid in (DiskGrid(n_radial=16, n_angular=64), DiskGrid(r_max=0.9, n_radial=8, n_angular=16)):
+        for seed in range(4):
+            f = sample_hypothesis_function(np.random.SeedSequence((78, p, seed)), p=p, bound=1.2, N=16)
+            expected = {
+                "arg-fp": np.angle(_full_grid(f, p, 0, grid)),
+                "arg-fp1-over-z": np.angle(_full_grid(f, p - 1, 1, grid)),
+                "arg-jst": np.angle(_full_ratio(f, 1, grid)),
+                "re-ratio": _full_ratio(f, p, grid).real,
+            }
+            assert tuple(expected) == verify.HEATMAP_QUANTITIES
+            for quantity, want in expected.items():
+                got = verify.heatmap_values(f, quantity, grid)
+                assert got.shape == (grid.n_radial, grid.n_angular)
+                if quantity.startswith("arg"):
+                    assert np.all((got > -np.pi) & (got <= np.pi))
+                    assert np.abs(arg_diff(got, want)).max() <= 1e-12
+                else:
+                    assert np.abs(got - want).max() <= 1e-12
+
+
 def test_t4_check_runs_kernel_once(monkeypatch):
     calls = []
     kernel = verify._horner_many
@@ -646,3 +675,5 @@ def test_scan_rejects_bad_args():
         counterexample_scan("T1", trials=2, seed=1, alpha1=0.3)  # p missing
     with pytest.raises(ParamOutOfRange):
         counterexample_scan("Q7", trials=2, seed=1, p=2)
+    with pytest.raises(ParamOutOfRange, match="T5 does not take parameter p"):
+        counterexample_scan("T5", trials=2, seed=1, p=7, s=2, delta=0.3)  # draws have order s
