@@ -2,14 +2,10 @@
 
 from .series import (
     ArgOfZero,
-    DivisionNearZero,
     PowerSeries,
     ZERO_TOL,
     differentiate,
-    evaluate,
     integrate,
-    jcv,
-    jst,
     make_series,
     principal_arg,
 )

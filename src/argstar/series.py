@@ -1,4 +1,4 @@
-"""Truncated complex power series and the starlikeness/convexity functionals.
+"""Truncated complex power series with bit-exact differentiation and integration.
 
 A series is a finite sum  sum_j coeffs[j] * z**(order_p + j)  with complex
 float64 coefficients. ``order_p`` is the lowest stored exponent: ``p`` for a
@@ -21,11 +21,7 @@ import math
 
 import numpy as np
 
-ZERO_TOL = 1e-13  # |denominator| below this is treated as a true zero
-
-
-class DivisionNearZero(ArithmeticError):
-    """A functional's denominator fell below the zero tolerance."""
+ZERO_TOL = 1e-13  # |value| below this is treated as a true zero
 
 
 class ArgOfZero(ValueError):
@@ -157,51 +153,11 @@ def integrate(s: PowerSeries, k: int) -> PowerSeries:
     return PowerSeries._lifted(s.order_p + k, s._raw, s._lift + k)
 
 
-def _check_point(z: complex) -> complex:
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
-    return z
-
-
 def _horner(coeffs: np.ndarray, z: complex) -> complex:
     acc = complex(coeffs[-1])
     for j in range(coeffs.size - 2, -1, -1):
         acc = acc * z + complex(coeffs[j])
     return acc
-
-
-def evaluate(s: PowerSeries, z: complex) -> complex:
-    """Horner evaluation of the truncated series at |z| < 1."""
-    z = _check_point(z)
-    return _horner(s.coeffs, z) * z**s.order_p
-
-
-def _log_deriv_ratio(s: PowerSeries, z: complex) -> complex:
-    # z s'(z)/s(z) with the z**order_p factor divided out analytically:
-    # writing s = z**m t(z), this is m + z t'(z)/t(z), exact at z = 0.
-    t = s.coeffs
-    den = _horner(t, z)
-    if abs(den) < ZERO_TOL:
-        raise DivisionNearZero(
-            f"|denominator| = {abs(den):.3e} below tolerance {ZERO_TOL} at z = {z}"
-        )
-    if t.size == 1:
-        return complex(s.order_p)
-    tprime = t[1:] * np.arange(1, t.size)
-    return s.order_p + z * _horner(tprime, z) / den
-
-
-def jst(f: PowerSeries, z: complex) -> complex:
-    """Starlikeness functional z f'(z)/f(z); equals order_p exactly at z = 0."""
-    z = _check_point(z)
-    return _log_deriv_ratio(f, z)
-
-
-def jcv(f: PowerSeries, z: complex) -> complex:
-    """Convexity functional 1 + z f''(z)/f'(z); equals order_p exactly at z = 0."""
-    z = _check_point(z)
-    return 1 + _log_deriv_ratio(differentiate(f, 1), z)
 
 
 def principal_arg(w: complex) -> float:

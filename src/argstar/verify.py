@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .roots import DEFAULT_CONFIG, RootConfig, alpha_sequence, sigma_index, solve_gamma0
+from .roots import alpha_sequence, bisect_increasing, sigma_index, solve_gamma0
 from .series import (
     PowerSeries,
     ZERO_TOL,
@@ -65,7 +65,7 @@ class ZeroOnGrid(ArithmeticError):
 
 
 class NonFiniteValue(ArithmeticError):
-    """A polynomial of the check is not finite on the ring (float64 overflow)."""
+    """A polynomial of the check is not finite at a sample point (float64 overflow)."""
 
 
 class NotAttained(RuntimeError):
@@ -294,10 +294,11 @@ class _Evaluation:
         for i, q in enumerate(polys):
             stack[i, : q.coeffs.size] = q.coeffs
         rows = _horner_many(stack, points)
-        finite = np.isfinite(rows.reshape(len(polys), -1)).all(axis=1)
+        finite = np.isfinite(rows.reshape(len(polys), -1))
         if not finite.all():
-            k = orders[int(np.argmin(finite))]
-            raise NonFiniteValue(f"f^({k}) is not finite on |z| = {grid.r_max} (float64 overflow)")
+            i, j = divmod(int(np.argmin(finite)), finite.shape[1])  # first such row, its first sample
+            z = complex(points.flat[j])
+            raise NonFiniteValue(f"f^({orders[i]}) is not finite at z = {z} (float64 overflow)")
         self.row = {k: i for i, k in enumerate(orders)}
         self.order = [q.order_p for q in polys]
         self.coeffs = stack
@@ -395,7 +396,8 @@ HEATMAP_QUANTITIES = ("arg-fp", "arg-fp1-over-z", "arg-jst", "re-ratio")
 def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
     """One of the checks' functionals at every grid point, shape (n_radial,
     n_angular): arg f^(p), arg(f^(p-1)/z) or arg(z f'/f) on (-pi, pi], or
-    Re(z f^(p)/f^(p-1)), p = f.order_p."""
+    Re(z f^(p)/f^(p-1)), p = f.order_p. A denominator, or a value whose
+    argument is taken, below ZERO_TOL at a grid point raises ZeroOnGrid."""
     if quantity not in HEATMAP_QUANTITIES:
         raise ParamOutOfRange(f"unknown quantity {quantity!r}; choose from {HEATMAP_QUANTITIES}")
     p = f.order_p
@@ -407,7 +409,10 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
         "arg-jst": _ratio("sup_arg", p, 1, quantity),
         "re-ratio": _ratio("min_real", p, p, quantity),
     }[quantity]
-    vals = _Evaluation(f, _orders(q), grid, grid.points).values(q)
+    ev = _Evaluation(f, _orders(q), grid, grid.points)
+    vals = ev.values(q)
+    if q.kind == "sup_arg":  # arg is undefined where the value, or a ratio's numerator, vanishes
+        _first_below_tol(ev._values(q.num), grid.points, quantity)
     vals = np.angle(vals) if q.kind == "sup_arg" else vals.real
     return np.where(vals == -np.pi, np.pi, vals)  # fold onto (-pi, pi]
 
@@ -438,7 +443,7 @@ class _Plan:
         return _orders(self.hypothesis, *(q for _, q, _ in self.conclusions))
 
 
-def _build_plan(theorem_id, p, alpha1, alpha0, delta, s, cfg) -> _Plan:
+def _build_plan(theorem_id, p, alpha1, alpha0, delta, s) -> _Plan:
     """Check the theorem id and parameters and plan the implication for series
     of order p. Each branch names the parameters its theorem takes, checks
     their ranges, and lists the hypothesis, bounds and conclusions."""
@@ -496,7 +501,7 @@ def _build_plan(theorem_id, p, alpha1, alpha0, delta, s, cfg) -> _Plan:
             concl.append((f"Re(f^({p - k - 1})/z^{k + 1})", _plain("min_real", p - k - 1, k + 1), 0.0))
     elif theorem_id == "C2":
         takes()
-        _, composite = solve_gamma0(cfg)
+        _, composite = solve_gamma0()
         hyp_bound, params = (math.pi / 2) * composite, {"p": p}
         concl.append(("|arg(z f'/f)|", _ratio("sup_arg", p, 1, "C2 conclusion"), math.pi / 2))
     elif theorem_id in ("T3", "T4"):
@@ -505,7 +510,7 @@ def _build_plan(theorem_id, p, alpha1, alpha0, delta, s, cfg) -> _Plan:
             raise ParamOutOfRange("alpha0 must lie in (0, 3/2]")
         hyp_bound = math.pi * alpha0 / 2
         params = {"p": p, "alpha0": alpha0}
-        chain = alpha_sequence(alpha0, p, cfg)
+        chain = alpha_sequence(alpha0, p)
         if theorem_id == "T3":
             for k in range(1, p + 1):
                 concl.append((f"|arg(f^({p - k})/z^{k})|", _plain("sup_arg", p - k, k),
@@ -545,7 +550,6 @@ def check_theorem(
     alpha0: Optional[float] = None,
     delta: Optional[float] = None,
     s: Optional[int] = None,
-    cfg: RootConfig = DEFAULT_CONFIG,
     _plan: Optional[_Plan] = None,
 ) -> VerificationReport:
     """Verify one hypothesis -> conclusions implication on the grid.
@@ -581,7 +585,7 @@ def check_theorem(
     if _plan is None:
         if f.order_p < 1:
             raise ParamOutOfRange("f must have order_p >= 1")
-        _plan = _build_plan(theorem_id, f.order_p, alpha1, alpha0, delta, s, cfg)
+        _plan = _build_plan(theorem_id, f.order_p, alpha1, alpha0, delta, s)
         if _plan.theorem_id == "T5":
             if _coefficient_of(f, s - 1) != 0:
                 raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
@@ -622,6 +626,7 @@ def check_theorem(
 # ------------------------------------------------------------- boundary probe
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_THETA_TOL = 1e-10  # width of the golden-section bracket around the maximizing angle
 
 
 def _golden_max(fun, a: float, b: float, tol: float) -> float:
@@ -642,7 +647,7 @@ def _golden_max(fun, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray, theta_tol: float) -> tuple[float, float]:
+def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, float]:
     """(theta*, sup) of |arg q| on the circle of radius r: coarse scan + golden refine."""
     vals = _horner_many(coeffs, r * np.exp(1j * angles))
     args = np.angle(vals)
@@ -657,20 +662,17 @@ def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray, theta_tol: float
     def g(theta: float) -> float:
         return abs(principal_arg(_horner(coeffs, r * cmath.exp(1j * theta))))
 
-    theta = _golden_max(g, angles[j] - step, angles[j] + step, theta_tol)
+    theta = _golden_max(g, angles[j] - step, angles[j] + step, _THETA_TOL)
     return theta, g(theta)
 
 
-def lemma1_probe(
-    q: PowerSeries,
-    gamma: float,
-    grid: DiskGrid = DEFAULT_GRID,
-    *,
-    theta_tol: float = 1e-10,
-    r_tol: float = 1e-12,
-) -> Lemma1Report:
+def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) -> Lemma1Report:
     """Locate the first radius where max|arg q| reaches pi*gamma/2 and evaluate
     the boundary relation z0 q'(z0)/q(z0) there.
+
+    arg q is harmonic where q has no zero, so by the maximum principle max|arg q|
+    on |z| = r never decreases in r: the outer ring decides whether the level
+    is reached, and the crossing radius is bisected on [0, r_max].
 
     At the first touching point the logarithmic derivative is purely imaginary
     with Im = (2k/pi) arg q(z0) for some k >= (a + 1/a)/2 >= 1, where
@@ -684,33 +686,14 @@ def lemma1_probe(
     _first_below_tol(_Evaluation(q, (0,), grid, grid.points).rows[0], grid.points, "lemma1 probe")
     level = math.pi * gamma / 2.0
 
-    coeffs = q.coeffs
-    crossing = None
-    best = (-1.0, 0.0, 0.0)  # (sup, r, theta)
-    prev_r = 0.0
-    for r in grid.radii:
-        theta, sup = _ring_sup(coeffs, float(r), grid.angles, theta_tol)
-        if sup > best[0]:
-            best = (sup, float(r), theta)
-        if sup >= level:
-            crossing = (prev_r, float(r))
-            break
-        prev_r = float(r)
-    if crossing is None:
-        raise NotAttained(gamma, level, best[0], complex(best[1] * cmath.exp(1j * best[2])))
+    coeffs, angles, r_max = q.coeffs, grid.angles, grid.r_max
+    theta, top = _ring_sup(coeffs, r_max, angles)
+    if top < level:
+        raise NotAttained(gamma, level, top, complex(r_max * cmath.exp(1j * theta)))
 
-    lo, hi = crossing
-    while hi - lo > r_tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        _, sup = _ring_sup(coeffs, mid, grid.angles, theta_tol)
-        if sup < level:
-            lo = mid
-        else:
-            hi = mid
-    r0 = 0.5 * (lo + hi)
-    theta0, _ = _ring_sup(coeffs, r0, grid.angles, theta_tol)
+    # a ring that touches the level reaches it, so a zero excess counts as positive
+    r0 = bisect_increasing(lambda r: _ring_sup(coeffs, r, angles)[1] - level or math.inf, 0.0, r_max)
+    theta0, _ = _ring_sup(coeffs, r0, angles)
 
     z0 = r0 * cmath.exp(1j * theta0)
     qz = _horner(coeffs, z0)
@@ -783,7 +766,6 @@ def counterexample_scan(
     delta: Optional[float] = None,
     s: Optional[int] = None,
     N: int = 16,
-    cfg: RootConfig = DEFAULT_CONFIG,
 ) -> ScanReport:
     """Run check_theorem over `trials` sampled hypothesis-satisfying functions.
 
@@ -806,7 +788,7 @@ def counterexample_scan(
         raise ParamOutOfRange(f"{theorem_id} scan requires p >= 1")
     else:
         order, s_gap = p, None
-    plan = _build_plan(theorem_id, order, alpha1, alpha0, delta, s, cfg)
+    plan = _build_plan(theorem_id, order, alpha1, alpha0, delta, s)
     bound = _RE_SAMPLER_BOUND.get(theorem_id, min(plan.hypothesis_bound, _SAMPLER_CAP))
     given = (("alpha1", alpha1), ("alpha0", alpha0), ("delta", delta), ("s", s))
 

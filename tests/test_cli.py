@@ -220,6 +220,24 @@ def test_exit_4_zero_on_grid(tmp_path, capsys):
     assert "below tolerance" in capsys.readouterr().err
 
 
+def test_exit_4_heatmap_arg_of_zero(tmp_path, capsys):
+    # z - 2z^2: f' = 1 - 4z vanishes at the sample 0.25 and f/z = 1 - 2z at 0.5,
+    # where their arguments are undefined; on the single ring |z| = 0.25 the
+    # arg-jst numerator f' vanishes but its denominator f/z does not
+    path = write_spec(tmp_path, "z.json", {"p": 1, "coefficients": [[-2.0, 0]]})
+    out = tmp_path / "hm.csv"
+    for quantity, rmax, grid, zero in (
+        ("arg-fp", "0.5", "2x8", 0.25),
+        ("arg-fp1-over-z", "0.5", "2x8", 0.5),
+        ("arg-jst", "0.25", "1x8", 0.25),
+    ):
+        argv = ["heatmap", "--function", path, "--quantity", quantity, "--rmax", rmax, "--grid", grid]
+        assert run(argv + ["--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "below tolerance" in err and f"at z = {complex(zero)} in {quantity}" in err
+        assert not out.exists()
+
+
 def test_exit_4_interior_pole(tmp_path, capsys):
     # z - 2z^2: the L2 denominator f/z = 1 - 2z has its root 0.5 inside the disk
     path = write_spec(tmp_path, "pole.json", {"p": 1, "coefficients": [[-2.0, 0]]})
@@ -230,19 +248,25 @@ def test_exit_4_interior_pole(tmp_path, capsys):
 
 
 def test_exit_4_overflowing_derivative(tmp_path, capsys):
-    # 171! overflows float64, so f^(171) of z^171 is not finite
+    # 171! overflows float64, so f^(170) = 171! z of z^171 is not finite
     path = write_spec(tmp_path, "big.json", {"p": 171, "coefficients": [[0.0, 0.0]]})
     # z + 1e308 z^2 is finite on the grid, its derivative 1 + 2e308 z is not
     wide = write_spec(tmp_path, "wide.json", {"p": 1, "coefficients": [[1e308, 0.0]]})
     out = tmp_path / "hm.csv"
-    for argv in (
-        ["verify", "--theorem", "t1", "--function", path, "--alpha1", "1.0"],
-        ["heatmap", "--function", path, "--quantity", "re-ratio", "--out", str(out)],
-        ["heatmap", "--function", wide, "--quantity", "arg-jst", "--out", str(out)],
+    # the message names the first non-finite sample: on the outer ring for
+    # verify, the first point of the whole grid for heatmap
+    ring, disk = complex(DiskGrid().ring[0]), complex(DiskGrid().points[0, 0])
+    for argv, where in (
+        (["verify", "--theorem", "t1", "--function", path, "--alpha1", "1.0"],
+         f"f^(170) is not finite at z = {ring}"),
+        (["heatmap", "--function", path, "--quantity", "re-ratio", "--out", str(out)],
+         f"f^(170) is not finite at z = {disk}"),
+        (["heatmap", "--function", wide, "--quantity", "arg-jst", "--out", str(out)],
+         f"f^(1) is not finite at z = {disk}"),
     ):
         with pytest.warns(RuntimeWarning):
             assert run(argv) == 4
-        assert "not finite" in capsys.readouterr().err
+        assert where in capsys.readouterr().err
         assert not out.exists()
 
 

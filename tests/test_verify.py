@@ -484,6 +484,21 @@ def test_heatmap_values_match_full_grid(p):
                     assert np.abs(got - want).max() <= 1e-12
 
 
+def test_heatmap_jst_examples():
+    # re-ratio at p = 1 is Re(z f'/f), which is 2 at z = 0.5 for z/(1-z) = z + z^2 + ...
+    geometric = make_series(1, [1.0] * 63, 64)
+    ring = DiskGrid(r_max=0.5, n_radial=1, n_angular=8)
+    assert ring.points[0, 0] == 0.5
+    assert abs(verify.heatmap_values(geometric, "re-ratio", ring)[0, 0] - 2.0) <= 1e-13
+
+
+def test_heatmap_arg_jst_monomial_is_zero():
+    # z f'/f is exactly p for f = z^p
+    grid = DiskGrid(n_radial=8, n_angular=16)
+    for p in range(1, 9):
+        assert np.all(verify.heatmap_values(make_series(p, [], 1), "arg-jst", grid) == 0.0)
+
+
 def test_t4_check_runs_kernel_once(monkeypatch):
     calls = []
     kernel = verify._horner_many
@@ -561,6 +576,39 @@ def test_probe_rejects_bad_inputs():
         lemma1_probe(PowerSeries(0, np.array([2.0, 1.0])), 0.5)  # q(0) != 1
     with pytest.raises(ParamOutOfRange):
         lemma1_probe(make_series(1, [1.0], 2), 0.5)  # vanishes at 0
+
+
+def test_probe_work_is_one_bisection(monkeypatch):
+    # the outer ring, both bracket ends, the halvings of [0, r_max] down to
+    # 1e-12, and the ring at r0; the parent scan of every grid radius took 94
+    radii = []
+    ring_sup = verify._ring_sup
+
+    def counted(coeffs, r, angles):
+        radii.append(r)
+        return ring_sup(coeffs, r, angles)
+
+    monkeypatch.setattr(verify, "_ring_sup", counted)
+    lemma1_probe(PowerSeries(0, np.array([1.0, 1.0])), 2.0 * math.asin(0.6) / math.pi)
+    assert len(radii) <= 45
+
+    radii.clear()
+    with pytest.raises(NotAttained) as exc:
+        lemma1_probe(PowerSeries(0, np.array([1.0, 0.1])), 0.5)
+    r_max = DiskGrid().r_max
+    assert radii == [r_max]  # the outer ring alone decides that the level is missed
+    assert abs(abs(exc.value.best_point) - r_max) <= 1e-15
+
+
+def test_probe_level_touched_on_outer_ring():
+    # a level equal to the outer ring's sup counts as reached there
+    grid = DiskGrid()
+    q = PowerSeries(0, np.array([1.0, 0.5]))
+    top = verify._ring_sup(q.coeffs, grid.r_max, grid.angles)[1]
+    gamma = 2.0 * top / math.pi
+    assert math.pi * gamma / 2.0 == top
+    rep = lemma1_probe(q, gamma, grid)
+    assert grid.r_max - 1e-12 <= rep.r0 <= grid.r_max
 
 
 def test_probe_is_deterministic():
