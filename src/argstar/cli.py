@@ -283,15 +283,13 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def emit_heatmap(f: PowerSeries, quantity: str, grid: DiskGrid, path) -> None:
     """Write quantity sampled over the grid as CSV rows r,theta,value in
-    (radial, angular) order (see verify.heatmap_values)."""
+    (radial, angular) order (see verify.heatmap_values), one ring at a time."""
     vals = heatmap_values(f, quantity, grid)
-    lines = ["r,theta,value"]
-    radii, angles = grid.radii, grid.angles
-    for i in range(grid.n_radial):
-        r_txt = repr(float(radii[i]))
-        for j in range(grid.n_angular):
-            lines.append(f"{r_txt},{repr(float(angles[j]))},{repr(float(vals[i, j]))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    thetas = [repr(t) for t in grid.angles.tolist()]
+    with open(path, "w") as out:
+        out.write("r,theta,value\n")
+        for r, row in zip(grid.radii.tolist(), vals):
+            out.write("".join(f"{r!r},{t},{v!r}\n" for t, v in zip(thetas, row.tolist())))
 
 
 # ------------------------------------------------------------------ handlers

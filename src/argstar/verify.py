@@ -14,8 +14,9 @@ whose argument is taken, and every denominator of a real-part ratio, is first
 certified zero-free on the closed disk: a root makes sup|arg| exactly pi with
 the root as witness, and a root of a real-part denominator is a pole
 (ZeroOnGrid). Each check differentiates f once per derivative order it needs
-and evaluates all of them in one Horner pass over the ring; heatmap_values
-takes the same quantities at every point of the grid.
+and evaluates all of them in one Horner pass over the ring; a scan does the
+same for a whole batch of draws in one pass, and heatmap_values takes the same
+quantities at every point of the grid.
 
 Ratios such as z f'(z)/f(z) are always evaluated with the z-power divided out
 of numerator and denominator separately (f^(k)(z)/z^(p-k) is a polynomial with
@@ -28,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -223,14 +224,6 @@ def _horner_many(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _first_below_tol(vals: np.ndarray, points: np.ndarray, context: str):
-    mag = np.abs(vals)
-    mask = mag < ZERO_TOL
-    if mask.any():
-        idx = int(np.argmax(mask))  # first offending point in (radial, angular) order
-        raise ZeroOnGrid(complex(points.flat[idx]), float(mag.flat[idx]), context)
-
-
 # ------------------------------------------------ certificate and evaluation
 
 # |c_0| must beat the tail sum by more than its rounding error
@@ -280,99 +273,169 @@ def _orders(*quantities: _Quantity) -> tuple[int, ...]:
     return tuple(sorted({t[0] for q in quantities for t in (q.num, q.den) if t is not None}))
 
 
-class _Evaluation:
-    """The derivatives f^(k) of the given orders, each evaluated once at the
-    sample points (grid.ring for the checks, grid.points for heatmap and the
-    lemma1 probe) in one Horner pass, and the quantities taken from them."""
+class _Taken(NamedTuple):
+    """One functional for each draw of an evaluation: the entries of a draw in
+    `errors` (the ZeroOnGrid or LinAlgError it raises) are meaningless."""
 
-    def __init__(self, f: PowerSeries, orders, grid: DiskGrid, points: np.ndarray):
+    value: list  # float per draw
+    witness: list  # complex per draw
+    used: list  # samples used per draw
+    errors: dict  # draw -> exception
+
+
+def _raise_first(draw: int, *errors: dict) -> None:
+    for found in errors:
+        if draw in found:
+            raise found[draw]
+
+
+class _Evaluation:
+    """The derivatives f^(k) of the given orders of a batch of series, each
+    evaluated once at the sample points (grid.ring for the checks, grid.points
+    for heatmap and the lemma1 probe) in one Horner pass, and the quantities
+    taken from them for the whole batch at once.
+
+    A failure belongs to its draw: `errors` maps a draw to the NonFiniteValue
+    of its evaluation, values/take return the exceptions of each draw they
+    reach, and the caller raises them in its own order.
+    """
+
+    def __init__(self, fs, orders, grid: DiskGrid, points: np.ndarray):
         self.grid = grid
         self.points = points
-        polys = [differentiate(f, k) for k in orders]
+        self.size = size = len(fs)
+        polys = [differentiate(f, k) for f in fs for k in orders]
         n = max(q.coeffs.size for q in polys)
         stack = np.zeros((len(polys), n), dtype=np.complex128)
         for i, q in enumerate(polys):
             stack[i, : q.coeffs.size] = q.coeffs
         rows = _horner_many(stack, points)
-        finite = np.isfinite(rows.reshape(len(polys), -1))
-        if not finite.all():
-            i, j = divmod(int(np.argmin(finite)), finite.shape[1])  # first such row, its first sample
+        self.coeffs = stack.reshape(size, len(orders), n)
+        self.rows = rows.reshape((size, len(orders)) + points.shape)
+        finite = np.isfinite(rows.reshape(size, -1))
+        self.errors = {}
+        for b in (~finite.all(axis=1)).nonzero()[0].tolist():
+            i, j = divmod(int(np.argmin(finite[b])), points.size)  # first such row, its first sample
             z = complex(points.flat[j])
-            raise NonFiniteValue(f"f^({orders[i]}) is not finite at z = {z} (float64 overflow)")
+            self.errors[b] = NonFiniteValue(f"f^({orders[i]}) is not finite at z = {z} (float64 overflow)")
+            # the constant 1 in its place keeps the rest of the batch free of inf and NaN
+            self.coeffs[b] = 0.0
+            self.coeffs[b, :, 0] = 1.0
+            self.rows[b] = 1.0
         self.row = {k: i for i, k in enumerate(orders)}
-        self.order = [q.order_p for q in polys]
-        self.coeffs = stack
-        self.rows = rows
+        self.order = np.array([q.order_p for q in polys]).reshape(size, len(orders))
 
     @cached_property
     def dominant(self) -> np.ndarray:
-        """Per row: the constant term beats the rest on |z| <= r_max, so no root there."""
+        """Per draw and row: the constant term beats the rest on |z| <= r_max, so no root there."""
         mag = np.abs(self.coeffs)
-        tail = mag[:, 1:] @ (self.grid.r_max ** np.arange(1, mag.shape[1]))
-        return mag[:, 0] > tail * (1.0 + _DOMINANCE_RTOL)
+        # a stacked matmul makes one product per draw, rounded as for that draw alone
+        tail = mag[..., 1:] @ (self.grid.r_max ** np.arange(1, mag.shape[-1]))
+        return mag[..., 0] > tail * (1.0 + _DOMINANCE_RTOL)
 
-    def _term(self, term) -> tuple[int, int]:
-        """(row, shift): f^(k)/z^m is the row's polynomial times z**shift."""
+    @cached_property
+    def doubtful(self) -> list:
+        """(draw, row) of every row without a dominant constant term."""
+        draws, rows = (~self.dominant).nonzero()
+        return list(zip(draws.tolist(), rows.tolist()))
+
+    def _term(self, term) -> tuple[int, np.ndarray]:
+        """(row, shift per draw): f^(k)/z^m is the row's polynomial times z**shift."""
         k, m = term
         i = self.row[k]
-        return i, self.order[i] - m
+        return i, self.order[:, i] - m
 
     def _values(self, term) -> np.ndarray:
-        i, shift = self._term(term)
-        vals = self.rows[i]
-        return vals if shift == 0 else vals * self.points**shift
+        i, shifts = self._term(term)
+        vals = self.rows[:, i]
+        groups = set(shifts.tolist())
+        if len(groups) == 1:
+            shift = groups.pop()
+            return vals if shift == 0 else vals * self.points**shift
+        out = np.empty_like(vals)
+        for shift in groups:  # draws whose f^(k) starts at different powers of z
+            draws = shifts == shift
+            out[draws] = vals[draws] if shift == 0 else vals[draws] * self.points**shift
+        return out
 
-    def values(self, q: _Quantity) -> np.ndarray:
-        """add + N/D at every sample point; a denominator below ZERO_TOL raises ZeroOnGrid."""
+    def _below_tol(self, vals: np.ndarray, context: str) -> dict:
+        """{draw: ZeroOnGrid at its first sample with |value| below ZERO_TOL}."""
+        mag = np.abs(vals).reshape(self.size, -1)
+        low = mag < ZERO_TOL
+        errors: dict = {}
+        if not low.any():
+            return errors
+        for b in low.any(axis=1).nonzero()[0].tolist():
+            j = int(np.argmax(low[b]))  # first offending point in (radial, angular) order
+            errors[b] = ZeroOnGrid(complex(self.points.flat[j]), float(mag[b, j]), context)
+        return errors
+
+    def values(self, q: _Quantity) -> tuple[np.ndarray, dict]:
+        """add + N/D of every draw at every sample point, and the ZeroOnGrid of
+        each draw whose denominator falls below ZERO_TOL at a sample."""
         vals = self._values(q.num)
+        errors = {}
         if q.den is not None:
             den = self._values(q.den)
-            _first_below_tol(den, self.points, q.context)
+            errors = self._below_tol(den, q.context)
+            if errors:  # those draws are lost; keep their division finite
+                den = den.copy()
+                den[list(errors)] = 1.0
             vals = vals / den
-        return q.add + vals if q.add else vals
+        return (q.add + vals if q.add else vals), errors
 
-    def _root(self, i: int) -> Optional[complex]:
-        if self.dominant[i]:
-            return None
-        return _smallest_root_in_disk(self.coeffs[i], self.grid.r_max)
+    def take(self, q: _Quantity) -> _Taken:
+        """Value, witness and samples used of one functional on the ring, for every draw."""
+        points = self.points.reshape(-1)
+        sup = q.kind == "sup_arg"
+        vals, errors = self.values(q)
+        if q.den is None:
+            errors = self._below_tol(vals, q.context)
+        reduced = (np.abs(np.angle(vals)) if sup else vals.real).reshape(self.size, -1)
+        idx = reduced.argmax(axis=1) if sup else reduced.argmin(axis=1)
+        extreme = reduced[np.arange(self.size), idx]
+        value, witness, used = extreme.tolist(), points[idx].tolist(), [points.size] * self.size
+        # a functional constant on the circle is constant on the disk: every grid
+        # point ties and the witness is the first one, as on the full grid
+        other = reduced.min(axis=1) if sup else reduced.max(axis=1)
+        for b in (other == extreme).nonzero()[0].tolist():
+            value[b], witness[b], used[b] = float(reduced[b, 0]), complex(self.grid.radii[0]), self.grid.size
 
-    def _obstruction(self, q: _Quantity) -> Optional[complex]:
-        """Smallest root or pole in the closed disk that the functional must not have."""
+        # the smallest root or pole in the closed disk that the functional must not have
         num, shift = self._term(q.num)
-        certified = [num] if q.kind == "sup_arg" else []
+        certified = [num] if sup else []
         if q.den is not None:
             den, den_shift = self._term(q.den)
             certified.append(den)
-            shift -= den_shift
-        found = [r for r in map(self._root, certified) if r is not None]
-        if shift < 0 or (shift > 0 and q.kind == "sup_arg"):
-            found.append(0j)  # the net z-power is a pole, or a zero of an argument
-        return min(found, key=abs, default=None)
-
-    def take(self, q: _Quantity) -> tuple[float, complex, int]:
-        """(value, witness, samples used) of one functional on the ring."""
-        points = self.points
-        vals = self.values(q)
-        if q.den is None:
-            _first_below_tol(vals, points, q.context)
-        root = self._obstruction(q)
-        if root is not None:
+            shift = shift - den_shift
+        pole = shift != 0 if sup else shift < 0  # the net z-power: a zero of an argument, or a pole
+        suspects = {b for b, i in self.doubtful if i in certified} if certified else set()
+        suspects.update(pole.nonzero()[0].tolist())
+        for b in suspects - errors.keys() - self.errors.keys():
+            try:
+                found = [_smallest_root_in_disk(self.coeffs[b, i], self.grid.r_max)
+                         for i in certified if not self.dominant[b, i]]
+            except np.linalg.LinAlgError as exc:
+                errors[b] = exc
+                continue
+            found = [r for r in found if r is not None] + ([0j] if pole[b] else [])
+            root = min(found, key=abs, default=None)
+            if root is None:
+                continue
             if q.kind == "min_real":
-                raise ZeroOnGrid(root, None, q.context)
-            return math.pi, root, points.size
-        reduced = np.abs(np.angle(vals)) if q.kind == "sup_arg" else vals.real
-        if reduced.min() == reduced.max():
-            # constant on the circle, so constant on the disk: every grid point
-            # ties and the witness is the first one, as on the full grid
-            return float(reduced[0]), complex(self.grid.radii[0]), self.grid.size
-        idx = int(np.argmax(reduced) if q.kind == "sup_arg" else np.argmin(reduced))
-        return float(reduced[idx]), complex(points[idx]), points.size
+                errors[b] = ZeroOnGrid(root, None, q.context)
+            else:
+                value[b], witness[b], used[b] = math.pi, root, points.size
+        return _Taken(value, witness, used, errors)
 
 
 def _take_one(s: PowerSeries, kind: str, divisor_power: int, grid: DiskGrid):
     if divisor_power < 0:
         raise ValueError("divisor_power must be >= 0")
-    return _Evaluation(s, (0,), grid, grid.ring).take(_plain(kind, 0, divisor_power))
+    ev = _Evaluation((s,), (0,), grid, grid.ring)
+    taken = ev.take(_plain(kind, 0, divisor_power))
+    _raise_first(0, ev.errors, taken.errors)
+    return taken.value[0], taken.witness[0], taken.used[0]
 
 
 def sup_arg(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> SupArgResult:
@@ -409,11 +472,12 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
         "arg-jst": _ratio("sup_arg", p, 1, quantity),
         "re-ratio": _ratio("min_real", p, p, quantity),
     }[quantity]
-    ev = _Evaluation(f, _orders(q), grid, grid.points)
-    vals = ev.values(q)
+    ev = _Evaluation((f,), _orders(q), grid, grid.points)
+    vals, errors = ev.values(q)
+    _raise_first(0, ev.errors, errors)
     if q.kind == "sup_arg":  # arg is undefined where the value, or a ratio's numerator, vanishes
-        _first_below_tol(ev._values(q.num), grid.points, quantity)
-    vals = np.angle(vals) if q.kind == "sup_arg" else vals.real
+        _raise_first(0, ev._below_tol(ev._values(q.num), quantity))
+    vals = np.angle(vals[0]) if q.kind == "sup_arg" else vals[0].real
     return np.where(vals == -np.pi, np.pi, vals)  # fold onto (-pi, pi]
 
 
@@ -550,7 +614,6 @@ def check_theorem(
     alpha0: Optional[float] = None,
     delta: Optional[float] = None,
     s: Optional[int] = None,
-    _plan: Optional[_Plan] = None,
 ) -> VerificationReport:
     """Verify one hypothesis -> conclusions implication on the grid.
 
@@ -578,49 +641,52 @@ def check_theorem(
           k in {1..p}.
     * L3: min Re(p + z f^(p+1)/f^(p)) > 0  =>
           min Re(k + z f^(k+1)/f^(k)) > 0 for k in {1..p-1}.
-
-    counterexample_scan passes the `_plan` it built once for all its draws,
-    which satisfy the parameter and order checks by construction.
     """
-    if _plan is None:
-        if f.order_p < 1:
-            raise ParamOutOfRange("f must have order_p >= 1")
-        _plan = _build_plan(theorem_id, f.order_p, alpha1, alpha0, delta, s)
-        if _plan.theorem_id == "T5":
-            if _coefficient_of(f, s - 1) != 0:
-                raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
-            if _coefficient_of(f, s) == 0:
-                raise ParamOutOfRange(f"coefficient of z^{s} must be nonzero")
+    if f.order_p < 1:
+        raise ParamOutOfRange("f must have order_p >= 1")
+    plan = _build_plan(theorem_id, f.order_p, alpha1, alpha0, delta, s)
+    if plan.theorem_id == "T5":
+        if _coefficient_of(f, s - 1) != 0:
+            raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
+        if _coefficient_of(f, s) == 0:
+            raise ParamOutOfRange(f"coefficient of z^{s} must be nonzero")
+    return _reports(plan, _Evaluation((f,), plan.orders, grid, grid.ring))[0]
 
-    ev = _Evaluation(f, _plan.orders, grid, grid.ring)
-    hyp_value, hyp_witness, _ = ev.take(_plan.hypothesis)
-    if _plan.hypothesis.kind == "min_real":
-        hyp_ok = hyp_value > _plan.hypothesis_bound
-    else:
-        hyp_ok = hyp_value < _plan.hypothesis_bound
 
-    conclusions: list[ConclusionCheck] = []
-    if hyp_ok:
-        for label, q, bound in _plan.conclusions:
-            value, witness, _ = ev.take(q)
-            conclusions.append(ConclusionCheck(label, q.kind, value, bound, witness))
+def _reports(plan: _Plan, ev: _Evaluation) -> list[VerificationReport]:
+    """The report of each draw of the evaluation, in draw order.
 
-    verdict = VERDICT_HYP
-    if hyp_ok:
-        verdict = VERDICT_PASS if all(c.ok for c in conclusions) else VERDICT_FAIL
-
-    return VerificationReport(
-        theorem_id=_plan.theorem_id,
-        params=_plan.params,
-        hypothesis_sup=hyp_value,
-        hypothesis_bound=_plan.hypothesis_bound,
-        hypothesis_satisfied=hyp_ok,
-        conclusions=tuple(conclusions),
-        verdict=verdict,
-        witnesses=(hyp_witness, *(c.witness for c in conclusions)),
-        grid=grid,
-        notes=_plan.notes,
-    )
+    The first draw that fails raises, as if the draws were checked one at a
+    time: within a draw its evaluation fails first, then its hypothesis, then
+    each conclusion in order, and the conclusions only when the hypothesis holds.
+    """
+    hyp = ev.take(plan.hypothesis)
+    hyp_values, bound = np.array(hyp.value), plan.hypothesis_bound
+    hyp_ok = (hyp_values > bound if plan.hypothesis.kind == "min_real" else hyp_values < bound).tolist()
+    taken = [ev.take(q) for _, q, _ in plan.conclusions] if any(hyp_ok) else []
+    reports = []
+    for b in range(ev.size):
+        _raise_first(b, ev.errors, hyp.errors)
+        conclusions = []
+        verdict = VERDICT_HYP
+        if hyp_ok[b]:
+            for (label, q, c_bound), c in zip(plan.conclusions, taken):
+                _raise_first(b, c.errors)
+                conclusions.append(ConclusionCheck(label, q.kind, c.value[b], c_bound, c.witness[b]))
+            verdict = VERDICT_PASS if all(c.ok for c in conclusions) else VERDICT_FAIL
+        reports.append(VerificationReport(
+            theorem_id=plan.theorem_id,
+            params=plan.params,
+            hypothesis_sup=hyp.value[b],
+            hypothesis_bound=bound,
+            hypothesis_satisfied=hyp_ok[b],
+            conclusions=tuple(conclusions),
+            verdict=verdict,
+            witnesses=(hyp.witness[b], *(c.witness for c in conclusions)),
+            grid=ev.grid,
+            notes=plan.notes,
+        ))
+    return reports
 
 
 # ------------------------------------------------------------- boundary probe
@@ -683,7 +749,8 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
         raise ParamOutOfRange("gamma must be > 0")
     if q.order_p != 0 or q.coeffs[0] != 1:
         raise ParamOutOfRange("q must satisfy q(0) = 1 (order_p 0, constant term 1)")
-    _first_below_tol(_Evaluation(q, (0,), grid, grid.points).rows[0], grid.points, "lemma1 probe")
+    ev = _Evaluation((q,), (0,), grid, grid.points)
+    _raise_first(0, ev.errors, ev._below_tol(ev.rows[:, 0], "lemma1 probe"))
     level = math.pi * gamma / 2.0
 
     coeffs, angles, r_max = q.coeffs, grid.angles, grid.r_max
@@ -748,6 +815,8 @@ def sample_hypothesis_function(
 
 
 _SAMPLER_CAP = math.pi / 2.0 - 1e-9
+# A scan batch holds at most this many ring values (4 MB of complex128).
+_BATCH_VALUES = 2**18
 # Sampler bounds of the real-part implications. asin(S) + asin(S/2) <= 1.44 <
 # pi/2 for S <= sin(1), so the L2 hypothesis holds by construction at 1.0;
 # L3 draws can miss theirs and are redrawn.
@@ -767,12 +836,15 @@ def counterexample_scan(
     s: Optional[int] = None,
     N: int = 16,
 ) -> ScanReport:
-    """Run check_theorem over `trials` sampled hypothesis-satisfying functions.
+    """Check the implication on `trials` sampled hypothesis-satisfying functions.
 
     The bounds and implicit constants are solved once, then applied to every
-    draw. Draws that fail the hypothesis on the grid are discarded and
-    redrawn (only L3 can produce them; the other samplers guarantee the
-    hypothesis), capped at 10x the requested trials. FAIL counts are expected
+    draw. The draws are evaluated in batches of at most _BATCH_VALUES ring
+    values, each batch in one Horner pass, with the reports (and the first
+    error) that check_theorem gives on each draw in turn. Draws that fail the
+    hypothesis on the grid are discarded and redrawn (only L3 can produce them;
+    the other samplers guarantee the hypothesis), capped at 10x the requested
+    trials. FAIL counts are expected
     to be 0: the implications are proved, so any FAIL is an artifact bug or a
     genuinely interesting sample worth inspecting via worst_function.
     """
@@ -796,21 +868,27 @@ def counterexample_scan(
     verdicts: list[str] = []
     worst = (math.inf, "", -1, None)  # (margin, label, attempt, function)
     attempts = 0
+    batch = max(1, _BATCH_VALUES // (len(plan.orders) * grid.n_angular))
     while len(verdicts) < trials and attempts < 10 * trials:
-        f = sample_hypothesis_function(
-            np.random.SeedSequence((seed, attempts)), p=order, bound=bound, N=N, s_gap=s_gap
-        )
-        report = check_theorem(theorem_id, f, grid, _plan=plan)
-        attempt = attempts
-        attempts += 1
-        if report.verdict == VERDICT_HYP:
-            counts[VERDICT_HYP] += 1
-            continue
-        counts[report.verdict] += 1
-        verdicts.append(report.verdict)
-        for c in report.conclusions:
-            if c.margin < worst[0]:
-                worst = (c.margin, c.label, attempt, f)
+        # every draw of a batch is needed: each one adds at most one verdict
+        size = min(trials - len(verdicts), 10 * trials - attempts, batch)
+        fs = [
+            sample_hypothesis_function(
+                np.random.SeedSequence((seed, attempts + b)), p=order, bound=bound, N=N, s_gap=s_gap
+            )
+            for b in range(size)
+        ]
+        for f, report in zip(fs, _reports(plan, _Evaluation(fs, plan.orders, grid, grid.ring))):
+            attempt = attempts
+            attempts += 1
+            if report.verdict == VERDICT_HYP:
+                counts[VERDICT_HYP] += 1
+                continue
+            counts[report.verdict] += 1
+            verdicts.append(report.verdict)
+            for c in report.conclusions:
+                if c.margin < worst[0]:
+                    worst = (c.margin, c.label, attempt, f)
     if len(verdicts) < trials:
         raise RuntimeError(
             f"only {len(verdicts)} of {trials} draws satisfied the {theorem_id} "

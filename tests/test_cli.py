@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import argstar.cli as cli
-from argstar import PowerSeries, check_theorem, make_series
+from argstar import PowerSeries, check_theorem, make_series, sample_hypothesis_function
 from argstar.cli import (
     FunctionFileError,
     emit_heatmap,
@@ -438,6 +438,25 @@ def test_emit_heatmap_direct_api(tmp_path):
     out = tmp_path / "direct.csv"
     emit_heatmap(make_series(2, [], 1), "arg-fp", DiskGrid(n_radial=2, n_angular=4), out)
     assert out.read_text().splitlines()[0] == "r,theta,value"
+
+
+def _joined_heatmap(f, quantity, grid):
+    """The CSV text as one string, built line by line from heatmap_values."""
+    vals = cli.heatmap_values(f, quantity, grid)
+    lines = ["r,theta,value"]
+    for i in range(grid.n_radial):
+        for j in range(grid.n_angular):
+            lines.append(f"{float(grid.radii[i])!r},{float(grid.angles[j])!r},{float(vals[i, j])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_heatmap_streams_the_same_bytes(tmp_path):
+    f = sample_hypothesis_function(np.random.SeedSequence((79, 2)), p=2, bound=1.2, N=16)
+    for grid in (DiskGrid(), DiskGrid(r_max=0.9, n_radial=3, n_angular=7)):
+        for quantity in cli.HEATMAP_QUANTITIES:
+            out = tmp_path / f"{quantity}.csv"
+            emit_heatmap(f, quantity, grid, out)
+            assert out.read_bytes() == _joined_heatmap(f, quantity, grid).encode()
 
 
 def test_version_flag():

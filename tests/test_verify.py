@@ -716,6 +716,109 @@ def test_scan_solves_constants_once(monkeypatch, tid, solver, kwargs):
     assert len(calls) == 1
 
 
+SCAN_CASES = [
+    ("T1", {"p": 2, "alpha1": 0.5}),
+    ("C1", {"p": 3}),
+    ("C2", {"p": 2}),
+    ("T3", {"p": 3, "alpha0": 1.0}),
+    ("T4", {"p": 5, "alpha0": 1.0}),
+    ("T5", {"s": 2, "delta": 0.3}),
+    ("L2", {"p": 3}),
+    ("L3", {"p": 3}),
+]
+
+
+def _scan_by_checks(tid, trials, seed, grid, N=16, p=None, **params):
+    """counterexample_scan as one public check_theorem call per attempt."""
+    order = params["s"] if tid == "T5" else p
+    hyp_bound = check_theorem(tid, make_series(order, [], 1), grid, **params).hypothesis_bound
+    bound = verify._RE_SAMPLER_BOUND.get(tid, min(hyp_bound, verify._SAMPLER_CAP))
+    counts = {"PASS": 0, "FAIL": 0, "HYPOTHESIS_NOT_SATISFIED": 0}
+    verdicts, worst, attempt = [], (math.inf, "", -1, None), 0
+    while len(verdicts) < trials and attempt < 10 * trials:
+        f = verify.sample_hypothesis_function(
+            np.random.SeedSequence((seed, attempt)), p=order, bound=bound, N=N, s_gap=params.get("s")
+        )
+        rep = check_theorem(tid, f, grid, **params)
+        counts[rep.verdict] += 1
+        if rep.verdict != "HYPOTHESIS_NOT_SATISFIED":
+            verdicts.append(rep.verdict)
+            for c in rep.conclusions:
+                if c.margin < worst[0]:
+                    worst = (c.margin, c.label, attempt, f)
+        attempt += 1
+    return attempt, counts, tuple(verdicts), worst
+
+
+@pytest.mark.parametrize("budget", [None, 1, 1000], ids=["one-batch", "one-draw", "small-batches"])
+@pytest.mark.parametrize("n_radial", [1, 4])
+@pytest.mark.parametrize("tid,params", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_scan_matches_per_draw_checks(monkeypatch, tid, params, n_radial, budget):
+    if budget is not None:  # 1000 values hold 2-7 draws of 64 points, 1 holds one
+        monkeypatch.setattr(verify, "_BATCH_VALUES", budget)
+    grid = DiskGrid(n_radial=n_radial, n_angular=64)
+    seed = 904  # for L3, 7 of the first 10 draws miss the hypothesis and are redrawn
+    rep = counterexample_scan(tid, trials=10, seed=seed, grid=grid, N=16, **params)
+    attempts, counts, verdicts, worst = _scan_by_checks(tid, 10, seed, grid, **params)
+    if tid == "L3":
+        assert counts["HYPOTHESIS_NOT_SATISFIED"] == 7
+    assert (rep.attempts, rep.counts, rep.verdicts) == (attempts, counts, verdicts)
+    assert type(rep.worst_margin) is float
+    assert (rep.worst_margin, rep.worst_label, rep.worst_attempt) == worst[:3]
+    assert rep.worst_function == worst[3]
+
+
+def test_batch_reports_match_check_theorem():
+    # f = z^3 + 0.01 z^5 has f^(4) = 1.2 z, of order 1 where a sampled draw's
+    # f^(4) has order 0, so one batch divides out two different z-powers
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    fs = [sample_hypothesis_function(np.random.SeedSequence((80, k)), p=3, bound=0.9, N=16) for k in range(3)]
+    fs.insert(1, make_series(3, [0.0, 0.01], 3))
+    plan = verify._build_plan("L3", 3, None, None, None, None)
+    reports = verify._reports(plan, verify._Evaluation(fs, plan.orders, grid, grid.ring))
+    assert reports[1].hypothesis_satisfied
+    assert reports == [check_theorem("L3", f, grid) for f in fs]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("first", ["pole", "overflow"])
+def test_scan_raises_first_failing_draw(monkeypatch, first):
+    faults = {
+        "pole": make_series(2, [-1.0], 2),  # f'/z = 2 - 3z, the L2 hypothesis denominator, vanishes at 2/3
+        "overflow": make_series(2, [1e308], 2),  # f' = 2z + 3e308 z^2 overflows float64
+    }
+    later = "overflow" if first == "pole" else "pole"
+    real = verify.sample_hypothesis_function
+
+    def sampler(seed, **kw):
+        attempt = seed.entropy[1]
+        return {2: faults[first], 5: faults[later]}.get(attempt) or real(seed, **kw)
+
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    with pytest.raises((ZeroOnGrid, verify.NonFiniteValue)) as alone:
+        check_theorem("L2", faults[first], grid)
+    monkeypatch.setattr(verify, "sample_hypothesis_function", sampler)
+    with pytest.raises(type(alone.value)) as scanned:
+        counterexample_scan("L2", trials=10, seed=3, p=2, grid=grid)
+    assert str(scanned.value) == str(alone.value)
+
+
+def test_scan_runs_kernel_once(monkeypatch):
+    calls = []
+    kernel = verify._horner_many
+
+    def counted(coeffs, zs):
+        calls.append((coeffs.shape, zs.shape))
+        return kernel(coeffs, zs)
+
+    monkeypatch.setattr(verify, "_horner_many", counted)
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    rep = counterexample_scan("T4", trials=200, seed=501, p=5, alpha0=1.0, N=16, grid=grid)
+    assert rep.attempts == len(rep.verdicts) == 200
+    # f^(0) .. f^(5) of all 200 draws in one call on the 64 ring points
+    assert calls == [((1200, 16), (64,))]
+
+
 def test_scan_rejects_bad_args():
     with pytest.raises(ValueError):
         counterexample_scan("T1", trials=0, seed=1, p=2, alpha1=0.3)
