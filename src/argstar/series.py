@@ -13,11 +13,18 @@ verbatim plus a count of *pending integrations*: integrate() only relabels
 (order up, count up), and differentiate() unwinds pending integrations by
 relabeling before it ever multiplies by an exponent. The displayed/evaluated
 coefficients divide once by the exact integer falling factorial.
+
+A SeriesBlock keeps many series of one order and one count of pending
+integrations as the rows of one array; derivative_block differentiates all
+rows at once, and each row rounds exactly as differentiate rounds it alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,6 +33,29 @@ ZERO_TOL = 1e-13  # |value| below this is treated as a true zero
 
 class ArgOfZero(ValueError):
     """principal_arg(0) is undefined."""
+
+
+class NonFiniteValue(ArithmeticError):
+    """A float64 overflow: a polynomial of a check is not finite at a sample
+    point, or a factorial scale of a series does not fit in float64."""
+
+
+@functools.lru_cache(maxsize=256)
+def falling_factorials(order: int, size: int, lift: int) -> np.ndarray:
+    """e!/(e-lift)! for the exponents e = order .. order+size-1, as a read-only
+    float64 row; raises NonFiniteValue where an entry overflows float64."""
+    divisors = []
+    for e in range(order, order + size):
+        try:
+            divisors.append(float(math.perm(e, lift)))
+        except OverflowError:
+            raise NonFiniteValue(
+                f"{e}!/{e - lift}! overflows float64 (coefficient of z^{e} of a series "
+                f"of order {order} after {lift} integrations)"
+            ) from None
+    row = np.array(divisors)
+    row.flags.writeable = False
+    return row
 
 
 def _as_coeff_array(values) -> np.ndarray:
@@ -75,9 +105,7 @@ class PowerSeries:
         if lift == 0:
             plain = raw
         else:
-            exps = range(order_p, order_p + raw.size)
-            divisors = np.array([float(math.perm(e, lift)) for e in exps])
-            plain = raw / divisors
+            plain = raw / falling_factorials(order_p, raw.size, lift)
             plain.flags.writeable = False
         object.__setattr__(self, "coeffs", plain)
         return self
@@ -112,11 +140,98 @@ def make_series(p: int, tail_coeffs, N: int) -> PowerSeries:
     return PowerSeries(int(p), [1.0 + 0.0j, *(complex(*c) if isinstance(c, (tuple, list)) else complex(c) for c in tail)])
 
 
-def _strip_leading_zeros(order: int, raw: np.ndarray) -> tuple[int, np.ndarray]:
-    j = 0
-    while j < raw.size - 1 and raw[j] == 0:
-        j += 1
-    return order + j, raw[j:]
+@dataclass(frozen=True)
+class SeriesBlock:
+    """Series that share order_p and their pending integrations, one per row
+    of raw (B, size): row b is sum_j raw[b, j] z**(order_p+j) / (e falling
+    lift), e = order_p + j, as a PowerSeries keeps a single series."""
+
+    order_p: int
+    raw: np.ndarray
+    lift: int
+
+
+class _Derived(NamedTuple):
+    """A derivative of a block: row b starts at z**(order + strip[b]) and keeps
+    raw[b, :width - strip[b]], zero-padded on the right; strip is None when
+    no row had a leading zero to strip."""
+
+    order: int
+    raw: np.ndarray
+    lift: int
+    strip: Optional[np.ndarray]
+
+
+def _derive(order: int, raw: np.ndarray, lift: int, k: int) -> _Derived:
+    """The k-th derivative of every row of raw, each with its leading zeros stripped."""
+    unwound = min(k, lift)
+    order -= unwound  # relabel only: bit-exact inverse of integrate()
+    lift -= unwound
+    for _ in range(k - unwound):
+        if order == 0:
+            if raw.shape[1] == 1:
+                raw = np.zeros_like(raw)
+                break
+            raw = raw[:, 1:] * np.arange(1, raw.shape[1])
+        else:
+            raw = raw * np.arange(order, order + raw.shape[1])
+            order -= 1
+    width = raw.shape[1]
+    if not k or width == 1 or raw[:, 0].all():
+        return _Derived(order, raw, lift, None)
+    raw, strip = raw.copy(), np.zeros(len(raw), dtype=np.intp)
+    for b in (raw[:, 0] == 0).nonzero()[0].tolist():
+        nonzero = np.flatnonzero(raw[b, :-1])
+        j = int(nonzero[0]) if nonzero.size else width - 1
+        raw[b, : width - j] = raw[b, j:].copy()
+        raw[b, width - j:] = 0.0
+        strip[b] = j
+    return _Derived(order, raw, lift, strip)
+
+
+def _plain(d: _Derived) -> np.ndarray:
+    """The coefficients of a derivative's rows: raw divided once by the falling factorials."""
+    if d.lift == 0:
+        return d.raw
+    if d.strip is None:
+        return d.raw / falling_factorials(d.order, d.raw.shape[1], d.lift)
+    width = d.raw.shape[1]
+    plain = np.zeros_like(d.raw)
+    for j in set(d.strip.tolist()):
+        rows = d.strip == j
+        plain[rows, : width - j] = d.raw[rows, : width - j] / falling_factorials(d.order + j, width - j, d.lift)
+    return plain
+
+
+def derivative_block(fs, ks) -> tuple[np.ndarray, list]:
+    """The derivatives f^(k), k in ks, of every draw of fs (a PowerSeries is
+    one draw, a SeriesBlock one draw per row).
+
+    Returns the coefficients as one (B, len(ks), n) block, each row
+    zero-padded on the right to the longest, n, and per k the lowest power of
+    z of each draw: an int when every draw shares it, else an int array (B,).
+    """
+    blocks = [f if isinstance(f, SeriesBlock) else SeriesBlock(f.order_p, f._raw[None, :], f._lift) for f in fs]
+    derived = [[_derive(g.order_p, g.raw, g.lift, k) for k in ks] for g in blocks]
+    n = max(d.raw.shape[1] - (0 if d.strip is None else int(d.strip.min())) for ds in derived for d in ds)
+    coeffs = np.zeros((sum(len(g.raw) for g in blocks), len(ks), n), dtype=np.complex128)
+    start = 0
+    for g, ds in zip(blocks, derived):
+        for i, d in enumerate(ds):
+            w = min(n, d.raw.shape[1])
+            coeffs[start: start + len(g.raw), i, :w] = _plain(d)[:, :w]
+        start += len(g.raw)
+    powers = []
+    for i in range(len(ks)):
+        ds = [d[i] for d in derived]
+        if len(ds) == 1 and ds[0].strip is None:
+            powers.append(ds[0].order)
+            continue
+        each = np.concatenate([
+            np.full(len(g.raw), d.order) if d.strip is None else d.order + d.strip for g, d in zip(blocks, ds)
+        ])
+        powers.append(int(each[0]) if (each == each[0]).all() else each)
+    return coeffs, powers
 
 
 def differentiate(s: PowerSeries, k: int) -> PowerSeries:
@@ -125,23 +240,11 @@ def differentiate(s: PowerSeries, k: int) -> PowerSeries:
         raise ValueError("k must be an integer >= 0")
     if k == 0:
         return s
-    order, raw, lift = s.order_p, s._raw, s._lift
-    unwound = min(k, lift)
-    order -= unwound  # relabel only: bit-exact inverse of integrate()
-    lift -= unwound
-    for _ in range(k - unwound):
-        if order == 0:
-            if raw.size == 1:
-                raw = np.zeros(1, dtype=np.complex128)
-                break
-            raw = raw[1:] * np.arange(1, raw.size)
-        else:
-            raw = raw * np.arange(order, order + raw.size)
-            order -= 1
-    order, raw = _strip_leading_zeros(order, raw)
-    raw = raw.copy()
+    d = _derive(s.order_p, s._raw[None, :], s._lift, int(k))
+    j = 0 if d.strip is None else int(d.strip[0])
+    raw = d.raw[0, : d.raw.shape[1] - j].copy()
     raw.flags.writeable = False
-    return PowerSeries._lifted(order, raw, lift)
+    return PowerSeries._lifted(d.order + j, raw, d.lift)
 
 
 def integrate(s: PowerSeries, k: int) -> PowerSeries:

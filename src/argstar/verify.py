@@ -14,9 +14,10 @@ whose argument is taken, and every denominator of a real-part ratio, is first
 certified zero-free on the closed disk: a root makes sup|arg| exactly pi with
 the root as witness, and a root of a real-part denominator is a pole
 (ZeroOnGrid). Each check differentiates f once per derivative order it needs
-and evaluates all of them in one Horner pass over the ring; a scan does the
-same for a whole batch of draws in one pass, and heatmap_values takes the same
-quantities at every point of the grid.
+and evaluates all of them in one Horner pass over the ring; a scan samples a
+batch of draws as one coefficient block and does the same for the whole block
+in one pass, and heatmap_values takes the same quantities at every point of
+the grid.
 
 Ratios such as z f'(z)/f(z) are always evaluated with the z-power divided out
 of numerator and denominator separately (f^(k)(z)/z^(p-k) is a polynomial with
@@ -35,10 +36,14 @@ import numpy as np
 
 from .roots import alpha_sequence, bisect_increasing, sigma_index, solve_gamma0
 from .series import (
+    NonFiniteValue,
     PowerSeries,
+    SeriesBlock,
     ZERO_TOL,
     _horner,
+    derivative_block,
     differentiate,
+    falling_factorials,
     integrate,
     principal_arg,
 )
@@ -63,10 +68,6 @@ class ZeroOnGrid(ArithmeticError):
             super().__init__(
                 f"|value| = {magnitude:.3e} below tolerance {ZERO_TOL} at z = {point}{where}"
             )
-
-
-class NonFiniteValue(ArithmeticError):
-    """A polynomial of the check is not finite at a sample point (float64 overflow)."""
 
 
 class NotAttained(RuntimeError):
@@ -230,6 +231,14 @@ def _horner_many(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
 _DOMINANCE_RTOL = 1e-12
 
 
+def _dominant(coeffs: np.ndarray, r: float) -> np.ndarray:
+    """Per polynomial along the last axis: the constant term beats the rest on |z| <= r, so no root there."""
+    mag = np.abs(coeffs)
+    # a stacked matmul makes one product per draw, rounded as for that draw alone
+    tail = mag[..., 1:] @ (r ** np.arange(1, mag.shape[-1]))
+    return mag[..., 0] > tail * (1.0 + _DOMINANCE_RTOL)
+
+
 def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex]:
     """Smallest-modulus root of sum coeffs[j] z^j in |z| <= r_max, or None."""
     nonzero = np.flatnonzero(coeffs)
@@ -290,10 +299,11 @@ def _raise_first(draw: int, *errors: dict) -> None:
 
 
 class _Evaluation:
-    """The derivatives f^(k) of the given orders of a batch of series, each
+    """The derivatives f^(k) of the given orders of a batch of draws, each
     evaluated once at the sample points (grid.ring for the checks, grid.points
     for heatmap and the lemma1 probe) in one Horner pass, and the quantities
-    taken from them for the whole batch at once.
+    taken from them for the whole batch at once. The draws are PowerSeries
+    (one each) or SeriesBlocks (one per row); see series.derivative_block.
 
     A failure belongs to its draw: `errors` maps a draw to the NonFiniteValue
     of its evaluation, values/take return the exceptions of each draw they
@@ -303,14 +313,10 @@ class _Evaluation:
     def __init__(self, fs, orders, grid: DiskGrid, points: np.ndarray):
         self.grid = grid
         self.points = points
-        self.size = size = len(fs)
-        polys = [differentiate(f, k) for f in fs for k in orders]
-        n = max(q.coeffs.size for q in polys)
-        stack = np.zeros((len(polys), n), dtype=np.complex128)
-        for i, q in enumerate(polys):
-            stack[i, : q.coeffs.size] = q.coeffs
-        rows = _horner_many(stack, points)
-        self.coeffs = stack.reshape(size, len(orders), n)
+        # lowest power of z of f^(k) per row: an int, or an array when draws differ
+        self.coeffs, self.powers = derivative_block(fs, orders)
+        self.size = size = self.coeffs.shape[0]
+        rows = _horner_many(self.coeffs.reshape(size * len(orders), -1), points)
         self.rows = rows.reshape((size, len(orders)) + points.shape)
         finite = np.isfinite(rows.reshape(size, -1))
         self.errors = {}
@@ -323,15 +329,11 @@ class _Evaluation:
             self.coeffs[b, :, 0] = 1.0
             self.rows[b] = 1.0
         self.row = {k: i for i, k in enumerate(orders)}
-        self.order = np.array([q.order_p for q in polys]).reshape(size, len(orders))
 
     @cached_property
     def dominant(self) -> np.ndarray:
-        """Per draw and row: the constant term beats the rest on |z| <= r_max, so no root there."""
-        mag = np.abs(self.coeffs)
-        # a stacked matmul makes one product per draw, rounded as for that draw alone
-        tail = mag[..., 1:] @ (self.grid.r_max ** np.arange(1, mag.shape[-1]))
-        return mag[..., 0] > tail * (1.0 + _DOMINANCE_RTOL)
+        """Per draw and row: no root on |z| <= r_max by a dominant constant term."""
+        return _dominant(self.coeffs, self.grid.r_max)
 
     @cached_property
     def doubtful(self) -> list:
@@ -339,21 +341,20 @@ class _Evaluation:
         draws, rows = (~self.dominant).nonzero()
         return list(zip(draws.tolist(), rows.tolist()))
 
-    def _term(self, term) -> tuple[int, np.ndarray]:
-        """(row, shift per draw): f^(k)/z^m is the row's polynomial times z**shift."""
+    def _term(self, term):
+        """(row, shift): f^(k)/z^m is the row's polynomial times z**shift, one
+        int shift for all draws or an array of one per draw."""
         k, m = term
         i = self.row[k]
-        return i, self.order[:, i] - m
+        return i, self.powers[i] - m
 
     def _values(self, term) -> np.ndarray:
         i, shifts = self._term(term)
         vals = self.rows[:, i]
-        groups = set(shifts.tolist())
-        if len(groups) == 1:
-            shift = groups.pop()
-            return vals if shift == 0 else vals * self.points**shift
+        if isinstance(shifts, int):
+            return vals if shifts == 0 else vals * self.points**shifts
         out = np.empty_like(vals)
-        for shift in groups:  # draws whose f^(k) starts at different powers of z
+        for shift in set(shifts.tolist()):  # draws whose f^(k) starts at different powers of z
             draws = shifts == shift
             out[draws] = vals[draws] if shift == 0 else vals[draws] * self.points**shift
         return out
@@ -409,16 +410,19 @@ class _Evaluation:
             certified.append(den)
             shift = shift - den_shift
         pole = shift != 0 if sup else shift < 0  # the net z-power: a zero of an argument, or a pole
+        if isinstance(pole, np.ndarray):
+            poles = set(pole.nonzero()[0].tolist())
+        else:
+            poles = set(range(self.size)) if pole else set()
         suspects = {b for b, i in self.doubtful if i in certified} if certified else set()
-        suspects.update(pole.nonzero()[0].tolist())
-        for b in suspects - errors.keys() - self.errors.keys():
+        for b in (suspects | poles) - errors.keys() - self.errors.keys():
             try:
                 found = [_smallest_root_in_disk(self.coeffs[b, i], self.grid.r_max)
                          for i in certified if not self.dominant[b, i]]
             except np.linalg.LinAlgError as exc:
                 errors[b] = exc
                 continue
-            found = [r for r in found if r is not None] + ([0j] if pole[b] else [])
+            found = [r for r in found if r is not None] + ([0j] if b in poles else [])
             root = min(found, key=abs, default=None)
             if root is None:
                 continue
@@ -738,7 +742,9 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
 
     arg q is harmonic where q has no zero, so by the maximum principle max|arg q|
     on |z| = r never decreases in r: the outer ring decides whether the level
-    is reached, and the crossing radius is bisected on [0, r_max].
+    is reached, and the crossing radius is bisected on [0, r_max]. q must then
+    be zero-free on |z| <= r0, certified as for the checks' denominators; a
+    zero there raises ZeroOnGrid.
 
     At the first touching point the logarithmic derivative is purely imaginary
     with Im = (2k/pi) arg q(z0) for some k >= (a + 1/a)/2 >= 1, where
@@ -760,6 +766,11 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
 
     # a ring that touches the level reaches it, so a zero excess counts as positive
     r0 = bisect_increasing(lambda r: _ring_sup(coeffs, r, angles)[1] - level or math.inf, 0.0, r_max)
+    # the lemma needs q zero-free on |z| <= r0: a zero there can be what pushed arg q to the level
+    if not _dominant(coeffs, r0):
+        root = _smallest_root_in_disk(coeffs, r0)
+        if root is not None:
+            raise ZeroOnGrid(root, None, "lemma1 probe")
     theta0, _ = _ring_sup(coeffs, r0, angles)
 
     z0 = r0 * cmath.exp(1j * theta0)
@@ -781,6 +792,43 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
 
 # ------------------------------------------------------------------- sampling
 
+def _sample_block(seeds, p: int, bound: float, N: int = 16, s_gap: Optional[int] = None) -> SeriesBlock:
+    """One draw of sample_hypothesis_function per seed, as the rows of a block.
+
+    Each draw takes its 2N-1 uniforms, u, the weights and the phases, from its
+    own default_rng(seed); everything after that is one array operation over
+    the block, and rounds as it does for a draw alone.
+    """
+    if not 0.0 < bound < math.pi / 2.0:
+        raise ValueError("bound must lie in (0, pi/2)")
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    order = int(s_gap) if s_gap is not None else int(p)
+    if s_gap is not None and order < 2:
+        raise ValueError("s_gap must be >= 2")
+    if s_gap is None and order < 1:
+        raise ValueError("p must be >= 1")
+    try:
+        scale = float(math.factorial(order))
+    except OverflowError:
+        raise NonFiniteValue(f"{order}! overflows float64 (sampler scale of order {order})") from None
+    falling_factorials(order, N, order)  # the draws' coefficients divide by these: fail now if they overflow
+
+    uniforms = np.empty((len(seeds), 2 * N - 1))
+    for b, seed in enumerate(seeds):
+        np.random.default_rng(seed).random(out=uniforms[b])
+    # uniform(low, high) is low + (high - low) * random(), so these are bit-identical
+    u, weights, phases = uniforms[:, 0], uniforms[:, 1:N], 2.0 * math.pi * uniforms[:, N:]
+    total = math.sin(bound) * u
+    wsum = weights.sum(axis=1)[:, None]
+    moduli = np.divide(total[:, None] * weights, wsum, out=np.zeros_like(weights), where=wsum > 0)
+    raw = np.empty((len(seeds), N), dtype=np.complex128)
+    raw[:, 0] = 1.0
+    raw[:, 1:] = moduli * np.exp(1j * phases)
+    raw *= scale
+    return SeriesBlock(order, raw, order)
+
+
 def sample_hypothesis_function(
     seed, p: int, bound: float, N: int = 16, s_gap: Optional[int] = None
 ) -> PowerSeries:
@@ -793,25 +841,8 @@ def sample_hypothesis_function(
     coefficient exactly 1). With s_gap = s the same construction starts at
     z^s, so the coefficient of z^(s-1) is 0 and that of z^s is 1.
     """
-    if not 0.0 < bound < math.pi / 2.0:
-        raise ValueError("bound must lie in (0, pi/2)")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    order = int(s_gap) if s_gap is not None else int(p)
-    if s_gap is not None and order < 2:
-        raise ValueError("s_gap must be >= 2")
-    if s_gap is None and order < 1:
-        raise ValueError("p must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform()
-    weights = rng.uniform(size=N - 1)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=N - 1)
-    total = math.sin(bound) * u
-    wsum = weights.sum()
-    moduli = total * weights / wsum if wsum > 0 else np.zeros(N - 1)
-    scale = float(math.factorial(order))
-    raw = np.concatenate(([1.0], moduli * np.exp(1j * phases))) * scale
-    return integrate(PowerSeries(0, raw), order)
+    block = _sample_block([seed], p, bound, N, s_gap)
+    return integrate(PowerSeries(0, block.raw[0]), block.order_p)
 
 
 _SAMPLER_CAP = math.pi / 2.0 - 1e-9
@@ -866,19 +897,15 @@ def counterexample_scan(
 
     counts = {VERDICT_PASS: 0, VERDICT_FAIL: 0, VERDICT_HYP: 0}
     verdicts: list[str] = []
-    worst = (math.inf, "", -1, None)  # (margin, label, attempt, function)
+    worst = (math.inf, "", -1, None)  # (margin, label, attempt, sampler row)
     attempts = 0
     batch = max(1, _BATCH_VALUES // (len(plan.orders) * grid.n_angular))
     while len(verdicts) < trials and attempts < 10 * trials:
         # every draw of a batch is needed: each one adds at most one verdict
         size = min(trials - len(verdicts), 10 * trials - attempts, batch)
-        fs = [
-            sample_hypothesis_function(
-                np.random.SeedSequence((seed, attempts + b)), p=order, bound=bound, N=N, s_gap=s_gap
-            )
-            for b in range(size)
-        ]
-        for f, report in zip(fs, _reports(plan, _Evaluation(fs, plan.orders, grid, grid.ring))):
+        seeds = [np.random.SeedSequence((seed, attempts + b)) for b in range(size)]
+        draws = _sample_block(seeds, order, bound, N, s_gap)
+        for row, report in zip(draws.raw, _reports(plan, _Evaluation((draws,), plan.orders, grid, grid.ring))):
             attempt = attempts
             attempts += 1
             if report.verdict == VERDICT_HYP:
@@ -888,7 +915,7 @@ def counterexample_scan(
             verdicts.append(report.verdict)
             for c in report.conclusions:
                 if c.margin < worst[0]:
-                    worst = (c.margin, c.label, attempt, f)
+                    worst = (c.margin, c.label, attempt, row)
     if len(verdicts) < trials:
         raise RuntimeError(
             f"only {len(verdicts)} of {trials} draws satisfied the {theorem_id} "
@@ -907,5 +934,6 @@ def counterexample_scan(
         worst_margin=worst[0],
         worst_label=worst[1],
         worst_attempt=worst[2],
-        worst_function=worst[3],
+        # the only PowerSeries of the scan
+        worst_function=None if worst[3] is None else integrate(PowerSeries(0, worst[3]), order),
     )

@@ -270,6 +270,29 @@ def test_exit_4_overflowing_derivative(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("p,message", [
+    (170, "171!/1! overflows float64 (coefficient of z^171 of a series of order 170"),
+    (171, "171! overflows float64 (sampler scale of order 171)"),
+])
+def test_exit_4_scan_factorial_overflow(p, message, capsys):
+    # the draws of order p are p! h integrated p times: at p = 170 the divisor
+    # 171!/1! of their z^171 coefficient overflows, at p = 171 the scale p! itself
+    assert run(["scan", "--theorem", "t1", "--p", str(p), "--alpha1", "0.5", "--trials", "1", "--seed", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"numeric failure: {message}" in captured.err
+
+
+def test_exit_4_lemma1_zero_inside_crossing_radius(tmp_path, capsys):
+    # q = 1 + 2z reaches the level 3pi/4 only past its zero at -1/2, at r0 = 0.7071
+    path = write_spec(tmp_path, "q.json", {"p": 0, "coefficients": [[2.0, 0.0]]})
+    assert run(["lemma1", "--function", path, "--gamma", "1.5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric failure: denominator has a root" in captured.err
+    assert f"at z = {complex(-0.5)} in lemma1 probe" in captured.err
+
+
 def test_exit_4_not_attained_emits_partial(probe, capsys):
     assert run(["lemma1", "--function", probe, "--gamma", "1.9"]) == 4
     captured = capsys.readouterr()

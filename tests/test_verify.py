@@ -22,7 +22,7 @@ from argstar import (
     sample_hypothesis_function,
     sup_arg,
 )
-from argstar import verify
+from argstar import series, verify
 from argstar.verify import SLACK, ConclusionCheck
 
 # Independently computed: with q = 1 + z the max of |arg q| on |z| = r is
@@ -150,6 +150,17 @@ def test_sup_arg_interior_zero_is_pi():
     r = sup_arg(make_series(1, [-2.0], 2), 1, DiskGrid(r_max=0.9))
     assert r.sup_abs_arg == math.pi
     assert r.witness == 0.5
+
+
+def test_net_power_of_z_is_a_zero_or_a_pole():
+    # z^2 + 0.1 z^3 over z^0 vanishes at the origin, and over z^2 it does not;
+    # z + 0.1 z^2 over z^2 has a pole there
+    grid = DiskGrid(n_radial=2, n_angular=16)
+    f = make_series(2, [0.1], 2)
+    assert sup_arg(f, 0, grid) == verify.SupArgResult(math.pi, 0j, 16)
+    assert sup_arg(f, 2, grid).sup_abs_arg < 0.1
+    with pytest.raises(ZeroOnGrid, match=r"root in \|z\| <= r_max at z = 0j in min_real"):
+        min_real(make_series(1, [0.1], 2), 2, grid)
 
 
 def test_min_real_ignores_interior_zero():
@@ -649,6 +660,96 @@ def test_sampler_is_deterministic():
     assert a == b
 
 
+def _reference_sample(seed, p, bound, N, s_gap=None):
+    """The per-draw sampler body before the block sampler, verbatim: (order, raw of f^(order))."""
+    order = int(s_gap) if s_gap is not None else int(p)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform()
+    weights = rng.uniform(size=N - 1)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=N - 1)
+    total = math.sin(bound) * u
+    wsum = weights.sum()
+    moduli = total * weights / wsum if wsum > 0 else np.zeros(N - 1)
+    scale = float(math.factorial(order))
+    raw = np.concatenate(([1.0], moduli * np.exp(1j * phases))) * scale
+    return order, raw
+
+
+def _reference_derivative(order, raw, lift, k):
+    """(order_p, coefficients) of the k-th derivative of sum raw[j] z^(order+j) / (e falling lift)
+    by the per-series differentiate and the _lifted divisors before the block form, verbatim."""
+    if k > 0:
+        unwound = min(k, lift)
+        order -= unwound
+        lift -= unwound
+        for _ in range(k - unwound):
+            if order == 0:
+                if raw.size == 1:
+                    raw = np.zeros(1, dtype=np.complex128)
+                    break
+                raw = raw[1:] * np.arange(1, raw.size)
+            else:
+                raw = raw * np.arange(order, order + raw.size)
+                order -= 1
+        j = 0
+        while j < raw.size - 1 and raw[j] == 0:
+            j += 1
+        order, raw = order + j, raw[j:]
+    if lift == 0:
+        return order, raw
+    exps = range(order, order + raw.size)
+    divisors = np.array([float(math.perm(e, lift)) for e in exps])
+    return order, raw / divisors
+
+
+def _assert_block_matches_reference(block, ref_raws, ks):
+    coeffs, powers = series.derivative_block((block,), ks)
+    for b, ref_raw in enumerate(ref_raws):
+        for i, k in enumerate(ks):
+            order, ref = _reference_derivative(block.order_p, ref_raw, block.lift, k)
+            power = powers[i] if isinstance(powers[i], int) else int(powers[i][b])
+            assert power == order, (b, k)
+            assert coeffs[b, i, : ref.size].tobytes() == ref.tobytes(), (b, k)
+            assert not coeffs[b, i, ref.size:].any()
+
+
+@pytest.mark.parametrize("N", [2, 16])
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_block_pipeline_matches_per_draw_reference(batch, N):
+    # p = 1..5 and the T5 gap orders s = 2, 3; derivative orders 0..order+1,
+    # which include the L3 order p+1; with both N and all three batch sizes, 1008 draws
+    for order, kw in [(p, {"p": p}) for p in range(1, 6)] + [(s, {"p": 1, "s_gap": s}) for s in (2, 3)]:
+        bound = 0.3 + 0.1 * order
+        seeds = [np.random.SeedSequence((order, N, batch, attempt)) for attempt in range(batch)]
+        block = verify._sample_block(seeds, bound=bound, N=N, **kw)
+        assert (block.order_p, block.lift, block.raw.shape) == (order, order, (batch, N))
+        ref_raws = []
+        for b, seed in enumerate(seeds):
+            ref_order, ref_raw = _reference_sample(seed, bound=bound, N=N, **kw)
+            assert ref_order == order
+            assert block.raw[b].tobytes() == ref_raw.tobytes()
+            f = sample_hypothesis_function(seed, bound=bound, N=N, **kw)
+            assert f == integrate(PowerSeries(0, ref_raw), order)
+            for k in range(order + 2):
+                ref_k_order, ref_k = _reference_derivative(order, ref_raw, order, k)
+                fk = differentiate(f, k)
+                assert (fk.order_p, fk.coeffs.tobytes()) == (ref_k_order, ref_k.tobytes())
+            ref_raws.append(ref_raw)
+        _assert_block_matches_reference(block, ref_raws, tuple(range(order + 2)))
+
+
+def test_block_derivatives_strip_each_row():
+    # rows whose derivatives start with zeros: each is stripped on its own and
+    # starts at its own power of z, also where integrations are still pending
+    seeds = [np.random.SeedSequence((5, attempt)) for attempt in range(7)]
+    raw = verify._sample_block(seeds, p=3, bound=1.0, N=8).raw
+    raw[1, 1] = 0  # f^(4) starts at z
+    raw[3, 1:4] = 0  # f^(4) starts at z^3
+    raw[5, 1:] = 0  # f^(4) is the zero polynomial
+    raw[6, :2] = 0  # f and every derivative start one power higher
+    _assert_block_matches_reference(series.SeriesBlock(3, raw, 3), list(raw), tuple(range(6)))
+
+
 def test_sampler_guarantees_hypothesis():
     # by construction sum |c_n| < sin(bound), an a-priori bound on sup|arg|
     bound = 0.9
@@ -783,21 +884,26 @@ def test_batch_reports_match_check_theorem():
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("first", ["pole", "overflow"])
 def test_scan_raises_first_failing_draw(monkeypatch, first):
+    # sampler rows of f'' = 2! h for L2 with p = 2 and N = 16
     faults = {
-        "pole": make_series(2, [-1.0], 2),  # f'/z = 2 - 3z, the L2 hypothesis denominator, vanishes at 2/3
-        "overflow": make_series(2, [1e308], 2),  # f' = 2z + 3e308 z^2 overflows float64
+        "pole": np.array([2.0, -6.0] + [0.0] * 14),  # f'/z = 2 - 3z, the L2 hypothesis denominator, vanishes at 2/3
+        "overflow": np.array([2.0, 1.7e308, 1.7e308] + [0.0] * 13),  # finite, but f'' overflows float64 on the ring
     }
     later = "overflow" if first == "pole" else "pole"
-    real = verify.sample_hypothesis_function
+    real = verify._sample_block
 
-    def sampler(seed, **kw):
-        attempt = seed.entropy[1]
-        return {2: faults[first], 5: faults[later]}.get(attempt) or real(seed, **kw)
+    def sampler(seeds, *args, **kw):
+        block = real(seeds, *args, **kw)
+        for b, seed in enumerate(seeds):
+            fault = {2: faults[first], 5: faults[later]}.get(seed.entropy[1])
+            if fault is not None:
+                block.raw[b] = fault
+        return block
 
     grid = DiskGrid(n_radial=1, n_angular=64)
     with pytest.raises((ZeroOnGrid, verify.NonFiniteValue)) as alone:
-        check_theorem("L2", faults[first], grid)
-    monkeypatch.setattr(verify, "sample_hypothesis_function", sampler)
+        check_theorem("L2", integrate(PowerSeries(0, faults[first]), 2), grid)
+    monkeypatch.setattr(verify, "_sample_block", sampler)
     with pytest.raises(type(alone.value)) as scanned:
         counterexample_scan("L2", trials=10, seed=3, p=2, grid=grid)
     assert str(scanned.value) == str(alone.value)
