@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -283,13 +284,17 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def emit_heatmap(f: PowerSeries, quantity: str, grid: DiskGrid, path) -> None:
     """Write quantity sampled over the grid as CSV rows r,theta,value in
-    (radial, angular) order (see verify.heatmap_values), one ring at a time."""
+    (radial, angular) order (see verify.heatmap_values), one ring at a time.
+    A list's repr writes each float as its repr, so one repr per ring formats
+    its values, split apart at the list's separators."""
     vals = heatmap_values(f, quantity, grid)
     thetas = [repr(t) for t in grid.angles.tolist()]
     with open(path, "w") as out:
         out.write("r,theta,value\n")
         for r, row in zip(grid.radii.tolist(), vals):
-            out.write("".join(f"{r!r},{t},{v!r}\n" for t, v in zip(thetas, row.tolist())))
+            texts = repr(row.tolist())[1:-1].split(", ")
+            out.write("\n".join(map(",".join, zip(itertools.repeat(repr(r)), thetas, texts))))
+            out.write("\n")
 
 
 # ------------------------------------------------------------------ handlers

@@ -256,13 +256,6 @@ def integrate(s: PowerSeries, k: int) -> PowerSeries:
     return PowerSeries._lifted(s.order_p + k, s._raw, s._lift + k)
 
 
-def _horner(coeffs: np.ndarray, z: complex) -> complex:
-    acc = complex(coeffs[-1])
-    for j in range(coeffs.size - 2, -1, -1):
-        acc = acc * z + complex(coeffs[j])
-    return acc
-
-
 def principal_arg(w: complex) -> float:
     """Principal argument in (-pi, pi]."""
     w = complex(w)

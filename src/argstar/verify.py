@@ -40,7 +40,6 @@ from .series import (
     PowerSeries,
     SeriesBlock,
     ZERO_TOL,
-    _horner,
     derivative_block,
     differentiate,
     falling_factorials,
@@ -56,14 +55,16 @@ VERDICT_HYP = "HYPOTHESIS_NOT_SATISFIED"
 
 class ZeroOnGrid(ArithmeticError):
     """A sampled denominator fell below the zero tolerance, or a certified
-    denominator has a root in the closed disk (magnitude None)."""
+    polynomial has a root in the closed disk (magnitude None; root_text says
+    which polynomial and which disk)."""
 
-    def __init__(self, point: complex, magnitude: Optional[float], context: str = ""):
+    def __init__(self, point: complex, magnitude: Optional[float], context: str = "",
+                 root_text: str = "denominator has a root in |z| <= r_max"):
         self.point = point
         self.magnitude = magnitude
         where = f" in {context}" if context else ""
         if magnitude is None:
-            super().__init__(f"denominator has a root in |z| <= r_max at z = {point}{where}")
+            super().__init__(f"{root_text} at z = {point}{where}")
         else:
             super().__init__(
                 f"|value| = {magnitude:.3e} below tolerance {ZERO_TOL} at z = {point}{where}"
@@ -717,6 +718,15 @@ def _golden_max(fun, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _horner(cs: list, z: complex) -> complex:
+    """q(z) by Horner's rule in Python complex arithmetic; cs holds the
+    coefficients in ascending powers as Python complex numbers (coeffs.tolist())."""
+    acc = cs[-1]
+    for c in cs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
 def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, float]:
     """(theta*, sup) of |arg q| on the circle of radius r: coarse scan + golden refine."""
     vals = _horner_many(coeffs, r * np.exp(1j * angles))
@@ -728,9 +738,10 @@ def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, 
     positive = near[args[near] > 0]
     j = int(positive[0]) if positive.size else int(near[0])
     step = 2.0 * math.pi / angles.size
+    cs = coeffs.tolist()
 
     def g(theta: float) -> float:
-        return abs(principal_arg(_horner(coeffs, r * cmath.exp(1j * theta))))
+        return abs(principal_arg(_horner(cs, r * cmath.exp(1j * theta))))
 
     theta = _golden_max(g, angles[j] - step, angles[j] + step, _THETA_TOL)
     return theta, g(theta)
@@ -770,13 +781,13 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
     if not _dominant(coeffs, r0):
         root = _smallest_root_in_disk(coeffs, r0)
         if root is not None:
-            raise ZeroOnGrid(root, None, "lemma1 probe")
+            raise ZeroOnGrid(root, None, "lemma1 probe", f"q has a root in |z| <= r0 = {r0!r}")
     theta0, _ = _ring_sup(coeffs, r0, angles)
 
     z0 = r0 * cmath.exp(1j * theta0)
-    qz = _horner(coeffs, z0)
+    qz = _horner(coeffs.tolist(), z0)
     qprime = differentiate(q, 1)
-    ratio = z0 * _horner(qprime.coeffs, z0) * z0**qprime.order_p / qz
+    ratio = z0 * _horner(qprime.coeffs.tolist(), z0) * z0**qprime.order_p / qz
     arg_q = principal_arg(qz)
     return Lemma1Report(
         gamma=gamma,

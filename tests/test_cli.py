@@ -284,12 +284,14 @@ def test_exit_4_scan_factorial_overflow(p, message, capsys):
 
 
 def test_exit_4_lemma1_zero_inside_crossing_radius(tmp_path, capsys):
-    # q = 1 + 2z reaches the level 3pi/4 only past its zero at -1/2, at r0 = 0.7071
+    # q = 1 + 2z reaches the level 3pi/4 only as its zero at -1/2 enters the disk, at r0 = 0.5
     path = write_spec(tmp_path, "q.json", {"p": 0, "coefficients": [[2.0, 0.0]]})
     assert run(["lemma1", "--function", path, "--gamma", "1.5"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "numeric failure: denominator has a root" in captured.err
+    head = "numeric failure: q has a root in |z| <= r0 = "
+    assert head in captured.err
+    assert float(captured.err.split(head)[1].split()[0]) == pytest.approx(0.5, abs=1e-9)
     assert f"at z = {complex(-0.5)} in lemma1 probe" in captured.err
 
 
@@ -480,6 +482,31 @@ def test_emit_heatmap_streams_the_same_bytes(tmp_path):
             out = tmp_path / f"{quantity}.csv"
             emit_heatmap(f, quantity, grid, out)
             assert out.read_bytes() == _joined_heatmap(f, quantity, grid).encode()
+
+
+def test_emit_heatmap_edge_rows(tmp_path):
+    # one angle or one radius: a one-element ring formats without a separator;
+    # f = (1 - 0j) + 1e-20 z has arg f in exponent notation and the constant
+    # 1 - 0j has arg exactly -0.0 everywhere
+    tiny = PowerSeries(0, np.array([complex(1.0, -0.0), 1e-20]))
+    flat = PowerSeries(0, np.array([complex(1.0, -0.0)]))
+    grids = (
+        DiskGrid(r_max=0.9, n_radial=3, n_angular=1),
+        DiskGrid(r_max=0.9, n_radial=1, n_angular=5),
+        DiskGrid(r_max=0.9, n_radial=1, n_angular=1),
+        DiskGrid(r_max=0.9, n_radial=4, n_angular=8),
+    )
+    out = tmp_path / "edge.csv"
+    for f in (tiny, flat):
+        for grid in grids:
+            emit_heatmap(f, "arg-fp", grid, out)
+            text = out.read_text()
+            assert text == _joined_heatmap(f, "arg-fp", grid)
+            assert len(text.splitlines()) == 1 + grid.size
+    values = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
+    assert values == ["-0.0"] * grids[-1].size
+    emit_heatmap(tiny, "arg-fp", grids[-1], out)
+    assert any("e-" in line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:])
 
 
 def test_version_flag():

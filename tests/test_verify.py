@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +25,8 @@ from argstar import (
     sup_arg,
 )
 from argstar import series, verify
-from argstar.verify import SLACK, ConclusionCheck
+from argstar.series import principal_arg
+from argstar.verify import _THETA_TOL, SLACK, ConclusionCheck, _golden_max, _horner_many
 
 # Independently computed: with q = 1 + z the max of |arg q| on |z| = r is
 # asin(r), first reaching asin(0.6) at r0 = 0.6, where z0 q'(z0)/q(z0) is
@@ -627,6 +630,94 @@ def test_probe_is_deterministic():
     a = lemma1_probe(q, 0.3)
     b = lemma1_probe(q, 0.3)
     assert (a.r0, a.z0, a.ratio, a.k_est) == (b.r0, b.z0, b.ratio, b.k_est)
+
+
+# Reference: the golden refine on the numpy coefficient array, converting one
+# numpy scalar per coefficient. verify._ring_sup runs it on coeffs.tolist()
+# and must give the same floats.
+
+def _head_horner(coeffs: np.ndarray, z: complex) -> complex:
+    acc = complex(coeffs[-1])
+    for j in range(coeffs.size - 2, -1, -1):
+        acc = acc * z + complex(coeffs[j])
+    return acc
+
+
+def _head_ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, float]:
+    """(theta*, sup) of |arg q| on the circle of radius r: coarse scan + golden refine."""
+    vals = _horner_many(coeffs, r * np.exp(1j * angles))
+    args = np.angle(vals)
+    absarg = np.abs(args)
+    # conjugate-symmetric q gives +/- mirror maxima equal up to rounding; take
+    # the positive-argument representative so the reported point is canonical
+    near = np.flatnonzero(absarg >= absarg.max() - 1e-9)
+    positive = near[args[near] > 0]
+    j = int(positive[0]) if positive.size else int(near[0])
+    step = 2.0 * math.pi / angles.size
+
+    def g(theta: float) -> float:
+        return abs(principal_arg(_head_horner(coeffs, r * cmath.exp(1j * theta))))
+
+    theta = _golden_max(g, angles[j] - step, angles[j] + step, _THETA_TOL)
+    return theta, g(theta)
+
+
+def _random_q(rng, complex_coeffs: bool) -> PowerSeries:
+    """q = 1 + a tail of degree 1..15, real or complex, decaying like 1/n."""
+    deg = int(rng.integers(1, 16))
+    tail = rng.normal(size=deg) + (1j * rng.normal(size=deg) if complex_coeffs else 0.0)
+    tail *= rng.uniform(0.05, 1.0) / np.arange(1, deg + 1)
+    return PowerSeries(0, np.concatenate(([1.0], tail)))
+
+
+def _hexes(*values) -> tuple:
+    out = []
+    for v in values:
+        v = complex(v)
+        out += [v.real.hex(), v.imag.hex()]
+    return tuple(out)
+
+
+def test_ring_sup_matches_scalar_refine_bitwise():
+    rng = np.random.default_rng(20260)
+    grids = (DiskGrid(n_radial=1, n_angular=512), DiskGrid(n_radial=1, n_angular=47))
+    cases = 0
+    for i in range(120):
+        q = _random_q(rng, complex_coeffs=i % 2 == 1)
+        r = 0.995 * (1.0 - rng.random())  # in (0, 0.995]
+        for grid in grids:
+            got = verify._ring_sup(q.coeffs, r, grid.angles)
+            want = _head_ring_sup(q.coeffs, r, grid.angles)
+            assert _hexes(*got) == _hexes(*want), (i, r, grid.n_angular)
+            cases += 1
+    assert cases >= 200
+
+
+def _probe_outcome(q: PowerSeries, gamma: float) -> tuple:
+    try:
+        rep = lemma1_probe(q, gamma)
+    except (NotAttained, ZeroOnGrid) as exc:
+        return (type(exc).__name__, str(exc), _hexes(*(v for v in vars(exc).values() if v is not None)))
+    return ("report",) + _hexes(*(getattr(rep, f.name) for f in dataclasses.fields(rep)))
+
+
+def test_probe_matches_scalar_refine_field_by_field(monkeypatch):
+    rng = np.random.default_rng(20261)
+    grid = DiskGrid()
+    kinds = set()
+    for i in range(20):
+        q = _random_q(rng, complex_coeffs=i % 2 == 1)
+        top = _head_ring_sup(q.coeffs, grid.r_max, grid.angles)[1]
+        for factor in (0.4, 0.9, 1.1):
+            gamma = 2.0 * factor * top / math.pi
+            got = _probe_outcome(q, gamma)
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_ring_sup", _head_ring_sup)
+                m.setattr(verify, "_horner", lambda cs, z: _head_horner(np.array(cs, dtype=complex), z))
+                want = _probe_outcome(q, gamma)
+            assert got == want, (i, factor)
+            kinds.add(got[0])
+    assert {"report", "NotAttained"} <= kinds
 
 
 # -------------------------------------------------------------------- sampler
