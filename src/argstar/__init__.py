@@ -28,6 +28,7 @@ from .roots import (
 from .verify import (
     ConclusionCheck,
     DiskGrid,
+    DrawsExhausted,
     Lemma1Report,
     NonFiniteValue,
     NotAttained,

@@ -37,6 +37,7 @@ from .series import ArgOfZero, PowerSeries
 from .verify import (
     HEATMAP_QUANTITIES,
     DiskGrid,
+    DrawsExhausted,
     Lemma1Report,
     NonFiniteValue,
     NotAttained,
@@ -431,29 +432,24 @@ def _add_grid_flags(sub):
     sub.add_argument("--grid", type=_grid_spec, default=(64, 512), help="<n_radial>x<n_angular>")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="argstar",
-        description="Numerical checks of argument-bound starlikeness conditions on the unit disk.",
-    )
-    parser.add_argument("--version", action="version", version=f"argstar {__version__}")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sub = subs.add_parser("gamma0", help="root of 2g + (2/pi)atan(g) = 1 and the composite bound")
+def _add_gamma0(sub):
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_gamma0)
 
-    sub = subs.add_parser("deltamax", help="root of 2d + (2/pi)atan(d) = 2 and the gap-series bound")
+
+def _add_deltamax(sub):
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_deltamax)
 
-    sub = subs.add_parser("alpha", help="implicit alpha chain with majorant column")
+
+def _add_alpha(sub):
     sub.add_argument("--alpha0", type=float, required=True)
     sub.add_argument("--count", type=int, required=True)
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_alpha)
 
-    sub = subs.add_parser("verify", help="check one implication for a function file")
+
+def _add_verify(sub):
     sub.add_argument("--theorem", required=True, help="t1|c1|c2|t3|t4|t5|l2|l3")
     sub.add_argument("--function", required=True, help="function spec JSON file")
     sub.add_argument("--alpha1", type=float, default=None)
@@ -464,14 +460,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_verify)
 
-    sub = subs.add_parser("lemma1", help="first-crossing boundary probe for q with q(0)=1")
+
+def _add_lemma1(sub):
     sub.add_argument("--function", required=True, help="function spec JSON file with p=0")
     sub.add_argument("--gamma", type=float, required=True)
     _add_grid_flags(sub)
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_lemma1)
 
-    sub = subs.add_parser("scan", help="randomized counterexample scan for one implication")
+
+def _add_scan(sub):
     sub.add_argument("--theorem", required=True)
     sub.add_argument("--trials", type=int, default=200)
     sub.add_argument("--seed", type=int, required=True)
@@ -485,20 +483,54 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_scan)
 
-    sub = subs.add_parser("heatmap", help="sample one quantity over the grid as CSV")
+
+def _add_heatmap(sub):
     sub.add_argument("--function", required=True)
     sub.add_argument("--quantity", required=True, choices=HEATMAP_QUANTITIES)
     sub.add_argument("--out", required=True)
     _add_grid_flags(sub)
     sub.set_defaults(handler=_cmd_heatmap)
 
+
+# subcommand -> (help, function adding its arguments and handler), in help order
+_COMMANDS = {
+    "gamma0": ("root of 2g + (2/pi)atan(g) = 1 and the composite bound", _add_gamma0),
+    "deltamax": ("root of 2d + (2/pi)atan(d) = 2 and the gap-series bound", _add_deltamax),
+    "alpha": ("implicit alpha chain with majorant column", _add_alpha),
+    "verify": ("check one implication for a function file", _add_verify),
+    "lemma1": ("first-crossing boundary probe for q with q(0)=1", _add_lemma1),
+    "scan": ("randomized counterexample scan for one implication", _add_scan),
+    "heatmap": ("sample one quantity over the grid as CSV", _add_heatmap),
+}
+
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argstar parser with every subcommand, or with just `only`.
+
+    A parser built for one subcommand prints the same usage line as the full
+    one: the metavar spells out every choice. The full tree keeps argparse's
+    own metavar, whose error messages name the argument `subcommand`.
+    """
+    parser = argparse.ArgumentParser(
+        prog="argstar",
+        description="Numerical checks of argument-bound starlikeness conditions on the unit disk.",
+    )
+    parser.add_argument("--version", action="version", version=f"argstar {__version__}")
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in _COMMANDS if only is None else (only,):
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
 def run(argv) -> int:
-    """Execute one CLI invocation; returns the exit code without exiting."""
+    """Execute one CLI invocation; returns the exit code without exiting.
+
+    Only the invoked subcommand's arguments are built; -h, --version and
+    anything that does not start with a subcommand get the full parser."""
     argv = list(argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -511,6 +543,9 @@ def run(argv) -> int:
         return EXIT_PARSE
     except (ZeroOnGrid, NonFiniteValue, NoConvergence, ArgOfZero, BracketInvalid) as e:
         print(f"argstar: numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except DrawsExhausted as e:
+        print(f"argstar: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as e:  # ParamOutOfRange among them
         print(f"argstar: {e}", file=sys.stderr)

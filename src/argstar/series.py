@@ -203,34 +203,27 @@ def _plain(d: _Derived) -> np.ndarray:
     return plain
 
 
-def derivative_block(fs, ks) -> tuple[np.ndarray, list]:
-    """The derivatives f^(k), k in ks, of every draw of fs (a PowerSeries is
+def derivative_block(f, ks) -> tuple[np.ndarray, list]:
+    """The derivatives f^(k), k in ks, of every draw of f (a PowerSeries is
     one draw, a SeriesBlock one draw per row).
 
     Returns the coefficients as one (B, len(ks), n) block, each row
     zero-padded on the right to the longest, n, and per k the lowest power of
     z of each draw: an int when every draw shares it, else an int array (B,).
     """
-    blocks = [f if isinstance(f, SeriesBlock) else SeriesBlock(f.order_p, f._raw[None, :], f._lift) for f in fs]
-    derived = [[_derive(g.order_p, g.raw, g.lift, k) for k in ks] for g in blocks]
-    n = max(d.raw.shape[1] - (0 if d.strip is None else int(d.strip.min())) for ds in derived for d in ds)
-    coeffs = np.zeros((sum(len(g.raw) for g in blocks), len(ks), n), dtype=np.complex128)
-    start = 0
-    for g, ds in zip(blocks, derived):
-        for i, d in enumerate(ds):
-            w = min(n, d.raw.shape[1])
-            coeffs[start: start + len(g.raw), i, :w] = _plain(d)[:, :w]
-        start += len(g.raw)
+    g = f if isinstance(f, SeriesBlock) else SeriesBlock(f.order_p, f._raw[None, :], f._lift)
+    derived = [_derive(g.order_p, g.raw, g.lift, k) for k in ks]
+    n = max(d.raw.shape[1] - (0 if d.strip is None else int(d.strip.min())) for d in derived)
+    coeffs = np.zeros((len(g.raw), len(ks), n), dtype=np.complex128)
     powers = []
-    for i in range(len(ks)):
-        ds = [d[i] for d in derived]
-        if len(ds) == 1 and ds[0].strip is None:
-            powers.append(ds[0].order)
-            continue
-        each = np.concatenate([
-            np.full(len(g.raw), d.order) if d.strip is None else d.order + d.strip for g, d in zip(blocks, ds)
-        ])
-        powers.append(int(each[0]) if (each == each[0]).all() else each)
+    for i, d in enumerate(derived):
+        w = min(n, d.raw.shape[1])
+        coeffs[:, i, :w] = _plain(d)[:, :w]
+        if d.strip is None:
+            powers.append(d.order)
+        else:
+            each = d.order + d.strip
+            powers.append(int(each[0]) if (each == each[0]).all() else each)
     return coeffs, powers
 
 

@@ -85,6 +85,10 @@ class NotAttained(RuntimeError):
         )
 
 
+class DrawsExhausted(RuntimeError):
+    """A scan ran out of attempts before enough draws satisfied the hypothesis."""
+
+
 class ParamOutOfRange(ValueError):
     """A theorem parameter lies outside its admissible range."""
 
@@ -303,19 +307,19 @@ class _Evaluation:
     """The derivatives f^(k) of the given orders of a batch of draws, each
     evaluated once at the sample points (grid.ring for the checks, grid.points
     for heatmap and the lemma1 probe) in one Horner pass, and the quantities
-    taken from them for the whole batch at once. The draws are PowerSeries
-    (one each) or SeriesBlocks (one per row); see series.derivative_block.
+    taken from them for the whole batch at once. The draws are one
+    PowerSeries or the rows of one SeriesBlock; see series.derivative_block.
 
     A failure belongs to its draw: `errors` maps a draw to the NonFiniteValue
     of its evaluation, values/take return the exceptions of each draw they
     reach, and the caller raises them in its own order.
     """
 
-    def __init__(self, fs, orders, grid: DiskGrid, points: np.ndarray):
+    def __init__(self, f, orders, grid: DiskGrid, points: np.ndarray):
         self.grid = grid
         self.points = points
         # lowest power of z of f^(k) per row: an int, or an array when draws differ
-        self.coeffs, self.powers = derivative_block(fs, orders)
+        self.coeffs, self.powers = derivative_block(f, orders)
         self.size = size = self.coeffs.shape[0]
         rows = _horner_many(self.coeffs.reshape(size * len(orders), -1), points)
         self.rows = rows.reshape((size, len(orders)) + points.shape)
@@ -437,7 +441,7 @@ class _Evaluation:
 def _take_one(s: PowerSeries, kind: str, divisor_power: int, grid: DiskGrid):
     if divisor_power < 0:
         raise ValueError("divisor_power must be >= 0")
-    ev = _Evaluation((s,), (0,), grid, grid.ring)
+    ev = _Evaluation(s, (0,), grid, grid.ring)
     taken = ev.take(_plain(kind, 0, divisor_power))
     _raise_first(0, ev.errors, taken.errors)
     return taken.value[0], taken.witness[0], taken.used[0]
@@ -477,7 +481,7 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
         "arg-jst": _ratio("sup_arg", p, 1, quantity),
         "re-ratio": _ratio("min_real", p, p, quantity),
     }[quantity]
-    ev = _Evaluation((f,), _orders(q), grid, grid.points)
+    ev = _Evaluation(f, _orders(q), grid, grid.points)
     vals, errors = ev.values(q)
     _raise_first(0, ev.errors, errors)
     if q.kind == "sup_arg":  # arg is undefined where the value, or a ratio's numerator, vanishes
@@ -655,7 +659,7 @@ def check_theorem(
             raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
         if _coefficient_of(f, s) == 0:
             raise ParamOutOfRange(f"coefficient of z^{s} must be nonzero")
-    return _reports(plan, _Evaluation((f,), plan.orders, grid, grid.ring))[0]
+    return _reports(plan, _Evaluation(f, plan.orders, grid, grid.ring))[0]
 
 
 def _reports(plan: _Plan, ev: _Evaluation) -> list[VerificationReport]:
@@ -766,7 +770,7 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
         raise ParamOutOfRange("gamma must be > 0")
     if q.order_p != 0 or q.coeffs[0] != 1:
         raise ParamOutOfRange("q must satisfy q(0) = 1 (order_p 0, constant term 1)")
-    ev = _Evaluation((q,), (0,), grid, grid.points)
+    ev = _Evaluation(q, (0,), grid, grid.points)
     _raise_first(0, ev.errors, ev._below_tol(ev.rows[:, 0], "lemma1 probe"))
     level = math.pi * gamma / 2.0
 
@@ -886,9 +890,9 @@ def counterexample_scan(
     error) that check_theorem gives on each draw in turn. Draws that fail the
     hypothesis on the grid are discarded and redrawn (only L3 can produce them;
     the other samplers guarantee the hypothesis), capped at 10x the requested
-    trials. FAIL counts are expected
-    to be 0: the implications are proved, so any FAIL is an artifact bug or a
-    genuinely interesting sample worth inspecting via worst_function.
+    trials; a scan that reaches the cap raises DrawsExhausted. FAIL counts are
+    expected to be 0: the implications are proved, so any FAIL is an artifact
+    bug or a genuinely interesting sample worth inspecting via worst_function.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -916,7 +920,7 @@ def counterexample_scan(
         size = min(trials - len(verdicts), 10 * trials - attempts, batch)
         seeds = [np.random.SeedSequence((seed, attempts + b)) for b in range(size)]
         draws = _sample_block(seeds, order, bound, N, s_gap)
-        for row, report in zip(draws.raw, _reports(plan, _Evaluation((draws,), plan.orders, grid, grid.ring))):
+        for row, report in zip(draws.raw, _reports(plan, _Evaluation(draws, plan.orders, grid, grid.ring))):
             attempt = attempts
             attempts += 1
             if report.verdict == VERDICT_HYP:
@@ -928,7 +932,7 @@ def counterexample_scan(
                 if c.margin < worst[0]:
                     worst = (c.margin, c.label, attempt, row)
     if len(verdicts) < trials:
-        raise RuntimeError(
+        raise DrawsExhausted(
             f"only {len(verdicts)} of {trials} draws satisfied the {theorem_id} "
             f"hypothesis after {attempts} attempts"
         )

@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -511,3 +513,195 @@ def test_emit_heatmap_edge_rows(tmp_path):
 
 def test_version_flag():
     assert run(["--version"]) == 0
+
+
+def test_exit_4_scan_out_of_draws(capsys):
+    # the first 10 draws of seed 4 all miss the L3 hypothesis, so one trial
+    # exhausts its 10 attempts
+    assert run(["scan", "--theorem", "l3", "--p", "1", "--trials", "1", "--seed", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "argstar: only 0 of 1 draws satisfied the L3 hypothesis after 10 attempts\n"
+
+
+# --------------------------------------------------------------- parser tree
+
+def _full_parser() -> argparse.ArgumentParser:
+    """cli._build_parser as it was when every call built all subcommands,
+    verbatim but for the cli. prefixes: the reference for what run prints."""
+    parser = argparse.ArgumentParser(
+        prog="argstar",
+        description="Numerical checks of argument-bound starlikeness conditions on the unit disk.",
+    )
+    parser.add_argument("--version", action="version", version=f"argstar {cli.__version__}")
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+
+    sub = subs.add_parser("gamma0", help="root of 2g + (2/pi)atan(g) = 1 and the composite bound")
+    cli._add_output_flags(sub)
+    sub.set_defaults(handler=cli._cmd_gamma0)
+
+    sub = subs.add_parser("deltamax", help="root of 2d + (2/pi)atan(d) = 2 and the gap-series bound")
+    cli._add_output_flags(sub)
+    sub.set_defaults(handler=cli._cmd_deltamax)
+
+    sub = subs.add_parser("alpha", help="implicit alpha chain with majorant column")
+    sub.add_argument("--alpha0", type=float, required=True)
+    sub.add_argument("--count", type=int, required=True)
+    cli._add_output_flags(sub)
+    sub.set_defaults(handler=cli._cmd_alpha)
+
+    sub = subs.add_parser("verify", help="check one implication for a function file")
+    sub.add_argument("--theorem", required=True, help="t1|c1|c2|t3|t4|t5|l2|l3")
+    sub.add_argument("--function", required=True, help="function spec JSON file")
+    sub.add_argument("--alpha1", type=float, default=None)
+    sub.add_argument("--alpha0", type=float, default=None)
+    sub.add_argument("--delta", type=float, default=None)
+    sub.add_argument("--s", type=int, default=None, help="gap index (default: file gap_index)")
+    cli._add_grid_flags(sub)
+    cli._add_output_flags(sub)
+    sub.set_defaults(handler=cli._cmd_verify)
+
+    sub = subs.add_parser("lemma1", help="first-crossing boundary probe for q with q(0)=1")
+    sub.add_argument("--function", required=True, help="function spec JSON file with p=0")
+    sub.add_argument("--gamma", type=float, required=True)
+    cli._add_grid_flags(sub)
+    cli._add_output_flags(sub)
+    sub.set_defaults(handler=cli._cmd_lemma1)
+
+    sub = subs.add_parser("scan", help="randomized counterexample scan for one implication")
+    sub.add_argument("--theorem", required=True)
+    sub.add_argument("--trials", type=int, default=200)
+    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--p", type=int, default=None)
+    sub.add_argument("--alpha1", type=float, default=None)
+    sub.add_argument("--alpha0", type=float, default=None)
+    sub.add_argument("--delta", type=float, default=None)
+    sub.add_argument("--s", type=int, default=None)
+    sub.add_argument("--ncoeffs", type=int, default=16, help="truncation of sampled functions")
+    cli._add_grid_flags(sub)
+    cli._add_output_flags(sub)
+    sub.set_defaults(handler=cli._cmd_scan)
+
+    sub = subs.add_parser("heatmap", help="sample one quantity over the grid as CSV")
+    sub.add_argument("--function", required=True)
+    sub.add_argument("--quantity", required=True, choices=cli.HEATMAP_QUANTITIES)
+    sub.add_argument("--out", required=True)
+    cli._add_grid_flags(sub)
+    sub.set_defaults(handler=cli._cmd_heatmap)
+
+    return parser
+
+
+# Every argv the CLI tests and the acceptance suite pass to run, and the
+# parser's own paths: help, version, unknown, missing and stray arguments.
+# {name} stands for a spec file of the fixtures below, {out} for an output path.
+_ARGV_CORPUS = [
+    [], ["-h"], ["--help"], ["--version"], ["--vers"], ["nope"], ["--", "gamma0"], ["-h", "verify"],
+    ["verify", "-h"], ["verify", "--bogus"], ["gamma0", "extra"], ["gamma0", "--version"], ["gamma0", "-h"],
+    ["deltamax", "-h"], ["alpha", "-h"], ["lemma1", "-h"], ["scan", "-h"], ["heatmap", "-h"],
+    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--grid", "64"],
+    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--grid", "0x8"],
+    ["gamma0"], ["deltamax"],
+    ["alpha", "--alpha0", "1.5", "--count", "5"], ["alpha", "--alpha0", "1.0", "--count", "5"],
+    ["alpha", "--alpha0", "1.5", "--count", "2", "--format", "csv"],
+    ["verify", "--theorem", "t1"], ["alpha", "--alpha0", "1.0"],
+    ["alpha", "--alpha0", "2.5", "--count", "3"], ["alpha", "--alpha0", "1.0", "--count", "-1"],
+    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0"],
+    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--out", "{out}"],
+    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--format", "csv"],
+    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "0.5", "--grid", "8x16"],
+    ["verify", "--theorem", "c2", "--function", "{wide}"],
+    ["verify", "--theorem", "t5", "--function", "{lin}", "--delta", "0.3", "--s", "2"],
+    ["verify", "--theorem", "t5", "--function", "{gap}", "--delta", "0.3"],
+    ["verify", "--theorem", "l2", "--function", "{pole}"],
+    ["verify", "--theorem", "t1", "--function", "{missing}", "--alpha1", "1.0"],
+    ["verify", "--theorem", "t1", "--function", "{badjson}", "--alpha1", "1.0"],
+    ["verify", "--theorem", "t1", "--function", "{mismatch}", "--alpha1", "1.0"],
+    ["verify", "--theorem", "t1", "--function", "{big}", "--alpha1", "1.0"],
+    ["lemma1", "--function", "{probe}", "--gamma", repr(2 * math.asin(0.6) / math.pi)],
+    ["lemma1", "--function", "{probe}", "--gamma", "1.9"],
+    ["lemma1", "--function", "{q}", "--gamma", "1.5"],
+    ["scan", "--theorem", "t1", "--trials", "1", "--seed", "1", "--p", "1", "--alpha1", "0.5"],
+    ["scan", "--theorem", "t1", "--trials", "2", "--seed", "1", "--p", "2"],
+    ["scan", "--theorem", "t1", "--trials", "0", "--seed", "1", "--p", "2", "--alpha1", "0.5"],
+    ["scan", "--theorem", "t5", "--s", "2", "--delta", "0.3", "--p", "7", "--seed", "1"],
+    ["scan", "--theorem", "c2", "--trials", "4", "--seed", "301", "--p", "2", "--grid", "8x32", "--ncoeffs", "6"],
+    ["scan", "--theorem", "t1", "--p", "170", "--alpha1", "0.5", "--trials", "1", "--seed", "1"],
+    ["scan", "--theorem", "t1", "--p", "171", "--alpha1", "0.5", "--trials", "1", "--seed", "1"],
+    ["scan", "--theorem", "l3", "--p", "1", "--trials", "1", "--seed", "4"],
+    ["heatmap", "--function", "{pole}", "--quantity", "arg-jst", "--rmax", "0.5", "--out", "{out}"],
+    ["heatmap", "--function", "{pole}", "--quantity", "arg-fp", "--rmax", "0.5", "--grid", "2x8", "--out", "{out}"],
+    ["heatmap", "--function", "{pole}", "--quantity", "arg-fp1-over-z", "--rmax", "0.5", "--grid", "2x8",
+     "--out", "{out}"],
+    ["heatmap", "--function", "{pole}", "--quantity", "arg-jst", "--rmax", "0.25", "--grid", "1x8", "--out", "{out}"],
+    ["heatmap", "--function", "{big}", "--quantity", "re-ratio", "--out", "{out}"],
+    ["heatmap", "--function", "{huge}", "--quantity", "arg-jst", "--out", "{out}"],
+    ["heatmap", "--function", "{lin}", "--quantity", "arg-fp", "--rmax", "0.9", "--grid", "16x64", "--out", "{out}"],
+    ["heatmap", "--function", "{lin}", "--quantity", "arg-fp", "--rmax", "0.9", "--out", "{out}"],
+    ["heatmap", "--function", "{mono2}", "--quantity", "arg-fp", "--grid", "4x8", "--out", "{out}"],
+    ["heatmap", "--function", "{lin}", "--quantity", "arg-jst", "--grid", "8x16", "--out", "{out}"],
+    ["heatmap", "--function", "{lin}", "--quantity", "arg-fp1-over-z", "--grid", "4x8", "--out", "{out}"],
+    ["heatmap", "--function", "{lin}", "--quantity", "re-ratio", "--grid", "4x8", "--out", "{out}"],
+    ["heatmap", "--function", "{lin}", "--quantity", "curvature", "--out", "{out}"],
+]
+
+
+@pytest.fixture
+def corpus_files(tmp_path, mono2, lin, probe):
+    bad = tmp_path / "badjson.json"
+    bad.write_text("{not json")
+    return {
+        "mono2": mono2,
+        "lin": lin,
+        "probe": probe,
+        "wide": write_spec(tmp_path, "wide.json", {"p": 2, "coefficients": [[0.95, 0]]}),
+        "gap": write_spec(tmp_path, "gap.json", {"p": 2, "coefficients": [[0.05, 0]], "gap_index": 2}),
+        "pole": write_spec(tmp_path, "pole.json", {"p": 1, "coefficients": [[-2.0, 0]]}),
+        "missing": str(tmp_path / "nope.json"),
+        "badjson": str(bad),
+        "mismatch": write_spec(tmp_path, "m.json", {"p": 1, "coefficients": [[0.5, 0]], "truncation": 5}),
+        "big": write_spec(tmp_path, "big.json", {"p": 171, "coefficients": [[0.0, 0.0]]}),
+        "huge": write_spec(tmp_path, "huge.json", {"p": 1, "coefficients": [[1e308, 0.0]]}),
+        "q": write_spec(tmp_path, "q.json", {"p": 0, "coefficients": [[2.0, 0.0]]}),
+        "out": str(tmp_path / "out.file"),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("columns", ["60", "100"])
+@pytest.mark.parametrize("template", _ARGV_CORPUS, ids=" ".join)
+def test_run_matches_full_parser(template, columns, corpus_files, monkeypatch, capsys):
+    # exit code, stdout, stderr and the --out file are byte-identical to a run
+    # through the parser with every subcommand, at two terminal widths
+    monkeypatch.setenv("COLUMNS", columns)
+    argv = [a.format(**corpus_files) for a in template]
+    out = Path(corpus_files["out"])
+
+    def outcome():
+        code = run(argv)
+        captured = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    got = outcome()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", lambda only=None: _full_parser())
+        want = outcome()
+    assert got == want
+
+
+def test_run_builds_only_the_invoked_subcommand(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run(["gamma0"]) == 0
+    assert built == ["gamma0"]
+    built.clear()
+    assert run(["--version"]) == 0
+    assert built == ["gamma0", "deltamax", "alpha", "verify", "lemma1", "scan", "heatmap"]

@@ -794,7 +794,7 @@ def _reference_derivative(order, raw, lift, k):
 
 
 def _assert_block_matches_reference(block, ref_raws, ks):
-    coeffs, powers = series.derivative_block((block,), ks)
+    coeffs, powers = series.derivative_block(block, ks)
     for b, ref_raw in enumerate(ref_raws):
         for i, k in enumerate(ks):
             order, ref = _reference_derivative(block.order_p, ref_raw, block.lift, k)
@@ -961,13 +961,18 @@ def test_scan_matches_per_draw_checks(monkeypatch, tid, params, n_radial, budget
 
 
 def test_batch_reports_match_check_theorem():
-    # f = z^3 + 0.01 z^5 has f^(4) = 1.2 z, of order 1 where a sampled draw's
-    # f^(4) has order 0, so one batch divides out two different z-powers
+    # row 1 is f''' of f = z^3 + 0.01 z^5, whose f^(4) = 1.2 z has order 1 where
+    # a sampled draw's f^(4) has order 0, so one batch divides out two different z-powers
     grid = DiskGrid(n_radial=1, n_angular=64)
-    fs = [sample_hypothesis_function(np.random.SeedSequence((80, k)), p=3, bound=0.9, N=16) for k in range(3)]
-    fs.insert(1, make_series(3, [0.0, 0.01], 3))
+    sampled = verify._sample_block([np.random.SeedSequence((80, k)) for k in range(3)], p=3, bound=0.9, N=16)
+    block = series.SeriesBlock(3, np.insert(sampled.raw, 1, [6.0, 0.0, 0.6] + [0.0] * 13, axis=0), 3)
+    fs = [integrate(PowerSeries(0, row), 3) for row in block.raw]
+    assert fs[1] == make_series(3, [0.0, 0.01] + [0.0] * 13, 16)
+    assert fs[::2] + fs[3:] == [
+        sample_hypothesis_function(np.random.SeedSequence((80, k)), p=3, bound=0.9, N=16) for k in range(3)
+    ]
     plan = verify._build_plan("L3", 3, None, None, None, None)
-    reports = verify._reports(plan, verify._Evaluation(fs, plan.orders, grid, grid.ring))
+    reports = verify._reports(plan, verify._Evaluation(block, plan.orders, grid, grid.ring))
     assert reports[1].hypothesis_satisfied
     assert reports == [check_theorem("L3", f, grid) for f in fs]
 
