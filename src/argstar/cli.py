@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -38,11 +39,8 @@ from .verify import (
     HEATMAP_QUANTITIES,
     DiskGrid,
     DrawsExhausted,
-    Lemma1Report,
     NonFiniteValue,
     NotAttained,
-    ScanReport,
-    VerificationReport,
     ZeroOnGrid,
     check_theorem,
     counterexample_scan,
@@ -148,71 +146,19 @@ def series_to_spec(f: PowerSeries, gap_index: Optional[int] = None) -> dict:
 
 # ------------------------------------------------------------- serialization
 
-def _c(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _grid_payload(grid: DiskGrid) -> dict:
-    return {"r_max": grid.r_max, "n_radial": grid.n_radial, "n_angular": grid.n_angular}
-
-
-def _solver_payload(cfg: RootConfig) -> dict:
-    return {"abs_tol": cfg.abs_tol, "max_iter": cfg.max_iter}
-
-
-def _verification_payload(rep: VerificationReport) -> dict:
-    return {
-        "theorem_id": rep.theorem_id,
-        "params": rep.params,
-        "hypothesis_sup": rep.hypothesis_sup,
-        "hypothesis_bound": rep.hypothesis_bound,
-        "hypothesis_satisfied": rep.hypothesis_satisfied,
-        "conclusions": [
-            {
-                "label": c.label,
-                "kind": c.kind,
-                "value": c.value,
-                "bound": c.bound,
-                "margin": c.margin,
-                "witness": _c(c.witness),
-            }
-            for c in rep.conclusions
-        ],
-        "verdict": rep.verdict,
-        "witnesses": [_c(w) for w in rep.witnesses],
-        "notes": list(rep.notes),
-    }
-
-
-def _lemma1_payload(rep: Lemma1Report) -> dict:
-    return {
-        "gamma": rep.gamma,
-        "level": rep.level,
-        "r0": rep.r0,
-        "z0": _c(rep.z0),
-        "ratio": _c(rep.ratio),
-        "k_est": rep.k_est,
-        "a_est": rep.a_est,
-        "imag_purity": rep.imag_purity,
-    }
-
-
-def _scan_payload(rep: ScanReport) -> dict:
-    return {
-        "theorem_id": rep.theorem_id,
-        "p": rep.p,
-        "params": rep.params,
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "sampler_N": rep.sampler_N,
-        "attempts": rep.attempts,
-        "counts": rep.counts,
-        "verdicts": list(rep.verdicts),
-        "worst_margin": rep.worst_margin,
-        "worst_label": rep.worst_label,
-        "worst_attempt": rep.worst_attempt,
-        "worst_function": series_to_spec(rep.worst_function),
-    }
+def _payload(obj):
+    """A report as JSON data: a dataclass becomes {field: value} in field
+    order, a PowerSeries its spec, a complex [re, im], a tuple or list a list;
+    anything else passes through."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _payload(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, PowerSeries):
+        return series_to_spec(obj)
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (tuple, list)):
+        return [_payload(v) for v in obj]
+    return obj
 
 
 def _strip_out_flag(argv) -> list:
@@ -232,10 +178,10 @@ def _strip_out_flag(argv) -> list:
 def _envelope(argv, result, grid: Optional[DiskGrid] = None, solver: Optional[RootConfig] = None) -> dict:
     env = {"tool": "argstar", "version": __version__, "command": _strip_out_flag(argv)}
     if grid is not None:
-        env["grid"] = _grid_payload(grid)
+        env["grid"] = _payload(grid)
     if solver is not None:
-        env["solver"] = _solver_payload(solver)
-    env["result"] = result
+        env["solver"] = _payload(solver)
+    env["result"] = _payload(result)
     return env
 
 
@@ -367,7 +313,7 @@ def _cmd_verify(args, argv) -> int:
     f, meta = parse_function_file(args.function)
     grid = _grid_from(args)
     rep = check_theorem(args.theorem, f, grid, **_theorem_kwargs(args, meta))
-    _write(_render(_envelope(argv, _verification_payload(rep), grid=grid), args.format), args.out)
+    _write(_render(_envelope(argv, rep, grid=grid), args.format), args.out)
     return EXIT_FAIL if rep.verdict == "FAIL" else EXIT_PASS
 
 
@@ -382,12 +328,12 @@ def _cmd_lemma1(args, argv) -> int:
             "gamma": e.gamma,
             "level": e.level,
             "best_sup": e.best_sup,
-            "best_point": _c(e.best_point),
+            "best_point": _payload(e.best_point),
         }
         _write(_render(_envelope(argv, partial, grid=grid), args.format), args.out)
         print(f"lemma1: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write(_render(_envelope(argv, _lemma1_payload(rep), grid=grid), args.format), args.out)
+    _write(_render(_envelope(argv, rep, grid=grid), args.format), args.out)
     return EXIT_PASS
 
 
@@ -402,7 +348,7 @@ def _cmd_scan(args, argv) -> int:
         N=args.ncoeffs,
         **_theorem_kwargs(args, {}),
     )
-    _write(_render(_envelope(argv, _scan_payload(rep), grid=grid), args.format), args.out)
+    _write(_render(_envelope(argv, rep, grid=grid), args.format), args.out)
     return EXIT_FAIL if rep.counts["FAIL"] > 0 else EXIT_PASS
 
 
@@ -541,7 +487,7 @@ def run(argv) -> int:
     except FunctionFileError as e:
         print(f"argstar: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (ZeroOnGrid, NonFiniteValue, NoConvergence, ArgOfZero, BracketInvalid) as e:
+    except (ZeroOnGrid, NonFiniteValue, NoConvergence, ArgOfZero, BracketInvalid, np.linalg.LinAlgError) as e:
         print(f"argstar: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except DrawsExhausted as e:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -158,11 +158,12 @@ class ConclusionCheck:
     kind: str  # "sup_arg" | "min_real"
     value: float
     bound: float
+    margin: float = field(init=False)  # how far value stays inside bound; negative past it
     witness: complex
 
-    @property
-    def margin(self) -> float:
-        return self.bound - self.value if self.kind == "sup_arg" else self.value - self.bound
+    def __post_init__(self):
+        margin = self.bound - self.value if self.kind == "sup_arg" else self.value - self.bound
+        object.__setattr__(self, "margin", margin)
 
     @property
     def ok(self) -> bool:
@@ -179,7 +180,6 @@ class VerificationReport:
     conclusions: tuple[ConclusionCheck, ...]
     verdict: str
     witnesses: tuple[complex, ...]  # hypothesis witness first, then one per conclusion
-    grid: DiskGrid
     notes: tuple[str, ...] = ()
 
 
@@ -206,10 +206,10 @@ class ScanReport:
     attempts: int
     counts: dict
     verdicts: tuple[str, ...]
-    worst_margin: float
+    worst_margin: Optional[float]  # None, as worst_function, when no draw had a conclusion
     worst_label: str
     worst_attempt: int
-    worst_function: PowerSeries
+    worst_function: Optional[PowerSeries]
 
 
 # ------------------------------------------------------------ grid evaluation
@@ -245,13 +245,20 @@ def _dominant(coeffs: np.ndarray, r: float) -> np.ndarray:
 
 
 def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex]:
-    """Smallest-modulus root of sum coeffs[j] z^j in |z| <= r_max, or None."""
+    """Smallest-modulus root of sum coeffs[j] z^j in |z| <= r_max, or None.
+    A leading coefficient so small that the companion row overflows raises NonFiniteValue."""
     nonzero = np.flatnonzero(coeffs)
     if nonzero.size == 0:
         return 0j  # the zero polynomial vanishes everywhere
     d = int(nonzero[-1])
     companion = np.zeros((d, d), dtype=np.complex128)
-    companion[0, :] = -coeffs[d - 1::-1] / coeffs[d]
+    with np.errstate(over="ignore", invalid="ignore"):
+        companion[0, :] = -coeffs[d - 1::-1] / coeffs[d]
+    if not np.isfinite(companion[0]).all():
+        raise NonFiniteValue(
+            f"companion row -c_j/c_{d} of a degree-{d} polynomial is not finite "
+            f"(c_{d} = {complex(coeffs[d])}, float64 overflow)"
+        )
     companion[np.arange(1, d), np.arange(d - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
     inside = roots[np.abs(roots) <= r_max]
@@ -289,7 +296,7 @@ def _orders(*quantities: _Quantity) -> tuple[int, ...]:
 
 class _Taken(NamedTuple):
     """One functional for each draw of an evaluation: the entries of a draw in
-    `errors` (the ZeroOnGrid or LinAlgError it raises) are meaningless."""
+    `errors` (the ZeroOnGrid, NonFiniteValue or LinAlgError it raises) are meaningless."""
 
     value: list  # float per draw
     witness: list  # complex per draw
@@ -424,7 +431,7 @@ class _Evaluation:
             try:
                 found = [_smallest_root_in_disk(self.coeffs[b, i], self.grid.r_max)
                          for i in certified if not self.dominant[b, i]]
-            except np.linalg.LinAlgError as exc:
+            except (NonFiniteValue, np.linalg.LinAlgError) as exc:
                 errors[b] = exc
                 continue
             found = [r for r in found if r is not None] + ([0j] if b in poles else [])
@@ -692,7 +699,6 @@ def _reports(plan: _Plan, ev: _Evaluation) -> list[VerificationReport]:
             conclusions=tuple(conclusions),
             verdict=verdict,
             witnesses=(hyp.witness[b], *(c.witness for c in conclusions)),
-            grid=ev.grid,
             notes=plan.notes,
         ))
     return reports
@@ -766,8 +772,8 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
     a = |q(z0)|^(1/gamma); the report carries k_est, a_est, and the residual
     real part (imag_purity) so those inequalities can be asserted numerically.
     """
-    if not gamma > 0:
-        raise ParamOutOfRange("gamma must be > 0")
+    if not 0 < gamma < math.inf:
+        raise ParamOutOfRange("gamma must be finite and > 0")
     if q.order_p != 0 or q.coeffs[0] != 1:
         raise ParamOutOfRange("q must satisfy q(0) = 1 (order_p 0, constant term 1)")
     ev = _Evaluation(q, (0,), grid, grid.points)
@@ -946,7 +952,7 @@ def counterexample_scan(
         attempts=attempts,
         counts=counts,
         verdicts=tuple(verdicts),
-        worst_margin=worst[0],
+        worst_margin=None if worst[3] is None else worst[0],
         worst_label=worst[1],
         worst_attempt=worst[2],
         # the only PowerSeries of the scan

@@ -16,7 +16,33 @@ from argstar.cli import (
     run,
     series_to_spec,
 )
-from argstar.verify import DiskGrid
+from argstar.roots import DEFAULT_CONFIG, RootConfig
+from argstar.verify import (
+    DiskGrid,
+    Lemma1Report,
+    ScanReport,
+    VerificationReport,
+    counterexample_scan,
+    lemma1_probe,
+)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report JSON holds the non-finite constant {name}")
+
+
+@pytest.fixture(autouse=True)
+def strict_json_reports(monkeypatch):
+    """Every JSON report rendered in these tests must parse without Infinity or NaN."""
+    render = cli._render
+
+    def strict(env, fmt):
+        text = render(env, fmt)
+        if fmt == "json":
+            json.loads(text, parse_constant=_reject_constant)
+        return text
+
+    monkeypatch.setattr(cli, "_render", strict)
 
 
 def write_spec(tmp_path, name, payload):
@@ -297,6 +323,45 @@ def test_exit_4_lemma1_zero_inside_crossing_radius(tmp_path, capsys):
     assert f"at z = {complex(-0.5)} in lemma1 probe" in captured.err
 
 
+COMPANION_OVERFLOW = "argstar: numeric failure: companion row -c_j/c_2 of a degree-2 polynomial is not finite"
+
+
+@pytest.mark.filterwarnings("error")
+def test_exit_4_companion_overflow(tmp_path, capsys):
+    # f' = 1 + 4z + 3e-310 z^2 and q = 1 + 2z + 1e-310 z^2 are not dominant on
+    # their disks, and dividing by the tiny leading coefficient overflows;
+    # no numpy warning is printed besides the one-line message
+    f = write_spec(tmp_path, "f.json", {"p": 1, "coefficients": [[2.0, 0.0], [1e-310, 0.0]]})
+    q = write_spec(tmp_path, "q.json", {"p": 0, "coefficients": [[2.0, 0.0], [1e-310, 0.0]]})
+    for argv, lead in (
+        (["verify", "--theorem", "t1", "--function", f, "--alpha1", "0.5"], "3e-310"),
+        (["lemma1", "--function", q, "--gamma", "1.5"], "1e-310"),
+    ):
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{COMPANION_OVERFLOW} (c_2 = ({lead}+0j), float64 overflow)\n"
+
+
+def test_exit_4_any_linalg_error(mono2, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+
+    monkeypatch.setattr(cli, "check_theorem", singular)
+    assert run(["verify", "--theorem", "t1", "--function", mono2, "--alpha1", "1.0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "argstar: numeric failure: Array must not contain infs or NaNs\n"
+
+
+@pytest.mark.parametrize("gamma", ["inf", "-inf", "nan"])
+def test_exit_2_lemma1_nonfinite_gamma(probe, gamma, capsys):
+    assert run(["lemma1", "--function", probe, f"--gamma={gamma}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "argstar: gamma must be finite and > 0\n"
+
+
 def test_exit_4_not_attained_emits_partial(probe, capsys):
     assert run(["lemma1", "--function", probe, "--gamma", "1.9"]) == 4
     captured = capsys.readouterr()
@@ -401,6 +466,22 @@ def test_scan_report_payload(capsys):
     assert wf["p"] == 2 and len(wf["coefficients"]) == 5  # serialized and reusable
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--theorem", "l3", "--p", "1", "--trials", "1", "--seed", "0"],
+    ["scan", "--theorem", "t4", "--p", "1", "--alpha0", "1.5", "--trials", "3", "--seed", "1"],
+])
+def test_scan_without_conclusions(argv, capsys):
+    # L3 at p = 1 and T4 at p = 1, alpha0 = 3/2 have no conclusion to check:
+    # every accepted draw passes, and there is no worst margin or function
+    assert run(argv) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["counts"]["PASS"] == len(res["verdicts"]) == int(argv[argv.index("--trials") + 1])
+    assert res["worst_margin"] is None and res["worst_function"] is None
+    assert run(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "result.worst_margin," in lines and "result.worst_function," in lines
+
+
 def test_reports_are_byte_identical(mono2, tmp_path, capsys):
     argv = ["verify", "--theorem", "t1", "--function", mono2, "--alpha1", "1.0"]
     run(argv)
@@ -410,6 +491,144 @@ def test_reports_are_byte_identical(mono2, tmp_path, capsys):
     out = tmp_path / "r.json"
     run(argv + ["--out", str(out)])
     assert first == second == out.read_text()
+
+
+# ------------------------------------------------------------- serialization
+
+def _c(z):
+    return [float(z.real), float(z.imag)]
+
+
+def _reference_payload(obj):
+    """The hand-written payload builders that _payload replaced, verbatim but
+    for the dispatch on the report type: the reference for the report bytes."""
+    if isinstance(obj, DiskGrid):
+        return {"r_max": obj.r_max, "n_radial": obj.n_radial, "n_angular": obj.n_angular}
+    if isinstance(obj, RootConfig):
+        return {"abs_tol": obj.abs_tol, "max_iter": obj.max_iter}
+    if isinstance(obj, Lemma1Report):
+        return {
+            "gamma": obj.gamma,
+            "level": obj.level,
+            "r0": obj.r0,
+            "z0": _c(obj.z0),
+            "ratio": _c(obj.ratio),
+            "k_est": obj.k_est,
+            "a_est": obj.a_est,
+            "imag_purity": obj.imag_purity,
+        }
+    if isinstance(obj, ScanReport):
+        return {
+            "theorem_id": obj.theorem_id,
+            "p": obj.p,
+            "params": obj.params,
+            "trials": obj.trials,
+            "seed": obj.seed,
+            "sampler_N": obj.sampler_N,
+            "attempts": obj.attempts,
+            "counts": obj.counts,
+            "verdicts": list(obj.verdicts),
+            "worst_margin": obj.worst_margin,
+            "worst_label": obj.worst_label,
+            "worst_attempt": obj.worst_attempt,
+            "worst_function": series_to_spec(obj.worst_function),
+        }
+    return {
+        "theorem_id": obj.theorem_id,
+        "params": obj.params,
+        "hypothesis_sup": obj.hypothesis_sup,
+        "hypothesis_bound": obj.hypothesis_bound,
+        "hypothesis_satisfied": obj.hypothesis_satisfied,
+        "conclusions": [
+            {
+                "label": c.label,
+                "kind": c.kind,
+                "value": c.value,
+                "bound": c.bound,
+                "margin": c.margin,
+                "witness": _c(c.witness),
+            }
+            for c in obj.conclusions
+        ],
+        "verdict": obj.verdict,
+        "witnesses": [_c(w) for w in obj.witnesses],
+        "notes": list(obj.notes),
+    }
+
+
+THEOREM_CASES = [
+    ("T1", {"p": 2, "alpha1": 0.5}),
+    ("C1", {"p": 3}),
+    ("C2", {"p": 2}),
+    ("T3", {"p": 3, "alpha0": 1.0}),
+    ("T4", {"p": 5, "alpha0": 1.0}),
+    ("T5", {"s": 2, "delta": 0.3}),
+    ("L2", {"p": 3}),
+    ("L3", {"p": 3}),
+]
+
+
+def _serializer_corpus():
+    grid = DiskGrid(n_radial=2, n_angular=64)
+    reports = [grid, DiskGrid(), DEFAULT_CONFIG]
+    for tid, params in THEOREM_CASES:
+        params = dict(params)
+        p = params.pop("p", None)
+        order = params["s"] if tid == "T5" else p
+        for seed in range(3):
+            f = sample_hypothesis_function(
+                np.random.SeedSequence((41, seed)), p=order, bound=1.2, N=8, s_gap=params.get("s")
+            )
+            reports.append(check_theorem(tid, f, grid, **params))
+        if tid not in ("T5", "L2", "L3"):  # f^(p) = p!(1 + 0.95 (p+1) z) has a root in the disk
+            reports.append(check_theorem(tid, make_series(order, [0.95], 2), grid, **params))
+        reports.append(counterexample_scan(tid, trials=4, seed=7, p=p, grid=grid, N=8, **params))
+    q = make_series(1, [0.5, (0.1, 0.2)], 3)
+    q = PowerSeries(0, q.coeffs)
+    for gamma in (0.05, 0.15, 0.25):
+        reports.append(lemma1_probe(q, gamma, grid))
+    return reports
+
+
+def test_payload_matches_the_hand_written_builders():
+    reports = _serializer_corpus()
+    verdicts = {r.verdict for r in reports if isinstance(r, VerificationReport)}
+    assert verdicts == {"PASS", "HYPOTHESIS_NOT_SATISFIED"}
+    # T1 at p = 2: the root -1/(3 * 0.95) of f'' is the hypothesis witness
+    assert any(
+        r.hypothesis_sup == math.pi and r.witnesses[0] == pytest.approx(-1 / 2.85, abs=1e-12)
+        for r in reports if isinstance(r, VerificationReport)
+    )
+    kinds = {type(r).__name__ for r in reports}
+    assert kinds == {"DiskGrid", "RootConfig", "VerificationReport", "ScanReport", "Lemma1Report"}
+    assert len({r.theorem_id for r in reports if isinstance(r, ScanReport)}) == 8
+    for rep in reports:
+        for fmt in ("json", "csv"):
+            assert cli._render(cli._payload(rep), fmt) == cli._render(_reference_payload(rep), fmt), rep
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    point: complex
+    tags: tuple
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    series: PowerSeries
+    rows: list
+    missing: object = None
+
+
+def test_payload_conversion_rules():
+    obj = _Outer(_Inner(1 + 2j, ("a", 3)), make_series(1, [0.25], 2), [0.5j, _Inner(0j, ())])
+    assert cli._payload(obj) == {
+        "inner": {"point": [1.0, 2.0], "tags": ["a", 3]},
+        "series": {"p": 1, "coefficients": [[0.25, 0.0]], "truncation": 2},
+        "rows": [[0.0, 0.5], {"point": [0.0, 0.0], "tags": []}],
+        "missing": None,
+    }
 
 
 # -------------------------------------------------------------------- heatmap
