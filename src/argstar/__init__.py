@@ -13,7 +13,6 @@ from .roots import (
     AlphaSequence,
     BracketInvalid,
     NoConvergence,
-    RootConfig,
     alpha_next,
     alpha_sequence,
     bisect_increasing,

@@ -24,10 +24,10 @@ import numpy as np
 
 from . import __version__
 from .roots import (
-    DEFAULT_CONFIG,
+    ABS_TOL,
+    MAX_ITER,
     BracketInvalid,
     NoConvergence,
-    RootConfig,
     alpha_sequence,
     majorant_sequence,
     sigma_index,
@@ -175,12 +175,16 @@ def _strip_out_flag(argv) -> list:
     return kept
 
 
-def _envelope(argv, result, grid: Optional[DiskGrid] = None, solver: Optional[RootConfig] = None) -> dict:
+# the bisection settings that solved a report's constants, echoed as its `solver`
+_SOLVER = {"abs_tol": ABS_TOL, "max_iter": MAX_ITER}
+
+
+def _envelope(argv, result, grid: Optional[DiskGrid] = None, solver: Optional[dict] = None) -> dict:
     env = {"tool": "argstar", "version": __version__, "command": _strip_out_flag(argv)}
     if grid is not None:
         env["grid"] = _payload(grid)
     if solver is not None:
-        env["solver"] = _payload(solver)
+        env["solver"] = solver
     env["result"] = _payload(result)
     return env
 
@@ -258,7 +262,7 @@ def _cmd_gamma0(args, argv) -> int:
         "composite": composite,
         "residual": abs(2 * root + (2 / math.pi) * math.atan(root) - 1.0),
     }
-    _write(_render(_envelope(argv, result, solver=DEFAULT_CONFIG), args.format), args.out)
+    _write(_render(_envelope(argv, result, solver=_SOLVER), args.format), args.out)
     return EXIT_PASS
 
 
@@ -269,7 +273,7 @@ def _cmd_deltamax(args, argv) -> int:
         "bound": bound,
         "residual": abs(2 * root + (2 / math.pi) * math.atan(root) - 2.0),
     }
-    _write(_render(_envelope(argv, result, solver=DEFAULT_CONFIG), args.format), args.out)
+    _write(_render(_envelope(argv, result, solver=_SOLVER), args.format), args.out)
     return EXIT_PASS
 
 
@@ -290,29 +294,16 @@ def _cmd_alpha(args, argv) -> int:
         ]
         text = _to_csv(rows, ("k", "alpha", "residual", "majorant"))
     else:
-        text = _render(_envelope(argv, result, solver=DEFAULT_CONFIG), "json")
+        text = _render(_envelope(argv, result, solver=_SOLVER), "json")
     _write(text, args.out)
     return EXIT_PASS
-
-
-def _theorem_kwargs(args, meta) -> dict:
-    kwargs = {}
-    for name in ("alpha1", "alpha0", "delta"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kwargs[name] = v
-    s = getattr(args, "s", None)
-    if s is None and args.theorem.upper() == "T5":
-        s = meta.get("gap_index")
-    if s is not None:
-        kwargs["s"] = s
-    return kwargs
 
 
 def _cmd_verify(args, argv) -> int:
     f, meta = parse_function_file(args.function)
     grid = _grid_from(args)
-    rep = check_theorem(args.theorem, f, grid, **_theorem_kwargs(args, meta))
+    s = meta.get("gap_index") if args.s is None and args.theorem.upper() == "T5" else args.s
+    rep = check_theorem(args.theorem, f, grid, alpha1=args.alpha1, alpha0=args.alpha0, delta=args.delta, s=s)
     _write(_render(_envelope(argv, rep, grid=grid), args.format), args.out)
     return EXIT_FAIL if rep.verdict == "FAIL" else EXIT_PASS
 
@@ -346,7 +337,10 @@ def _cmd_scan(args, argv) -> int:
         p=args.p,
         grid=grid,
         N=args.ncoeffs,
-        **_theorem_kwargs(args, {}),
+        alpha1=args.alpha1,
+        alpha0=args.alpha0,
+        delta=args.delta,
+        s=args.s,
     )
     _write(_render(_envelope(argv, rep, grid=grid), args.format), args.out)
     return EXIT_FAIL if rep.counts["FAIL"] > 0 else EXIT_PASS
@@ -378,21 +372,10 @@ def _add_grid_flags(sub):
     sub.add_argument("--grid", type=_grid_spec, default=(64, 512), help="<n_radial>x<n_angular>")
 
 
-def _add_gamma0(sub):
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_gamma0)
-
-
-def _add_deltamax(sub):
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_deltamax)
-
-
 def _add_alpha(sub):
     sub.add_argument("--alpha0", type=float, required=True)
     sub.add_argument("--count", type=int, required=True)
     _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_alpha)
 
 
 def _add_verify(sub):
@@ -404,7 +387,6 @@ def _add_verify(sub):
     sub.add_argument("--s", type=int, default=None, help="gap index (default: file gap_index)")
     _add_grid_flags(sub)
     _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_verify)
 
 
 def _add_lemma1(sub):
@@ -412,7 +394,6 @@ def _add_lemma1(sub):
     sub.add_argument("--gamma", type=float, required=True)
     _add_grid_flags(sub)
     _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_lemma1)
 
 
 def _add_scan(sub):
@@ -427,7 +408,6 @@ def _add_scan(sub):
     sub.add_argument("--ncoeffs", type=int, default=16, help="truncation of sampled functions")
     _add_grid_flags(sub)
     _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_scan)
 
 
 def _add_heatmap(sub):
@@ -435,18 +415,17 @@ def _add_heatmap(sub):
     sub.add_argument("--quantity", required=True, choices=HEATMAP_QUANTITIES)
     sub.add_argument("--out", required=True)
     _add_grid_flags(sub)
-    sub.set_defaults(handler=_cmd_heatmap)
 
 
-# subcommand -> (help, function adding its arguments and handler), in help order
+# subcommand -> (help, handler, function adding its arguments), in help order
 _COMMANDS = {
-    "gamma0": ("root of 2g + (2/pi)atan(g) = 1 and the composite bound", _add_gamma0),
-    "deltamax": ("root of 2d + (2/pi)atan(d) = 2 and the gap-series bound", _add_deltamax),
-    "alpha": ("implicit alpha chain with majorant column", _add_alpha),
-    "verify": ("check one implication for a function file", _add_verify),
-    "lemma1": ("first-crossing boundary probe for q with q(0)=1", _add_lemma1),
-    "scan": ("randomized counterexample scan for one implication", _add_scan),
-    "heatmap": ("sample one quantity over the grid as CSV", _add_heatmap),
+    "gamma0": ("root of 2g + (2/pi)atan(g) = 1 and the composite bound", _cmd_gamma0, _add_output_flags),
+    "deltamax": ("root of 2d + (2/pi)atan(d) = 2 and the gap-series bound", _cmd_deltamax, _add_output_flags),
+    "alpha": ("implicit alpha chain with majorant column", _cmd_alpha, _add_alpha),
+    "verify": ("check one implication for a function file", _cmd_verify, _add_verify),
+    "lemma1": ("first-crossing boundary probe for q with q(0)=1", _cmd_lemma1, _add_lemma1),
+    "scan": ("randomized counterexample scan for one implication", _cmd_scan, _add_scan),
+    "heatmap": ("sample one quantity over the grid as CSV", _cmd_heatmap, _add_heatmap),
 }
 
 
@@ -465,8 +444,10 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
     subs = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
     for name in _COMMANDS if only is None else (only,):
-        help_text, add_arguments = _COMMANDS[name]
-        add_arguments(subs.add_parser(name, help=help_text))
+        help_text, handler, add_arguments = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        add_arguments(sub)
+        sub.set_defaults(handler=handler)
     return parser
 
 

@@ -18,7 +18,7 @@ class BracketInvalid(ValueError):
 
 
 class NoConvergence(ArithmeticError):
-    """Bracket width did not reach abs_tol within max_iter iterations."""
+    """Bracket width did not reach ABS_TOL within MAX_ITER iterations."""
 
     def __init__(self, lo: float, hi: float, iterations: int):
         self.bracket = (lo, hi)
@@ -27,18 +27,6 @@ class NoConvergence(ArithmeticError):
             f"bracket [{lo!r}, {hi!r}] still wider than tolerance after "
             f"{iterations} iterations"
         )
-
-
-@dataclass(frozen=True)
-class RootConfig:
-    abs_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -54,12 +42,12 @@ class AlphaSequence:
     residuals: tuple[float, ...]
 
 
-DEFAULT_CONFIG = RootConfig()
+# Every bisection stops once its bracket is at most ABS_TOL wide, within MAX_ITER halvings.
+ABS_TOL = 1e-12
+MAX_ITER = 200
 
 
-def bisect_increasing(
-    g: Callable[[float], float], lo: float, hi: float, cfg: RootConfig = DEFAULT_CONFIG
-) -> float:
+def bisect_increasing(g: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a strictly increasing g on [lo, hi]; returns the final bracket midpoint."""
     if not lo < hi:
         raise BracketInvalid(f"need lo < hi, got [{lo!r}, {hi!r}]")
@@ -68,8 +56,8 @@ def bisect_increasing(
             f"sign condition g(lo) < 0 < g(hi) fails: g({lo!r}) = {g(lo)!r}, "
             f"g({hi!r}) = {g(hi)!r}"
         )
-    for _ in range(cfg.max_iter):
-        if hi - lo <= cfg.abs_tol:
+    for _ in range(MAX_ITER):
+        if hi - lo <= ABS_TOL:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket exhausted float resolution
@@ -78,42 +66,40 @@ def bisect_increasing(
             lo = mid
         else:
             hi = mid
-    raise NoConvergence(lo, hi, cfg.max_iter)
+    raise NoConvergence(lo, hi, MAX_ITER)
 
 
-def solve_gamma0(cfg: RootConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def solve_gamma0() -> tuple[float, float]:
     """Unique positive root of 2g + (2/pi)atan(g) = 1, with the composite bound.
 
     Returns (gamma0, gamma0 + (2/pi)atan(gamma0)); the composite is the factor
     in the sufficient starlikeness condition |arg f^(p)| < (pi/2) * composite.
     """
-    root = bisect_increasing(lambda g: 2 * g + (2 / math.pi) * math.atan(g) - 1.0, 0.0, 1.0, cfg)
+    root = bisect_increasing(lambda g: 2 * g + (2 / math.pi) * math.atan(g) - 1.0, 0.0, 1.0)
     return root, root + (2 / math.pi) * math.atan(root)
 
 
-def solve_delta_max(cfg: RootConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def solve_delta_max() -> tuple[float, float]:
     """Unique positive root of 2d + (2/pi)atan(d) = 2, with d + (2/pi)atan(d) at the root."""
-    root = bisect_increasing(lambda d: 2 * d + (2 / math.pi) * math.atan(d) - 2.0, 0.0, 2.0, cfg)
+    root = bisect_increasing(lambda d: 2 * d + (2 / math.pi) * math.atan(d) - 2.0, 0.0, 2.0)
     return root, root + (2 / math.pi) * math.atan(root)
 
 
-def alpha_next(k: int, alpha_prev: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def alpha_next(k: int, alpha_prev: float) -> float:
     """Unique root in (0, alpha_prev) of a + (2/pi)atan(a/k) = alpha_prev."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not alpha_prev > 0:
         raise ValueError("alpha_prev must be > 0")
     # At a=0 the left side is 0 < alpha_prev; at a=alpha_prev it exceeds alpha_prev.
-    return bisect_increasing(
-        lambda a: a + (2 / math.pi) * math.atan(a / k) - alpha_prev, 0.0, alpha_prev, cfg
-    )
+    return bisect_increasing(lambda a: a + (2 / math.pi) * math.atan(a / k) - alpha_prev, 0.0, alpha_prev)
 
 
 def alpha_residual(k: int, alpha_k: float, alpha_prev: float) -> float:
     return abs(alpha_k + (2 / math.pi) * math.atan(alpha_k / k) - alpha_prev)
 
 
-def alpha_sequence(alpha0: float, n: int, cfg: RootConfig = DEFAULT_CONFIG) -> AlphaSequence:
+def alpha_sequence(alpha0: float, n: int) -> AlphaSequence:
     """Chain alpha_next n times from alpha0 in (0, 3/2]."""
     if not 0 < alpha0 <= 1.5:
         raise ValueError("alpha0 must lie in (0, 3/2]")
@@ -122,7 +108,7 @@ def alpha_sequence(alpha0: float, n: int, cfg: RootConfig = DEFAULT_CONFIG) -> A
     values = [alpha0]
     residuals = [0.0]
     for k in range(1, n + 1):
-        values.append(alpha_next(k, values[-1], cfg))
+        values.append(alpha_next(k, values[-1]))
         residuals.append(alpha_residual(k, values[-1], values[-2]))
     return AlphaSequence(alpha0, tuple(values), tuple(residuals))
 

@@ -128,16 +128,12 @@ class PowerSeries:
         return f"PowerSeries(order_p={self.order_p}, coeffs={head[:-1]}{tail}])"
 
 
-def make_series(p: int, tail_coeffs, N: int) -> PowerSeries:
-    """Build z**p + sum tail_coeffs[j] z**(p+1+j), truncated at N stored terms."""
+def make_series(p: int, tail_coeffs) -> PowerSeries:
+    """Build z**p + sum tail_coeffs[j] z**(p+1+j): 1 + len(tail_coeffs) stored terms."""
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1:
         raise ValueError("p must be an integer >= 1")
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise ValueError("N must be an integer >= 1")
-    tail = list(tail_coeffs)
-    if len(tail) != N - 1:
-        raise ValueError(f"expected {N - 1} tail coefficients, got {len(tail)}")
-    return PowerSeries(int(p), [1.0 + 0.0j, *(complex(*c) if isinstance(c, (tuple, list)) else complex(c) for c in tail)])
+    tail = (complex(*c) if isinstance(c, (tuple, list)) else complex(c) for c in tail_coeffs)
+    return PowerSeries(int(p), [1.0 + 0.0j, *tail])
 
 
 @dataclass(frozen=True)

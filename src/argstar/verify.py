@@ -206,9 +206,9 @@ class ScanReport:
     attempts: int
     counts: dict
     verdicts: tuple[str, ...]
-    worst_margin: Optional[float]  # None, as worst_function, when no draw had a conclusion
-    worst_label: str
-    worst_attempt: int
+    worst_margin: Optional[float]  # None, as the other worst_ fields, when no draw had a conclusion
+    worst_label: Optional[str]
+    worst_attempt: Optional[int]
     worst_function: Optional[PowerSeries]
 
 
@@ -246,7 +246,8 @@ def _dominant(coeffs: np.ndarray, r: float) -> np.ndarray:
 
 def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex]:
     """Smallest-modulus root of sum coeffs[j] z^j in |z| <= r_max, or None.
-    A leading coefficient so small that the companion row overflows raises NonFiniteValue."""
+    A leading coefficient so small that the companion row overflows is dropped if
+    |c_d| r^d <= _DOMINANCE_RTOL * sum |c_j| r^j, a finite sum; else NonFiniteValue."""
     nonzero = np.flatnonzero(coeffs)
     if nonzero.size == 0:
         return 0j  # the zero polynomial vanishes everywhere
@@ -254,7 +255,11 @@ def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex
     companion = np.zeros((d, d), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         companion[0, :] = -coeffs[d - 1::-1] / coeffs[d]
+        weights = np.abs(coeffs[: d + 1]) * r_max ** np.arange(d + 1)
+        total = weights.sum()  # can overflow though each weight is finite
     if not np.isfinite(companion[0]).all():
+        if np.isfinite(total) and weights[d] <= _DOMINANCE_RTOL * total:
+            return _smallest_root_in_disk(coeffs[:d], r_max)
         raise NonFiniteValue(
             f"companion row -c_j/c_{d} of a degree-{d} polynomial is not finite "
             f"(c_{d} = {complex(coeffs[d])}, float64 overflow)"
@@ -918,7 +923,7 @@ def counterexample_scan(
 
     counts = {VERDICT_PASS: 0, VERDICT_FAIL: 0, VERDICT_HYP: 0}
     verdicts: list[str] = []
-    worst = (math.inf, "", -1, None)  # (margin, label, attempt, sampler row)
+    worst = (math.inf, None, None, None)  # (margin, label, attempt, sampler row)
     attempts = 0
     batch = max(1, _BATCH_VALUES // (len(plan.orders) * grid.n_angular))
     while len(verdicts) < trials and attempts < 10 * trials:

@@ -117,7 +117,7 @@ def test_a4_gap_series_constants(capsys):
     assert res["residual"] <= 1e-11
 
     # atan(sqrt(3)/3) = pi/6 turns both bounds into closed forms
-    rep = check_theorem("T5", make_series(2, [0.05], 2), delta=SQ3 / 3, s=2)
+    rep = check_theorem("T5", make_series(2, [0.05]), delta=SQ3 / 3, s=2)
     assert rep.verdict == "PASS"
     assert abs(rep.hypothesis_bound - math.pi * (1 + SQ3) / 6) <= 1e-12
     assert abs(rep.conclusions[0].bound - math.pi * (2 + SQ3) / 6) <= 1e-12
@@ -208,7 +208,7 @@ def test_a7_total_runtime_under_two_minutes():
 
 @pytest.mark.parametrize("c", [0.25, 0.5])
 def test_a8_closed_form_sup_oracle(c):
-    f = make_series(1, [c], 2)
+    f = make_series(1, [c])
     exact = math.asin(c * 0.9)
     coarse = sup_arg(f, 1, DiskGrid(r_max=0.9)).sup_abs_arg
     fine = sup_arg(f, 1, DiskGrid(r_max=0.9, n_angular=2048)).sup_abs_arg

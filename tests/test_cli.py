@@ -16,12 +16,13 @@ from argstar.cli import (
     run,
     series_to_spec,
 )
-from argstar.roots import DEFAULT_CONFIG, RootConfig
 from argstar.verify import (
     DiskGrid,
     Lemma1Report,
+    NonFiniteValue,
     ScanReport,
     VerificationReport,
+    _smallest_root_in_disk,
     counterexample_scan,
     lemma1_probe,
 )
@@ -70,7 +71,7 @@ def probe(tmp_path):
 
 def test_parse_monomial(mono2):
     f, meta = parse_function_file(mono2)
-    assert f == make_series(2, [], 1)
+    assert f == make_series(2, [])
     assert meta == {}
 
 
@@ -180,7 +181,7 @@ def test_exit_0_hypothesis_not_satisfied(tmp_path, capsys):
 
 def test_exit_1_on_fail_verdict(mono2, monkeypatch, capsys):
     real = check_theorem(
-        "T1", make_series(2, [], 1), DiskGrid(n_radial=4, n_angular=8), alpha1=1.0
+        "T1", make_series(2, []), DiskGrid(n_radial=4, n_angular=8), alpha1=1.0
     )
     forced = dataclasses.replace(real, verdict="FAIL")
     monkeypatch.setattr(cli, "check_theorem", lambda *a, **k: forced)
@@ -323,24 +324,31 @@ def test_exit_4_lemma1_zero_inside_crossing_radius(tmp_path, capsys):
     assert f"at z = {complex(-0.5)} in lemma1 probe" in captured.err
 
 
-COMPANION_OVERFLOW = "argstar: numeric failure: companion row -c_j/c_2 of a degree-2 polynomial is not finite"
-
-
 @pytest.mark.filterwarnings("error")
 def test_exit_4_companion_overflow(tmp_path, capsys):
     # f' = 1 + 4z + 3e-310 z^2 and q = 1 + 2z + 1e-310 z^2 are not dominant on
-    # their disks, and dividing by the tiny leading coefficient overflows;
-    # no numpy warning is printed besides the one-line message
+    # their disks, and dividing by the tiny leading coefficient overflows; the
+    # negligible z^2 term is dropped and the root of the linear rest is found,
+    # with no numpy warning
     f = write_spec(tmp_path, "f.json", {"p": 1, "coefficients": [[2.0, 0.0], [1e-310, 0.0]]})
     q = write_spec(tmp_path, "q.json", {"p": 0, "coefficients": [[2.0, 0.0], [1e-310, 0.0]]})
-    for argv, lead in (
-        (["verify", "--theorem", "t1", "--function", f, "--alpha1", "0.5"], "3e-310"),
-        (["lemma1", "--function", q, "--gamma", "1.5"], "1e-310"),
-    ):
-        assert run(argv) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"{COMPANION_OVERFLOW} (c_2 = ({lead}+0j), float64 overflow)\n"
+    assert run(["verify", "--theorem", "t1", "--function", f, "--alpha1", "0.5"]) == 0
+    captured = capsys.readouterr()
+    res = json.loads(captured.out)["result"]
+    assert captured.err == ""
+    assert res["verdict"] == "HYPOTHESIS_NOT_SATISFIED"
+    assert res["hypothesis_sup"] == math.pi and res["witnesses"] == [[-0.25, 0.0]]
+    assert run(["lemma1", "--function", q, "--gamma", "1.5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "argstar: numeric failure: q has a root in |z| <= r0 = 0.5000000000062552 "
+        "at z = (-0.5+0j) in lemma1 probe\n"
+    )
+    # the weights |c_j| r^j are each finite, but their sum overflows
+    with pytest.raises(NonFiniteValue, match=r"^companion row -c_j/c_3 of a degree-3 polynomial is not finite "
+                       r"\(c_3 = \(1e-310\+0j\), float64 overflow\)$"):
+        _smallest_root_in_disk(np.array([1, 1e308, 1e308, 1e-310], dtype=complex), 0.995)
 
 
 def test_exit_4_any_linalg_error(mono2, monkeypatch, capsys):
@@ -386,6 +394,17 @@ def test_deltamax_printed_digits(capsys):
     res = json.loads(capsys.readouterr().out)["result"]
     assert repr(res["delta_max"]).startswith("0.787")
     assert repr(res["bound"]).startswith("1.21")
+
+
+@pytest.mark.parametrize("argv", [["gamma0"], ["deltamax"], ["alpha", "--alpha0", "1.0", "--count", "3"]])
+def test_solver_settings_are_echoed(argv, capsys):
+    # the bisection settings every solved constant shares, byte for byte
+    assert run(argv) == 0
+    assert '\n  "solver": {\n    "abs_tol": 1e-12,\n    "max_iter": 200\n  },\n' in capsys.readouterr().out
+    if argv == ["gamma0"]:
+        assert run(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "solver.abs_tol,1e-12" in lines and "solver.max_iter,200" in lines
 
 
 def test_alpha_report_fields(capsys):
@@ -472,14 +491,16 @@ def test_scan_report_payload(capsys):
 ])
 def test_scan_without_conclusions(argv, capsys):
     # L3 at p = 1 and T4 at p = 1, alpha0 = 3/2 have no conclusion to check:
-    # every accepted draw passes, and there is no worst margin or function
+    # every accepted draw passes, and there is no worst conclusion: all four
+    # worst_ fields are null
+    worst = ("worst_margin", "worst_label", "worst_attempt", "worst_function")
     assert run(argv) == 0
     res = json.loads(capsys.readouterr().out)["result"]
     assert res["counts"]["PASS"] == len(res["verdicts"]) == int(argv[argv.index("--trials") + 1])
-    assert res["worst_margin"] is None and res["worst_function"] is None
+    assert [res[k] for k in worst] == [None] * 4
     assert run(argv + ["--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "result.worst_margin," in lines and "result.worst_function," in lines
+    assert all(f"result.{k}," in lines for k in worst)
 
 
 def test_reports_are_byte_identical(mono2, tmp_path, capsys):
@@ -504,8 +525,8 @@ def _reference_payload(obj):
     for the dispatch on the report type: the reference for the report bytes."""
     if isinstance(obj, DiskGrid):
         return {"r_max": obj.r_max, "n_radial": obj.n_radial, "n_angular": obj.n_angular}
-    if isinstance(obj, RootConfig):
-        return {"abs_tol": obj.abs_tol, "max_iter": obj.max_iter}
+    if isinstance(obj, dict):  # the solver settings
+        return {"abs_tol": obj["abs_tol"], "max_iter": obj["max_iter"]}
     if isinstance(obj, Lemma1Report):
         return {
             "gamma": obj.gamma,
@@ -570,7 +591,7 @@ THEOREM_CASES = [
 
 def _serializer_corpus():
     grid = DiskGrid(n_radial=2, n_angular=64)
-    reports = [grid, DiskGrid(), DEFAULT_CONFIG]
+    reports = [grid, DiskGrid(), cli._SOLVER]
     for tid, params in THEOREM_CASES:
         params = dict(params)
         p = params.pop("p", None)
@@ -581,9 +602,9 @@ def _serializer_corpus():
             )
             reports.append(check_theorem(tid, f, grid, **params))
         if tid not in ("T5", "L2", "L3"):  # f^(p) = p!(1 + 0.95 (p+1) z) has a root in the disk
-            reports.append(check_theorem(tid, make_series(order, [0.95], 2), grid, **params))
+            reports.append(check_theorem(tid, make_series(order, [0.95]), grid, **params))
         reports.append(counterexample_scan(tid, trials=4, seed=7, p=p, grid=grid, N=8, **params))
-    q = make_series(1, [0.5, (0.1, 0.2)], 3)
+    q = make_series(1, [0.5, (0.1, 0.2)])
     q = PowerSeries(0, q.coeffs)
     for gamma in (0.05, 0.15, 0.25):
         reports.append(lemma1_probe(q, gamma, grid))
@@ -600,7 +621,7 @@ def test_payload_matches_the_hand_written_builders():
         for r in reports if isinstance(r, VerificationReport)
     )
     kinds = {type(r).__name__ for r in reports}
-    assert kinds == {"DiskGrid", "RootConfig", "VerificationReport", "ScanReport", "Lemma1Report"}
+    assert kinds == {"DiskGrid", "dict", "VerificationReport", "ScanReport", "Lemma1Report"}
     assert len({r.theorem_id for r in reports if isinstance(r, ScanReport)}) == 8
     for rep in reports:
         for fmt in ("json", "csv"):
@@ -622,7 +643,7 @@ class _Outer:
 
 
 def test_payload_conversion_rules():
-    obj = _Outer(_Inner(1 + 2j, ("a", 3)), make_series(1, [0.25], 2), [0.5j, _Inner(0j, ())])
+    obj = _Outer(_Inner(1 + 2j, ("a", 3)), make_series(1, [0.25]), [0.5j, _Inner(0j, ())])
     assert cli._payload(obj) == {
         "inner": {"point": [1.0, 2.0], "tags": ["a", 3]},
         "series": {"p": 1, "coefficients": [[0.25, 0.0]], "truncation": 2},
@@ -682,7 +703,7 @@ def test_heatmap_rejects_unknown_quantity(lin, tmp_path):
 
 def test_emit_heatmap_direct_api(tmp_path):
     out = tmp_path / "direct.csv"
-    emit_heatmap(make_series(2, [], 1), "arg-fp", DiskGrid(n_radial=2, n_angular=4), out)
+    emit_heatmap(make_series(2, []), "arg-fp", DiskGrid(n_radial=2, n_angular=4), out)
     assert out.read_text().splitlines()[0] == "r,theta,value"
 
 

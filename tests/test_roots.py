@@ -8,7 +8,6 @@ from argstar import (
     AlphaSequence,
     BracketInvalid,
     NoConvergence,
-    RootConfig,
     alpha_next,
     alpha_sequence,
     bisect_increasing,
@@ -50,19 +49,13 @@ def test_bisect_bad_bracket():
 
 
 def test_bisect_no_convergence_reports_bracket():
-    cfg = RootConfig(abs_tol=1e-12, max_iter=3)
+    # 200 halvings of a bracket 1e100 wide leave it about 6e39 wide
     with pytest.raises(NoConvergence) as exc:
-        bisect_increasing(lambda t: t * t - 2.0, 1.0, 2.0, cfg)
+        bisect_increasing(lambda t: t * t - 2.0, 1.0, 1e100)
     lo, hi = exc.value.bracket
+    assert exc.value.iterations == 200
     assert lo < math.sqrt(2) < hi
-    assert hi - lo == pytest.approx(2 ** -3, abs=1e-15)
-
-
-def test_root_config_validation():
-    with pytest.raises(ValueError):
-        RootConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        RootConfig(max_iter=0)
+    assert hi - lo == pytest.approx(1e100 * 2.0 ** -200)
 
 
 def test_gamma0():

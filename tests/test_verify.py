@@ -100,7 +100,7 @@ def test_angular_doubling_is_nested():
 
 def test_sup_arg_monomial_is_zero():
     g = DiskGrid()
-    r = sup_arg(make_series(3, [], 1), 3, g)
+    r = sup_arg(make_series(3, []), 3, g)
     assert r.sup_abs_arg == 0.0
     assert r.witness == complex(g.radii[0])  # tie broken to the first grid point
     assert r.samples_used == g.size
@@ -108,23 +108,23 @@ def test_sup_arg_monomial_is_zero():
 
 def test_sup_arg_linear_tail():
     # sup of |arg(1 + 0.5 z)| over |z| <= 0.9 is asin(0.45)
-    r = sup_arg(make_series(1, [0.5], 2), 1, DiskGrid(r_max=0.9))
+    r = sup_arg(make_series(1, [0.5]), 1, DiskGrid(r_max=0.9))
     assert abs(r.sup_abs_arg - math.asin(0.45)) < 2e-3
     assert abs(r.witness) == pytest.approx(0.9, abs=1e-15)
 
 
 def test_sup_arg_near_unit_radius():
-    r = sup_arg(make_series(2, [1.0], 2), 2)
+    r = sup_arg(make_series(2, [1.0]), 2)
     assert abs(r.sup_abs_arg - math.asin(0.995)) < 2e-3
 
 
 def test_sup_arg_divisor_must_be_nonneg():
     with pytest.raises(ValueError):
-        sup_arg(make_series(1, [], 1), -1)
+        sup_arg(make_series(1, []), -1)
 
 
 def test_min_real_linear_tail():
-    v, w = min_real(make_series(1, [0.5], 2), 1, DiskGrid(r_max=0.9))
+    v, w = min_real(make_series(1, [0.5]), 1, DiskGrid(r_max=0.9))
     assert v == pytest.approx(0.55, abs=1e-12)
     assert w.real == pytest.approx(-0.9, abs=1e-12)
 
@@ -138,7 +138,7 @@ def test_min_real_constant():
 def test_zero_on_grid_reports_first_point():
     # f/z = 1 - 2z vanishes at z = 0.5, which the r_max=0.5 grid hits exactly
     with pytest.raises(ZeroOnGrid) as exc:
-        min_real(make_series(1, [-2.0], 2), 1, DiskGrid(r_max=0.5))
+        min_real(make_series(1, [-2.0]), 1, DiskGrid(r_max=0.5))
     assert exc.value.point == 0.5 + 0j
     assert exc.value.magnitude == 0.0
 
@@ -150,7 +150,7 @@ def test_sup_arg_zero_series_trips_tolerance():
 
 def test_sup_arg_interior_zero_is_pi():
     # f/z = 1 - 2z vanishes at 0.5, strictly inside and off every grid point
-    r = sup_arg(make_series(1, [-2.0], 2), 1, DiskGrid(r_max=0.9))
+    r = sup_arg(make_series(1, [-2.0]), 1, DiskGrid(r_max=0.9))
     assert r.sup_abs_arg == math.pi
     assert r.witness == 0.5
 
@@ -159,16 +159,16 @@ def test_net_power_of_z_is_a_zero_or_a_pole():
     # z^2 + 0.1 z^3 over z^0 vanishes at the origin, and over z^2 it does not;
     # z + 0.1 z^2 over z^2 has a pole there
     grid = DiskGrid(n_radial=2, n_angular=16)
-    f = make_series(2, [0.1], 2)
+    f = make_series(2, [0.1])
     assert sup_arg(f, 0, grid) == verify.SupArgResult(math.pi, 0j, 16)
     assert sup_arg(f, 2, grid).sup_abs_arg < 0.1
     with pytest.raises(ZeroOnGrid, match=r"root in \|z\| <= r_max at z = 0j in min_real"):
-        min_real(make_series(1, [0.1], 2), 2, grid)
+        min_real(make_series(1, [0.1]), 2, grid)
 
 
 def test_min_real_ignores_interior_zero():
     # Re(1 - 2z) is harmonic whatever its zeros: the minimum sits at z = r_max
-    v, w = min_real(make_series(1, [-2.0], 2), 1, DiskGrid(r_max=0.9))
+    v, w = min_real(make_series(1, [-2.0]), 1, DiskGrid(r_max=0.9))
     assert v == pytest.approx(-0.8, abs=1e-12)
     assert w == 0.9
 
@@ -188,7 +188,7 @@ def test_sup_arg_without_dominant_constant_term():
 )
 def test_angular_refinement_never_lowers_sup(tail):
     # doubling n_angular only adds sample points, so the max cannot drop
-    f = make_series(1, tail, len(tail) + 1)
+    f = make_series(1, tail)
     coarse = sup_arg(f, 1, DiskGrid(n_radial=16, n_angular=64)).sup_abs_arg
     fine = sup_arg(f, 1, DiskGrid(n_radial=16, n_angular=128)).sup_abs_arg
     assert fine >= coarse
@@ -199,7 +199,7 @@ def test_angular_refinement_never_lowers_sup(tail):
     tail=st.lists(st.complex_numbers(max_magnitude=0.08, allow_nan=False, allow_infinity=False), min_size=1, max_size=10),
 )
 def test_angular_refinement_never_raises_min(tail):
-    f = make_series(1, tail, len(tail) + 1)
+    f = make_series(1, tail)
     coarse, _ = min_real(f, 1, DiskGrid(n_radial=16, n_angular=64))
     fine, _ = min_real(f, 1, DiskGrid(n_radial=16, n_angular=128))
     assert fine <= coarse
@@ -209,7 +209,7 @@ def test_angular_refinement_never_raises_min(tail):
 
 def test_unknown_theorem_id():
     with pytest.raises(ParamOutOfRange):
-        check_theorem("T9", make_series(1, [], 1))
+        check_theorem("T9", make_series(1, []))
 
 
 @pytest.mark.parametrize(
@@ -231,7 +231,7 @@ def test_unknown_theorem_id():
 )
 def test_parameter_validation(tid, kw):
     with pytest.raises(ParamOutOfRange) as checked:
-        check_theorem(tid, make_series(2, [0.0, 1.0], 3), **kw)
+        check_theorem(tid, make_series(2, [0.0, 1.0]), **kw)
     # the scan validates through the same plan; T5 draws at order s and takes no p
     with pytest.raises(ParamOutOfRange) as scanned:
         counterexample_scan(tid, trials=1, seed=1, p=None if tid == "T5" else 2, **kw)
@@ -241,15 +241,15 @@ def test_parameter_validation(tid, kw):
 def test_t5_gap_structure_enforced():
     # coefficient of z^(s-1) must vanish, of z^s must not
     with pytest.raises(ParamOutOfRange):
-        check_theorem("T5", make_series(1, [0.1, 0.2], 3), delta=0.3, s=2)
+        check_theorem("T5", make_series(1, [0.1, 0.2]), delta=0.3, s=2)
     with pytest.raises(ParamOutOfRange):
-        check_theorem("T5", make_series(1, [0.0, 0.0, 0.1], 4), delta=0.3, s=3)
+        check_theorem("T5", make_series(1, [0.0, 0.0, 0.1]), delta=0.3, s=3)
 
 
 # ------------------------------------------------------------ theorem: checks
 
 def test_t1_monomial_passes_with_zero_sup():
-    rep = check_theorem("T1", make_series(2, [], 1), alpha1=0.5)
+    rep = check_theorem("T1", make_series(2, []), alpha1=0.5)
     assert rep.verdict == "PASS"
     assert rep.hypothesis_sup == 0.0
     assert rep.hypothesis_bound == pytest.approx(1.2490457723982544, abs=1e-12)
@@ -342,14 +342,14 @@ def test_t5_worked_example_bounds():
     # conclusion bound pi(2+sqrt3)/6; f'' = 2 + 2.4z vanishes inside the disk,
     # so the hypothesis fails on this sample and no conclusion is evaluated
     d = math.sqrt(3.0) / 3.0
-    rep = check_theorem("T5", make_series(2, [0.4], 2), delta=d, s=2)
+    rep = check_theorem("T5", make_series(2, [0.4]), delta=d, s=2)
     assert rep.hypothesis_bound == pytest.approx(math.pi * (1 + math.sqrt(3)) / 6, abs=1e-12)
     assert rep.verdict == "HYPOTHESIS_NOT_SATISFIED"
     assert rep.params == {"s": 2, "delta": d}
 
 
 def test_t5_conclusion_bound_and_pass():
-    rep = check_theorem("T5", make_series(2, [0.05], 2), delta=0.3, s=2)
+    rep = check_theorem("T5", make_series(2, [0.05]), delta=0.3, s=2)
     assert rep.verdict == "PASS"
     (concl,) = rep.conclusions
     assert concl.bound == pytest.approx((math.pi / 2) * 0.3 + 2 * math.atan(0.3), abs=1e-15)
@@ -358,14 +358,14 @@ def test_t5_conclusion_bound_and_pass():
 
 def test_t5_gap_above_order():
     # f = z + z^3: s=3 gap sits above order_p, zero tail coefficient supplies it
-    f = make_series(1, [0.0, 1.0], 3)
+    f = make_series(1, [0.0, 1.0])
     rep = check_theorem("T5", f, delta=0.2, s=3)
     assert rep.verdict in ("PASS", "HYPOTHESIS_NOT_SATISFIED")
     assert rep.params["s"] == 3
 
 
 def test_l2_monomial_ladder():
-    rep = check_theorem("L2", make_series(3, [], 1))
+    rep = check_theorem("L2", make_series(3, []))
     assert rep.verdict == "PASS"
     assert rep.hypothesis_sup == pytest.approx(1.0, abs=1e-12)
     assert [c.value for c in rep.conclusions] == pytest.approx([3.0, 2.0, 1.0], abs=1e-12)
@@ -377,7 +377,7 @@ def test_l2_monomial_ladder():
 
 
 def test_l3_monomial_ladder():
-    rep = check_theorem("L3", make_series(3, [], 1))
+    rep = check_theorem("L3", make_series(3, []))
     assert rep.verdict == "PASS"
     # f^(4) = 0 for the cubic monomial, so the hypothesis value is p itself
     assert rep.hypothesis_sup == pytest.approx(3.0, abs=1e-12)
@@ -385,7 +385,7 @@ def test_l3_monomial_ladder():
 
 
 def test_l3_p1_has_no_conclusions():
-    rep = check_theorem("L3", make_series(1, [0.1], 2))
+    rep = check_theorem("L3", make_series(1, [0.1]))
     assert rep.verdict == "PASS"
     assert rep.conclusions == ()
 
@@ -393,7 +393,7 @@ def test_l3_p1_has_no_conclusions():
 def test_l2_interior_pole_raises():
     # z - 2z^2: the L2 denominator f/z = 1 - 2z vanishes at 0.5
     with pytest.raises(ZeroOnGrid) as exc:
-        check_theorem("L2", make_series(1, [-2.0], 2))
+        check_theorem("L2", make_series(1, [-2.0]))
     assert exc.value.point == pytest.approx(0.5, abs=1e-15)
     assert exc.value.magnitude is None
 
@@ -500,7 +500,7 @@ def test_heatmap_values_match_full_grid(p):
 
 def test_heatmap_jst_examples():
     # re-ratio at p = 1 is Re(z f'/f), which is 2 at z = 0.5 for z/(1-z) = z + z^2 + ...
-    geometric = make_series(1, [1.0] * 63, 64)
+    geometric = make_series(1, [1.0] * 63)
     ring = DiskGrid(r_max=0.5, n_radial=1, n_angular=8)
     assert ring.points[0, 0] == 0.5
     assert abs(verify.heatmap_values(geometric, "re-ratio", ring)[0, 0] - 2.0) <= 1e-13
@@ -510,7 +510,7 @@ def test_heatmap_arg_jst_monomial_is_zero():
     # z f'/f is exactly p for f = z^p
     grid = DiskGrid(n_radial=8, n_angular=16)
     for p in range(1, 9):
-        assert np.all(verify.heatmap_values(make_series(p, [], 1), "arg-jst", grid) == 0.0)
+        assert np.all(verify.heatmap_values(make_series(p, []), "arg-jst", grid) == 0.0)
 
 
 def test_t4_check_runs_kernel_once(monkeypatch):
@@ -589,7 +589,7 @@ def test_probe_rejects_bad_inputs():
     with pytest.raises(ParamOutOfRange):
         lemma1_probe(PowerSeries(0, np.array([2.0, 1.0])), 0.5)  # q(0) != 1
     with pytest.raises(ParamOutOfRange):
-        lemma1_probe(make_series(1, [1.0], 2), 0.5)  # vanishes at 0
+        lemma1_probe(make_series(1, [1.0]), 0.5)  # vanishes at 0
 
 
 def test_probe_work_is_one_bisection(monkeypatch):
@@ -923,7 +923,7 @@ SCAN_CASES = [
 def _scan_by_checks(tid, trials, seed, grid, N=16, p=None, **params):
     """counterexample_scan as one public check_theorem call per attempt."""
     order = params["s"] if tid == "T5" else p
-    hyp_bound = check_theorem(tid, make_series(order, [], 1), grid, **params).hypothesis_bound
+    hyp_bound = check_theorem(tid, make_series(order, []), grid, **params).hypothesis_bound
     bound = verify._RE_SAMPLER_BOUND.get(tid, min(hyp_bound, verify._SAMPLER_CAP))
     counts = {"PASS": 0, "FAIL": 0, "HYPOTHESIS_NOT_SATISFIED": 0}
     verdicts, worst, attempt = [], (math.inf, "", -1, None), 0
@@ -967,7 +967,7 @@ def test_batch_reports_match_check_theorem():
     sampled = verify._sample_block([np.random.SeedSequence((80, k)) for k in range(3)], p=3, bound=0.9, N=16)
     block = series.SeriesBlock(3, np.insert(sampled.raw, 1, [6.0, 0.0, 0.6] + [0.0] * 13, axis=0), 3)
     fs = [integrate(PowerSeries(0, row), 3) for row in block.raw]
-    assert fs[1] == make_series(3, [0.0, 0.01] + [0.0] * 13, 16)
+    assert fs[1] == make_series(3, [0.0, 0.01] + [0.0] * 13)
     assert fs[::2] + fs[3:] == [
         sample_hypothesis_function(np.random.SeedSequence((80, k)), p=3, bound=0.9, N=16) for k in range(3)
     ]
