@@ -48,6 +48,19 @@ def test_bisect_bad_bracket():
         bisect_increasing(lambda t: t, 1.0, -1.0)
 
 
+def test_bisect_stops_once_bracket_is_abs_tol_wide():
+    # 2**-40 < ABS_TOL = 1e-12 < 2**-39: a unit bracket takes 40 halvings, after the 2 endpoint checks
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return t - 1.0 / 3.0
+
+    x = bisect_increasing(g, 0.0, 1.0)
+    assert len(calls) == 2 + 40
+    assert abs(x - 1.0 / 3.0) <= 0.5 * 2.0 ** -40
+
+
 def test_bisect_no_convergence_reports_bracket():
     # 200 halvings of a bracket 1e100 wide leave it about 6e39 wide
     with pytest.raises(NoConvergence) as exc:

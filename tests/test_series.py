@@ -31,10 +31,17 @@ def test_make_series_direct():
     assert t.coeffs[1] == 0.25j
 
 
-@pytest.mark.parametrize("p", [0, -1, 1.5])
+@pytest.mark.parametrize("p", [0, -1, 1.5, True])
 def test_make_series_rejects_bad_p(p):
     with pytest.raises(ValueError):
         make_series(p, [])
+
+
+def test_make_series_truncation_counts_the_tail():
+    for n in range(4):
+        s = make_series(1, [0.5] * n)
+        assert s.truncation_N == n + 1
+        assert np.array_equal(s.coeffs, [1.0] + [0.5] * n)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
