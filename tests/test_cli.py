@@ -158,6 +158,36 @@ def test_spec_serialization_requires_unit_leading():
         series_to_spec(PowerSeries(1, np.array([2.0, 0.5])))
 
 
+WORST_FUNCTION_SCANS = [
+    ("T1", {"p": 2, "alpha1": 0.5}),
+    ("C1", {"p": 3}),
+    ("C2", {"p": 2}),
+    ("T3", {"p": 3, "alpha0": 1.0}),
+    ("T4", {"p": 5, "alpha0": 1.0}),
+    ("T5", {"s": 2, "delta": 0.3}),
+    ("L2", {"p": 3}),
+    ("L3", {"p": 3}),
+]
+
+
+# the worst function is re-rounded by integrate here, so these miss by 1-4 ulps
+_REROUNDED = {(1, "T1"), (1, "T5"), (1, "L2"), (1, "L3")}
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+@pytest.mark.parametrize("tid,params", WORST_FUNCTION_SCANS, ids=[c[0] for c in WORST_FUNCTION_SCANS])
+def test_worst_function_spec_reproduces_worst_margin(tmp_path, tid, params, seed, request):
+    # the scan's worst draw, written as a spec file and verified on its own,
+    # gives back the scan's worst margin bit for bit
+    if (seed, tid) in _REROUNDED:
+        request.applymarker(pytest.mark.xfail(strict=True, reason="worst function re-rounded by integrate"))
+    rep = counterexample_scan(tid, trials=200, seed=seed, **params)
+    path = write_spec(tmp_path, "worst.json", series_to_spec(rep.worst_function))
+    f, _ = parse_function_file(path)
+    checked = check_theorem(tid, f, **{k: v for k, v in params.items() if k != "p"})
+    assert min(c.margin for c in checked.conclusions) == rep.worst_margin
+
+
 # ----------------------------------------------------------------- exit codes
 
 def test_exit_0_informational(capsys):
