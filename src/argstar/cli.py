@@ -137,7 +137,6 @@ def series_to_spec(f: PowerSeries, gap_index: Optional[int] = None) -> dict:
     spec = {
         "p": f.order_p,
         "coefficients": [[float(c.real), float(c.imag)] for c in f.coeffs[1:]],
-        "truncation": f.truncation_N,
     }
     if gap_index is not None:
         spec["gap_index"] = gap_index

@@ -1,22 +1,21 @@
-"""Truncated complex power series with bit-exact differentiation and integration.
+"""Truncated complex power series, their derivatives and antiderivatives.
 
 A series is a finite sum  sum_j coeffs[j] * z**(order_p + j)  with complex
 float64 coefficients. ``order_p`` is the lowest stored exponent: ``p`` for a
 normalized p-valent function z**p + a_{p+1} z**(p+1) + ..., and 0 for images
-of repeated differentiation.
+of repeated differentiation. The coefficients are all a series keeps.
 
-Differentiation and integration must round-trip bit-exactly
-(differentiate(integrate(s, k), k) == s), which no plain coefficient store can
-deliver in float64 because c/m*m and c*m/m are one ulp off for roughly one
-coefficient in nine. Instead a series keeps the coefficients it was built with
-verbatim plus a count of *pending integrations*: integrate() only relabels
-(order up, count up), and differentiate() unwinds pending integrations by
-relabeling before it ever multiplies by an exponent. The displayed/evaluated
-coefficients divide once by the exact integer falling factorial.
+differentiate() and integrate() multiply or divide each coefficient once by
+its exact integer falling factorial, rounded once to float64, so a round trip
+differentiate(integrate(s, k), k) comes back within two ulps of s.
 
-A SeriesBlock keeps many series of one order and one count of pending
-integrations as the rows of one array; derivative_block differentiates all
-rows at once, and each row rounds exactly as differentiate rounds it alone.
+A SeriesBlock keeps many series of one order as the rows of one array, and
+derivative_block differentiates all rows at once. It returns each f^(k)
+divided by its leading falling factorial perm(e0, k), e0 = max(order_p, k):
+one multiply per row by the cached ratios perm(e0 + j, k)/perm(e0, k), each at
+most C(e0 + j, j), so they stay finite where the factorials themselves
+overflow float64. Only positive scales are lost, which leave arguments and
+signs alone; a caller that needs a true value multiplies the leads back.
 """
 
 from __future__ import annotations
@@ -36,24 +35,21 @@ class ArgOfZero(ValueError):
 
 
 class NonFiniteValue(ArithmeticError):
-    """A float64 overflow: a polynomial of a check is not finite at a sample
-    point, or a factorial scale of a series does not fit in float64."""
+    """A float64 overflow: a value of a check, or a falling factorial, is not finite."""
 
 
-@functools.lru_cache(maxsize=256)
-def falling_factorials(order: int, size: int, lift: int) -> np.ndarray:
-    """e!/(e-lift)! for the exponents e = order .. order+size-1, as a read-only
-    float64 row; raises NonFiniteValue where an entry overflows float64."""
-    divisors = []
-    for e in range(order, order + size):
-        try:
-            divisors.append(float(math.perm(e, lift)))
-        except OverflowError:
-            raise NonFiniteValue(
-                f"{e}!/{e - lift}! overflows float64 (coefficient of z^{e} of a series "
-                f"of order {order} after {lift} integrations)"
-            ) from None
-    row = np.array(divisors)
+@functools.lru_cache(maxsize=512)
+def falling_factorials(order: int, size: int, k: int, normalized: bool = False) -> np.ndarray:
+    """perm(e, k) = e!/(e-k)! for the exponents e = order .. order+size-1, or
+    perm(e, k)/perm(order, k) when normalized (order >= k). Each entry is an
+    exact ratio of Python ints rounded once; the row is read-only float64.
+    Raises NonFiniteValue where an entry overflows float64."""
+    lead = math.perm(order, k) if normalized else 1
+    try:
+        row = np.array([math.perm(e, k) / lead for e in range(order, order + size)])
+    except OverflowError:
+        entry = f"perm(e, {k})" + (f"/perm({order}, {k})" if normalized else "")
+        raise NonFiniteValue(f"{entry} overflows float64 for some e in {order}..{order + size - 1}") from None
     row.flags.writeable = False
     return row
 
@@ -78,37 +74,18 @@ class PowerSeries:
                  z**(order_p + j).
     """
 
-    __slots__ = ("order_p", "coeffs", "_raw", "_lift")
+    __slots__ = ("order_p", "coeffs")
 
     def __init__(self, order_p: int, coeffs):
         if not isinstance(order_p, (int, np.integer)) or isinstance(order_p, bool):
             raise ValueError("order_p must be an integer")
         if order_p < 0:
             raise ValueError("order_p must be >= 0")
-        raw = _as_coeff_array(coeffs)
         object.__setattr__(self, "order_p", int(order_p))
-        object.__setattr__(self, "_raw", raw)
-        object.__setattr__(self, "_lift", 0)
-        object.__setattr__(self, "coeffs", raw)
+        object.__setattr__(self, "coeffs", _as_coeff_array(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
-
-    @classmethod
-    def _lifted(cls, order_p: int, raw: np.ndarray, lift: int) -> "PowerSeries":
-        # Internal: `raw` holds the coefficients as they were before `lift`
-        # integrations; the true coefficient of z**e is raw[j] / (e falling lift).
-        self = object.__new__(cls)
-        object.__setattr__(self, "order_p", int(order_p))
-        object.__setattr__(self, "_raw", raw)
-        object.__setattr__(self, "_lift", int(lift))
-        if lift == 0:
-            plain = raw
-        else:
-            plain = raw / falling_factorials(order_p, raw.size, lift)
-            plain.flags.writeable = False
-        object.__setattr__(self, "coeffs", plain)
-        return self
 
     @property
     def truncation_N(self) -> int:
@@ -138,13 +115,11 @@ def make_series(p: int, tail_coeffs) -> PowerSeries:
 
 @dataclass(frozen=True)
 class SeriesBlock:
-    """Series that share order_p and their pending integrations, one per row
-    of raw (B, size): row b is sum_j raw[b, j] z**(order_p+j) / (e falling
-    lift), e = order_p + j, as a PowerSeries keeps a single series."""
+    """Series of one order_p, one per row of raw (B, size): row b is
+    sum_j raw[b, j] z**(order_p + j), as a PowerSeries keeps a single series."""
 
     order_p: int
     raw: np.ndarray
-    lift: int
 
 
 class _Derived(NamedTuple):
@@ -154,67 +129,47 @@ class _Derived(NamedTuple):
 
     order: int
     raw: np.ndarray
-    lift: int
     strip: Optional[np.ndarray]
 
 
-def _derive(order: int, raw: np.ndarray, lift: int, k: int) -> _Derived:
-    """The k-th derivative of every row of raw, each with its leading zeros stripped."""
-    unwound = min(k, lift)
-    order -= unwound  # relabel only: bit-exact inverse of integrate()
-    lift -= unwound
-    for _ in range(k - unwound):
-        if order == 0:
-            if raw.shape[1] == 1:
-                raw = np.zeros_like(raw)
-                break
-            raw = raw[:, 1:] * np.arange(1, raw.shape[1])
-        else:
-            raw = raw * np.arange(order, order + raw.shape[1])
-            order -= 1
-    width = raw.shape[1]
-    if not k or width == 1 or raw[:, 0].all():
-        return _Derived(order, raw, lift, None)
-    raw, strip = raw.copy(), np.zeros(len(raw), dtype=np.intp)
+def _derive(order: int, raw: np.ndarray, k: int, normalized: bool) -> _Derived:
+    """The k-th derivative of every row of raw, each with its leading zeros
+    stripped; divided by perm(max(order, k), k) when normalized."""
+    if not k:
+        return _Derived(order, raw, None)
+    e0 = max(order, k)  # the lowest exponent whose term survives
+    width = raw.shape[1] - (e0 - order)
+    if width < 1:  # every term vanishes
+        return _Derived(0, np.zeros((len(raw), 1), dtype=np.complex128), None)
+    raw = raw[:, e0 - order:] * falling_factorials(e0, width, k, normalized)
+    if width == 1 or raw[:, 0].all():
+        return _Derived(e0 - k, raw, None)
+    strip = np.zeros(len(raw), dtype=np.intp)
     for b in (raw[:, 0] == 0).nonzero()[0].tolist():
         nonzero = np.flatnonzero(raw[b, :-1])
         j = int(nonzero[0]) if nonzero.size else width - 1
         raw[b, : width - j] = raw[b, j:].copy()
         raw[b, width - j:] = 0.0
         strip[b] = j
-    return _Derived(order, raw, lift, strip)
-
-
-def _plain(d: _Derived) -> np.ndarray:
-    """The coefficients of a derivative's rows: raw divided once by the falling factorials."""
-    if d.lift == 0:
-        return d.raw
-    if d.strip is None:
-        return d.raw / falling_factorials(d.order, d.raw.shape[1], d.lift)
-    width = d.raw.shape[1]
-    plain = np.zeros_like(d.raw)
-    for j in set(d.strip.tolist()):
-        rows = d.strip == j
-        plain[rows, : width - j] = d.raw[rows, : width - j] / falling_factorials(d.order + j, width - j, d.lift)
-    return plain
+    return _Derived(e0 - k, raw, strip)
 
 
 def derivative_block(f, ks) -> tuple[np.ndarray, list]:
-    """The derivatives f^(k), k in ks, of every draw of f (a PowerSeries is
-    one draw, a SeriesBlock one draw per row).
+    """The derivatives f^(k)/perm(max(order_p, k), k), k in ks, of every draw
+    of f (a PowerSeries is one draw, a SeriesBlock one draw per row).
 
     Returns the coefficients as one (B, len(ks), n) block, each row
     zero-padded on the right to the longest, n, and per k the lowest power of
     z of each draw: an int when every draw shares it, else an int array (B,).
     """
-    g = f if isinstance(f, SeriesBlock) else SeriesBlock(f.order_p, f._raw[None, :], f._lift)
-    derived = [_derive(g.order_p, g.raw, g.lift, k) for k in ks]
+    g = f if isinstance(f, SeriesBlock) else SeriesBlock(f.order_p, f.coeffs[None, :])
+    derived = [_derive(g.order_p, g.raw, k, normalized=True) for k in ks]
     n = max(d.raw.shape[1] - (0 if d.strip is None else int(d.strip.min())) for d in derived)
     coeffs = np.zeros((len(g.raw), len(ks), n), dtype=np.complex128)
     powers = []
     for i, d in enumerate(derived):
         w = min(n, d.raw.shape[1])
-        coeffs[:, i, :w] = _plain(d)[:, :w]
+        coeffs[:, i, :w] = d.raw[:, :w]
         if d.strip is None:
             powers.append(d.order)
         else:
@@ -223,26 +178,27 @@ def derivative_block(f, ks) -> tuple[np.ndarray, list]:
     return coeffs, powers
 
 
-def differentiate(s: PowerSeries, k: int) -> PowerSeries:
-    """Term-by-term k-th derivative; terms whose exponent drops below 0 vanish."""
+def _check_k(k) -> None:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
         raise ValueError("k must be an integer >= 0")
-    if k == 0:
-        return s
-    d = _derive(s.order_p, s._raw[None, :], s._lift, int(k))
+
+
+def differentiate(s: PowerSeries, k: int) -> PowerSeries:
+    """Term-by-term k-th derivative; terms whose exponent drops below 0 vanish."""
+    _check_k(k)
+    d = _derive(s.order_p, s.coeffs[None, :], int(k), normalized=False)
     j = 0 if d.strip is None else int(d.strip[0])
-    raw = d.raw[0, : d.raw.shape[1] - j].copy()
-    raw.flags.writeable = False
-    return PowerSeries._lifted(d.order + j, raw, d.lift)
+    return PowerSeries(d.order + j, d.raw[0, : d.raw.shape[1] - j])
 
 
 def integrate(s: PowerSeries, k: int) -> PowerSeries:
     """k-fold antiderivative with all integration constants zero."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be an integer >= 0")
-    if k == 0:
-        return s
-    return PowerSeries._lifted(s.order_p + k, s._raw, s._lift + k)
+    _check_k(k)
+    order = s.order_p + int(k)
+    # the real and imaginary parts each divide once: a complex division would round twice
+    divisors = falling_factorials(order, s.coeffs.size, int(k))
+    parts = s.coeffs.view(np.float64).reshape(-1, 2) / divisors[:, None]
+    return PowerSeries(order, parts.view(np.complex128)[:, 0])
 
 
 def principal_arg(w: complex) -> float:

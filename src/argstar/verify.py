@@ -43,7 +43,6 @@ from .series import (
     derivative_block,
     differentiate,
     falling_factorials,
-    integrate,
     principal_arg,
 )
 
@@ -322,6 +321,10 @@ class _Evaluation:
     taken from them for the whole batch at once. The draws are one
     PowerSeries or the rows of one SeriesBlock; see series.derivative_block.
 
+    Each f^(k) is kept divided by its leading falling factorial (see
+    series.derivative_block); take multiplies the leads back where they change
+    a value.
+
     A failure belongs to its draw: `errors` maps a draw to the NonFiniteValue
     of its evaluation, values/take return the exceptions of each draw they
     reach, and the caller raises them in its own order.
@@ -330,10 +333,13 @@ class _Evaluation:
     def __init__(self, f, orders, grid: DiskGrid, points: np.ndarray):
         self.grid = grid
         self.points = points
-        # lowest power of z of f^(k) per row: an int, or an array when draws differ
-        self.coeffs, self.powers = derivative_block(f, orders)
-        self.size = size = self.coeffs.shape[0]
-        rows = _horner_many(self.coeffs.reshape(size * len(orders), -1), points)
+        self.order = f.order_p
+        # an overflow is found by the finiteness check below, not by a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            # lowest power of z of f^(k) per row: an int, or an array when draws differ
+            self.coeffs, self.powers = derivative_block(f, orders)
+            self.size = size = self.coeffs.shape[0]
+            rows = _horner_many(self.coeffs.reshape(size * len(orders), -1), points)
         self.rows = rows.reshape((size, len(orders)) + points.shape)
         finite = np.isfinite(rows.reshape(size, -1))
         self.errors = {}
@@ -388,9 +394,20 @@ class _Evaluation:
             errors[b] = ZeroOnGrid(complex(self.points.flat[j]), float(mag[b, j]), context)
         return errors
 
+    def _lead_ratio(self, q: _Quantity) -> float:
+        """The positive factor by which the true N/D exceeds the normalized one,
+        an exact ratio of leading falling factorials rounded once; inf where
+        it overflows float64."""
+        num, den = (math.perm(max(self.order, k), k) for k, _ in (q.num, q.den or (0, 0)))
+        try:
+            return num / den
+        except OverflowError:
+            return math.inf
+
     def values(self, q: _Quantity) -> tuple[np.ndarray, dict]:
-        """add + N/D of every draw at every sample point, and the ZeroOnGrid of
-        each draw whose denominator falls below ZERO_TOL at a sample."""
+        """N/D of the normalized derivatives of every draw at every sample
+        point, and the ZeroOnGrid of each draw whose denominator falls below
+        ZERO_TOL at a sample."""
         vals = self._values(q.num)
         errors = {}
         if q.den is not None:
@@ -400,7 +417,7 @@ class _Evaluation:
                 den = den.copy()
                 den[list(errors)] = 1.0
             vals = vals / den
-        return (q.add + vals if q.add else vals), errors
+        return vals, errors
 
     def take(self, q: _Quantity) -> _Taken:
         """Value, witness and samples used of one functional on the ring, for every draw."""
@@ -409,7 +426,20 @@ class _Evaluation:
         vals, errors = self.values(q)
         if q.den is None:
             errors = self._below_tol(vals, q.context)
-        reduced = (np.abs(np.angle(vals)) if sup else vals.real).reshape(self.size, -1)
+        if sup:  # the leads are positive and leave every argument alone
+            reduced = np.abs(np.angle(vals)).reshape(self.size, -1)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                reduced = self._lead_ratio(q) * vals.real.reshape(self.size, -1)
+            if q.add:
+                reduced += q.add
+            finite = np.isfinite(reduced)
+            for b in (~finite.all(axis=1)).nonzero()[0].tolist():
+                j = int(np.argmin(finite[b]))
+                errors.setdefault(b, NonFiniteValue(
+                    f"{q.context}: f^({q.num[0]}) with its leading falling factorial multiplied back "
+                    f"is not finite at z = {complex(points[j])} (float64 overflow)"))
+                reduced[b] = 0.0  # keeps the rest of the batch free of inf and NaN
         idx = reduced.argmax(axis=1) if sup else reduced.argmin(axis=1)
         extreme = reduced[np.arange(self.size), idx]
         value, witness, used = extreme.tolist(), points[idx].tolist(), [points.size] * self.size
@@ -498,6 +528,7 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
     _raise_first(0, ev.errors, errors)
     if q.kind == "sup_arg":  # arg is undefined where the value, or a ratio's numerator, vanishes
         _raise_first(0, ev._below_tol(ev._values(q.num), quantity))
+    # re-ratio's leads perm(p, p) and perm(p, p-1) are equal: its normalized values are the true ones
     vals = np.angle(vals[0]) if q.kind == "sup_arg" else vals[0].real
     return np.where(vals == -np.pi, np.pi, vals)  # fold onto (-pi, pi]
 
@@ -834,11 +865,6 @@ def _sample_block(seeds, p: int, bound: float, N: int = 16, s_gap: Optional[int]
         raise ValueError("s_gap must be >= 2")
     if s_gap is None and order < 1:
         raise ValueError("p must be >= 1")
-    try:
-        scale = float(math.factorial(order))
-    except OverflowError:
-        raise NonFiniteValue(f"{order}! overflows float64 (sampler scale of order {order})") from None
-    falling_factorials(order, N, order)  # the draws' coefficients divide by these: fail now if they overflow
 
     uniforms = np.empty((len(seeds), 2 * N - 1))
     for b, seed in enumerate(seeds):
@@ -850,9 +876,9 @@ def _sample_block(seeds, p: int, bound: float, N: int = 16, s_gap: Optional[int]
     moduli = np.divide(total[:, None] * weights, wsum, out=np.zeros_like(weights), where=wsum > 0)
     raw = np.empty((len(seeds), N), dtype=np.complex128)
     raw[:, 0] = 1.0
-    raw[:, 1:] = moduli * np.exp(1j * phases)
-    raw *= scale
-    return SeriesBlock(order, raw, order)
+    # f^(order) = order! h: the coefficient of z^(order+j) of f is h_j / C(order+j, j)
+    raw[:, 1:] = moduli / falling_factorials(order, N, order, normalized=True)[1:] * np.exp(1j * phases)
+    return SeriesBlock(order, raw)
 
 
 def sample_hypothesis_function(
@@ -864,11 +890,12 @@ def sample_hypothesis_function(
     sum|c_n| = sin(bound) * u for u drawn in (0, 1); then |arg h| <=
     asin(sum|c_n|) < bound everywhere, and f is the p-fold antiderivative of
     p! h, i.e. f^(p) = p! h with f in the normalized class (leading
-    coefficient exactly 1). With s_gap = s the same construction starts at
-    z^s, so the coefficient of z^(s-1) is 0 and that of z^s is 1.
+    coefficient exactly 1): f's coefficient of z^(p+j) is c_j / C(p+j, j).
+    With s_gap = s the same construction starts at z^s, so the coefficient
+    of z^(s-1) is 0 and that of z^s is 1.
     """
     block = _sample_block([seed], p, bound, N, s_gap)
-    return integrate(PowerSeries(0, block.raw[0]), block.order_p)
+    return PowerSeries(block.order_p, block.raw[0])
 
 
 _SAMPLER_CAP = math.pi / 2.0 - 1e-9
@@ -960,6 +987,6 @@ def counterexample_scan(
         worst_margin=None if worst[3] is None else worst[0],
         worst_label=worst[1],
         worst_attempt=worst[2],
-        # the only PowerSeries of the scan
-        worst_function=None if worst[3] is None else integrate(PowerSeries(0, worst[3]), order),
+        # the only PowerSeries of the scan: the worst draw's sampled row, verbatim
+        worst_function=None if worst[3] is None else PowerSeries(order, worst[3]),
     )

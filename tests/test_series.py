@@ -13,6 +13,7 @@ from argstar import (
     make_series,
     principal_arg,
 )
+from argstar.series import falling_factorials
 
 
 # ---------------------------------------------------------------- construction
@@ -93,12 +94,15 @@ coeff_st = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity
     tail=st.lists(coeff_st, max_size=31),
     k=st.integers(0, 8),
 )
-def test_roundtrip_integrate_then_differentiate_is_exact(p, tail, k):
+def test_roundtrip_integrate_then_differentiate_within_two_ulps(p, tail, k):
     s = make_series(p, tail)
     back = differentiate(integrate(s, k), k)
     assert back.order_p == s.order_p
-    # bit-exact, not approximately equal
-    assert back.coeffs.tobytes() == s.coeffs.tobytes()
+    # one division and one multiplication by the same exact falling factorial:
+    # two ulps, plus what a quotient below the normal range loses, scaled back up
+    underflow = falling_factorials(p + k, s.coeffs.size, k) * np.spacing(0.0)
+    for got, want in ((back.coeffs.real, s.coeffs.real), (back.coeffs.imag, s.coeffs.imag)):
+        assert (np.abs(got - want) <= 2 * np.spacing(np.abs(want)) + underflow).all()
 
 
 @given(

@@ -752,7 +752,7 @@ def test_sampler_is_deterministic():
 
 
 def _reference_sample(seed, p, bound, N, s_gap=None):
-    """The per-draw sampler body before the block sampler, verbatim: (order, raw of f^(order))."""
+    """One draw of the sampler on its own: (order, f's coefficients h_j / C(order+j, j))."""
     order = int(s_gap) if s_gap is not None else int(p)
     rng = np.random.default_rng(seed)
     u = rng.uniform()
@@ -761,43 +761,30 @@ def _reference_sample(seed, p, bound, N, s_gap=None):
     total = math.sin(bound) * u
     wsum = weights.sum()
     moduli = total * weights / wsum if wsum > 0 else np.zeros(N - 1)
-    scale = float(math.factorial(order))
-    raw = np.concatenate(([1.0], moduli * np.exp(1j * phases))) * scale
-    return order, raw
+    tail = [m / math.comb(order + j, j) * w for j, (m, w) in enumerate(zip(moduli, np.exp(1j * phases)), 1)]
+    return order, np.array([1.0, *tail], dtype=np.complex128)
 
 
-def _reference_derivative(order, raw, lift, k):
-    """(order_p, coefficients) of the k-th derivative of sum raw[j] z^(order+j) / (e falling lift)
-    by the per-series differentiate and the _lifted divisors before the block form, verbatim."""
-    if k > 0:
-        unwound = min(k, lift)
-        order -= unwound
-        lift -= unwound
-        for _ in range(k - unwound):
-            if order == 0:
-                if raw.size == 1:
-                    raw = np.zeros(1, dtype=np.complex128)
-                    break
-                raw = raw[1:] * np.arange(1, raw.size)
-            else:
-                raw = raw * np.arange(order, order + raw.size)
-                order -= 1
-        j = 0
-        while j < raw.size - 1 and raw[j] == 0:
-            j += 1
-        order, raw = order + j, raw[j:]
-    if lift == 0:
-        return order, raw
-    exps = range(order, order + raw.size)
-    divisors = np.array([float(math.perm(e, lift)) for e in exps])
-    return order, raw / divisors
+def _reference_derivative(order, coeffs, k, normalized=True):
+    """(order_p, coefficients) of the k-th derivative of sum coeffs[j] z^(order+j),
+    divided by perm(max(order, k), k) when normalized, one Python complex at a
+    time: c * (perm(e, k) / lead) for each exponent e >= k, leading zeros stripped."""
+    if k == 0:
+        return order, coeffs
+    lead = math.perm(max(order, k), k) if normalized else 1
+    terms = [(e - k, c * (math.perm(e, k) / lead)) for e, c in enumerate(coeffs.tolist(), order) if e >= k]
+    if not terms:
+        return 0, np.zeros(1, dtype=np.complex128)
+    while len(terms) > 1 and terms[0][1] == 0:
+        del terms[0]
+    return terms[0][0], np.array([c for _, c in terms], dtype=np.complex128)
 
 
-def _assert_block_matches_reference(block, ref_raws, ks):
+def _assert_block_matches_reference(block, ref_rows, ks):
     coeffs, powers = series.derivative_block(block, ks)
-    for b, ref_raw in enumerate(ref_raws):
+    for b, ref_row in enumerate(ref_rows):
         for i, k in enumerate(ks):
-            order, ref = _reference_derivative(block.order_p, ref_raw, block.lift, k)
+            order, ref = _reference_derivative(block.order_p, ref_row, k)
             power = powers[i] if isinstance(powers[i], int) else int(powers[i][b])
             assert power == order, (b, k)
             assert coeffs[b, i, : ref.size].tobytes() == ref.tobytes(), (b, k)
@@ -813,32 +800,32 @@ def test_block_pipeline_matches_per_draw_reference(batch, N):
         bound = 0.3 + 0.1 * order
         seeds = [np.random.SeedSequence((order, N, batch, attempt)) for attempt in range(batch)]
         block = verify._sample_block(seeds, bound=bound, N=N, **kw)
-        assert (block.order_p, block.lift, block.raw.shape) == (order, order, (batch, N))
-        ref_raws = []
+        assert (block.order_p, block.raw.shape) == (order, (batch, N))
+        ref_rows = []
         for b, seed in enumerate(seeds):
-            ref_order, ref_raw = _reference_sample(seed, bound=bound, N=N, **kw)
+            ref_order, ref_row = _reference_sample(seed, bound=bound, N=N, **kw)
             assert ref_order == order
-            assert block.raw[b].tobytes() == ref_raw.tobytes()
+            assert block.raw[b].tobytes() == ref_row.tobytes()
             f = sample_hypothesis_function(seed, bound=bound, N=N, **kw)
-            assert f == integrate(PowerSeries(0, ref_raw), order)
+            assert f == PowerSeries(order, ref_row)
             for k in range(order + 2):
-                ref_k_order, ref_k = _reference_derivative(order, ref_raw, order, k)
+                ref_k_order, ref_k = _reference_derivative(order, ref_row, k, normalized=False)
                 fk = differentiate(f, k)
                 assert (fk.order_p, fk.coeffs.tobytes()) == (ref_k_order, ref_k.tobytes())
-            ref_raws.append(ref_raw)
-        _assert_block_matches_reference(block, ref_raws, tuple(range(order + 2)))
+            ref_rows.append(ref_row)
+        _assert_block_matches_reference(block, ref_rows, tuple(range(order + 2)))
 
 
 def test_block_derivatives_strip_each_row():
     # rows whose derivatives start with zeros: each is stripped on its own and
-    # starts at its own power of z, also where integrations are still pending
+    # starts at its own power of z
     seeds = [np.random.SeedSequence((5, attempt)) for attempt in range(7)]
     raw = verify._sample_block(seeds, p=3, bound=1.0, N=8).raw
     raw[1, 1] = 0  # f^(4) starts at z
     raw[3, 1:4] = 0  # f^(4) starts at z^3
     raw[5, 1:] = 0  # f^(4) is the zero polynomial
-    raw[6, :2] = 0  # f and every derivative start one power higher
-    _assert_block_matches_reference(series.SeriesBlock(3, raw, 3), list(raw), tuple(range(6)))
+    raw[6, :2] = 0  # every derivative starts two powers higher
+    _assert_block_matches_reference(series.SeriesBlock(3, raw), list(raw), tuple(range(6)))
 
 
 def test_sampler_guarantees_hypothesis():
@@ -965,8 +952,8 @@ def test_batch_reports_match_check_theorem():
     # a sampled draw's f^(4) has order 0, so one batch divides out two different z-powers
     grid = DiskGrid(n_radial=1, n_angular=64)
     sampled = verify._sample_block([np.random.SeedSequence((80, k)) for k in range(3)], p=3, bound=0.9, N=16)
-    block = series.SeriesBlock(3, np.insert(sampled.raw, 1, [6.0, 0.0, 0.6] + [0.0] * 13, axis=0), 3)
-    fs = [integrate(PowerSeries(0, row), 3) for row in block.raw]
+    block = series.SeriesBlock(3, np.insert(sampled.raw, 1, [1.0, 0.0, 0.01] + [0.0] * 13, axis=0))
+    fs = [PowerSeries(3, row) for row in block.raw]
     assert fs[1] == make_series(3, [0.0, 0.01] + [0.0] * 13)
     assert fs[::2] + fs[3:] == [
         sample_hypothesis_function(np.random.SeedSequence((80, k)), p=3, bound=0.9, N=16) for k in range(3)
@@ -977,13 +964,13 @@ def test_batch_reports_match_check_theorem():
     assert reports == [check_theorem("L3", f, grid) for f in fs]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("first", ["pole", "overflow"])
 def test_scan_raises_first_failing_draw(monkeypatch, first):
-    # sampler rows of f'' = 2! h for L2 with p = 2 and N = 16
+    # sampler rows of f for L2 with p = 2 and N = 16
     faults = {
-        "pole": np.array([2.0, -6.0] + [0.0] * 14),  # f'/z = 2 - 3z, the L2 hypothesis denominator, vanishes at 2/3
-        "overflow": np.array([2.0, 1.7e308, 1.7e308] + [0.0] * 13),  # finite, but f'' overflows float64 on the ring
+        "pole": np.array([1.0, -1.0] + [0.0] * 14),  # f'/z = 2 - 3z, the L2 hypothesis denominator, vanishes at 2/3
+        # finite, but f''/2! = 1 + 1.7e308 z + 1.7e308 z^2 overflows float64 on the ring
+        "overflow": np.array([1.0, 1.7e308 / 3, 1.7e308 / 6] + [0.0] * 13),
     }
     later = "overflow" if first == "pole" else "pole"
     real = verify._sample_block
@@ -998,7 +985,7 @@ def test_scan_raises_first_failing_draw(monkeypatch, first):
 
     grid = DiskGrid(n_radial=1, n_angular=64)
     with pytest.raises((ZeroOnGrid, verify.NonFiniteValue)) as alone:
-        check_theorem("L2", integrate(PowerSeries(0, faults[first]), 2), grid)
+        check_theorem("L2", PowerSeries(2, faults[first]), grid)
     monkeypatch.setattr(verify, "_sample_block", sampler)
     with pytest.raises(type(alone.value)) as scanned:
         counterexample_scan("L2", trials=10, seed=3, p=2, grid=grid)
