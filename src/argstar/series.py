@@ -38,13 +38,19 @@ class NonFiniteValue(ArithmeticError):
     """A float64 overflow: a value of a check, or a falling factorial, is not finite."""
 
 
-@functools.lru_cache(maxsize=512)
+def leading_factorial(order: int, k: int) -> int:
+    """perm(max(order, k), k): the exact integer that derivative_block divides
+    f^(k) of a series of this order by."""
+    return math.perm(max(order, k), k)
+
+
+@functools.lru_cache(maxsize=256)
 def falling_factorials(order: int, size: int, k: int, normalized: bool = False) -> np.ndarray:
     """perm(e, k) = e!/(e-k)! for the exponents e = order .. order+size-1, or
-    perm(e, k)/perm(order, k) when normalized (order >= k). Each entry is an
-    exact ratio of Python ints rounded once; the row is read-only float64.
-    Raises NonFiniteValue where an entry overflows float64."""
-    lead = math.perm(order, k) if normalized else 1
+    perm(e, k)/leading_factorial(order, k) when normalized (order >= k). Each
+    entry is an exact ratio of Python ints rounded once; the row is read-only
+    float64. Raises NonFiniteValue where an entry overflows float64."""
+    lead = leading_factorial(order, k) if normalized else 1
     try:
         row = np.array([math.perm(e, k) / lead for e in range(order, order + size)])
     except OverflowError:
@@ -134,7 +140,7 @@ class _Derived(NamedTuple):
 
 def _derive(order: int, raw: np.ndarray, k: int, normalized: bool) -> _Derived:
     """The k-th derivative of every row of raw, each with its leading zeros
-    stripped; divided by perm(max(order, k), k) when normalized."""
+    stripped; divided by leading_factorial(order, k) when normalized."""
     if not k:
         return _Derived(order, raw, None)
     e0 = max(order, k)  # the lowest exponent whose term survives
@@ -155,7 +161,7 @@ def _derive(order: int, raw: np.ndarray, k: int, normalized: bool) -> _Derived:
 
 
 def derivative_block(f, ks) -> tuple[np.ndarray, list]:
-    """The derivatives f^(k)/perm(max(order_p, k), k), k in ks, of every draw
+    """The derivatives f^(k)/leading_factorial(order_p, k), k in ks, of every draw
     of f (a PowerSeries is one draw, a SeriesBlock one draw per row).
 
     Returns the coefficients as one (B, len(ks), n) block, each row
@@ -184,9 +190,13 @@ def _check_k(k) -> None:
 
 
 def differentiate(s: PowerSeries, k: int) -> PowerSeries:
-    """Term-by-term k-th derivative; terms whose exponent drops below 0 vanish."""
+    """Term-by-term k-th derivative; terms whose exponent drops below 0 vanish.
+    Raises NonFiniteValue where a coefficient overflows float64."""
     _check_k(k)
-    d = _derive(s.order_p, s.coeffs[None, :], int(k), normalized=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # found by the check below
+        d = _derive(s.order_p, s.coeffs[None, :], int(k), normalized=False)
+    if not np.isfinite(d.raw).all():
+        raise NonFiniteValue(f"a coefficient of f^({k}) overflows float64")
     j = 0 if d.strip is None else int(d.strip[0])
     return PowerSeries(d.order + j, d.raw[0, : d.raw.shape[1] - j])
 

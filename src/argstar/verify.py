@@ -43,6 +43,7 @@ from .series import (
     derivative_block,
     differentiate,
     falling_factorials,
+    leading_factorial,
     principal_arg,
 )
 
@@ -398,7 +399,7 @@ class _Evaluation:
         """The positive factor by which the true N/D exceeds the normalized one,
         an exact ratio of leading falling factorials rounded once; inf where
         it overflows float64."""
-        num, den = (math.perm(max(self.order, k), k) for k, _ in (q.num, q.den or (0, 0)))
+        num, den = (leading_factorial(self.order, k) for k, _ in (q.num, q.den or (0, 0)))
         try:
             return num / den
         except OverflowError:
@@ -528,8 +529,7 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
     _raise_first(0, ev.errors, errors)
     if q.kind == "sup_arg":  # arg is undefined where the value, or a ratio's numerator, vanishes
         _raise_first(0, ev._below_tol(ev._values(q.num), quantity))
-    # re-ratio's leads perm(p, p) and perm(p, p-1) are equal: its normalized values are the true ones
-    vals = np.angle(vals[0]) if q.kind == "sup_arg" else vals[0].real
+    vals = np.angle(vals[0]) if q.kind == "sup_arg" else ev._lead_ratio(q) * vals[0].real
     return np.where(vals == -np.pi, np.pi, vals)  # fold onto (-pi, pi]
 
 

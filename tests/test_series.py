@@ -13,7 +13,7 @@ from argstar import (
     make_series,
     principal_arg,
 )
-from argstar.series import falling_factorials
+from argstar.series import NonFiniteValue, falling_factorials
 
 
 # ---------------------------------------------------------------- construction
@@ -75,6 +75,14 @@ def test_differentiate_below_zero_vanishes():
     assert np.array_equal(d.coeffs, [3.0])  # only the 0.5 z^3 term survives
     z = differentiate(make_series(1, []), 2)
     assert np.array_equal(z.coeffs, [0.0])
+
+
+def test_differentiate_overflow_raises_non_finite_value():
+    # f' = 1 + 2e308 z overflows in a coefficient; 171! overflows in the factorial row
+    with pytest.raises(NonFiniteValue, match=r"coefficient of f\^\(1\)"):
+        differentiate(make_series(1, [1e308]), 1)
+    with pytest.raises(NonFiniteValue, match="overflows float64"):
+        differentiate(make_series(171, []), 171)
 
 
 def test_integrate_examples():
