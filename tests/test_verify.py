@@ -473,6 +473,40 @@ def test_ring_matches_full_grid(tid, params, sampler):
         assert rep.verdict == ("PASS" if min(margins, default=0.0) >= -SLACK else "FAIL")
 
 
+def _leading_zero_spec(tid, p, s=None):
+    """A spec whose derivative rows start with a zero: a T5 gap series with
+    a_(s-1) = 0, or an L3 series with a_(p+1) = 0; (f, check_theorem kwargs)."""
+    # f^(s)/s! = 0.2 (1 + 0.3z - 0.2iz^2) and f^(p)/p! = 1 + (0.1 + 0.05i)z^2 - 0.05z^3
+    if tid == "T5":
+        tail = [0.3 - 0.1j] * (s - p - 2) + [0.0] + [0.2 * h / math.comb(s + j, j) for j, h in enumerate([1, 0.3, -0.2j])]
+        return make_series(p, tail), {"delta": 0.5, "s": s}
+    return make_series(p, [h / math.comb(p + j, j) for j, h in enumerate([0.0, 0.1 + 0.05j, -0.05], 1)]), {}
+
+
+LEADING_ZERO_CASES = [("T5", p, s) for p in (1, 2, 3) for s in (p + 2, p + 3)] + [("L3", p, None) for p in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("tid,p,s", LEADING_ZERO_CASES)
+def test_rows_with_leading_zeros_match_polynomial_reference(tid, p, s):
+    # every value against np.polynomial on the full coefficient list, z^0 .. z^(p-1) included
+    f, kw = _leading_zero_spec(tid, p, s)
+    grid = DiskGrid()
+    z = grid.ring
+    full = np.concatenate((np.zeros(p), f.coeffs))
+    d = [np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(full, k)) for k in range(p + 5)]
+    if tid == "T5":
+        hyp = np.abs(np.angle(d[s])).max()
+        values = [np.abs(np.angle(z * d[s] / d[s - 1])).max()]
+    else:
+        hyp = (p + z * d[p + 1] / d[p]).real.min()
+        values = [(k + z * d[k + 1] / d[k]).real.min() for k in range(1, p)]
+    rep = check_theorem(tid, f, grid, **kw)
+    assert rep.hypothesis_sup == pytest.approx(hyp, abs=1e-12)
+    assert rep.hypothesis_satisfied and rep.verdict == "PASS"
+    assert [c.value for c in rep.conclusions] == pytest.approx(values, abs=1e-12)
+    assert all(c.margin > 0.1 for c in rep.conclusions)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_heatmap_values_match_full_grid(p):
     def arg_diff(a, b):
@@ -947,9 +981,10 @@ def test_scan_matches_per_draw_checks(monkeypatch, tid, params, n_radial, budget
     assert rep.worst_function == worst[3]
 
 
-def test_batch_reports_match_check_theorem():
-    # row 1 is f''' of f = z^3 + 0.01 z^5, whose f^(4) = 1.2 z has order 1 where
-    # a sampled draw's f^(4) has order 0, so one batch divides out two different z-powers
+@pytest.mark.parametrize("tid", ["L2", "L3", "C2"])
+def test_batch_reports_match_check_theorem(tid):
+    # row 1 is f = z^3 + 0.01 z^5, whose f^(4) = 1.2 z starts with a zero where
+    # a sampled draw's f^(4) does not; L2 and C2 read the rows f^(0) as well
     grid = DiskGrid(n_radial=1, n_angular=64)
     sampled = verify._sample_block([np.random.SeedSequence((80, k)) for k in range(3)], p=3, bound=0.9, N=16)
     block = series.SeriesBlock(3, np.insert(sampled.raw, 1, [1.0, 0.0, 0.01] + [0.0] * 13, axis=0))
@@ -958,10 +993,10 @@ def test_batch_reports_match_check_theorem():
     assert fs[::2] + fs[3:] == [
         sample_hypothesis_function(np.random.SeedSequence((80, k)), p=3, bound=0.9, N=16) for k in range(3)
     ]
-    plan = verify._build_plan("L3", 3, None, None, None, None)
+    plan = verify._build_plan(tid, 3, None, None, None, None)
     reports = verify._reports(plan, verify._Evaluation(block, plan.orders, grid, grid.ring))
     assert reports[1].hypothesis_satisfied
-    assert reports == [check_theorem("L3", f, grid) for f in fs]
+    assert reports == [check_theorem(tid, f, grid) for f in fs]
 
 
 @pytest.mark.parametrize("first", ["pole", "overflow"])
