@@ -10,8 +10,10 @@ its exact integer falling factorial, rounded once to float64, so a round trip
 differentiate(integrate(s, k), k) comes back within two ulps of s.
 
 A SeriesBlock keeps many series of one order as the rows of one array, and
-derivative_block differentiates all rows at once. It returns each f^(k)
-divided by its leading falling factorial perm(e0, k), e0 = max(order_p, k):
+derivative_block differentiates all rows at once. Each f^(k) it returns starts
+at z**max(order_p - k, 0) for every row alike and keeps its leading zeros
+(differentiate strips them from its one series), and is divided by its
+leading falling factorial perm(e0, k), e0 = max(order_p, k):
 one multiply per row by the cached ratios perm(e0 + j, k)/perm(e0, k), each at
 most C(e0 + j, j), so they stay finite where the factorials themselves
 overflow float64. Only positive scales are lost, which leave arguments and
@@ -23,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -128,60 +129,31 @@ class SeriesBlock:
     raw: np.ndarray
 
 
-class _Derived(NamedTuple):
-    """A derivative of a block: row b starts at z**(order + strip[b]) and keeps
-    raw[b, :width - strip[b]], zero-padded on the right; strip is None when
-    no row had a leading zero to strip."""
-
-    order: int
-    raw: np.ndarray
-    strip: Optional[np.ndarray]
-
-
-def _derive(order: int, raw: np.ndarray, k: int, normalized: bool) -> _Derived:
-    """The k-th derivative of every row of raw, each with its leading zeros
-    stripped; divided by leading_factorial(order, k) when normalized."""
+def _derive(order: int, raw: np.ndarray, k: int, normalized: bool) -> tuple[int, np.ndarray]:
+    """The k-th derivative of every row of raw, divided by
+    leading_factorial(order, k) when normalized: row b is
+    sum_j out[b, j] z**(e + j) with e = max(order - k, 0), leading zeros kept."""
     if not k:
-        return _Derived(order, raw, None)
+        return order, raw
     e0 = max(order, k)  # the lowest exponent whose term survives
     width = raw.shape[1] - (e0 - order)
     if width < 1:  # every term vanishes
-        return _Derived(0, np.zeros((len(raw), 1), dtype=np.complex128), None)
-    raw = raw[:, e0 - order:] * falling_factorials(e0, width, k, normalized)
-    if width == 1 or raw[:, 0].all():
-        return _Derived(e0 - k, raw, None)
-    strip = np.zeros(len(raw), dtype=np.intp)
-    for b in (raw[:, 0] == 0).nonzero()[0].tolist():
-        nonzero = np.flatnonzero(raw[b, :-1])
-        j = int(nonzero[0]) if nonzero.size else width - 1
-        raw[b, : width - j] = raw[b, j:].copy()
-        raw[b, width - j:] = 0.0
-        strip[b] = j
-    return _Derived(e0 - k, raw, strip)
+        return 0, np.zeros((len(raw), 1), dtype=np.complex128)
+    return e0 - k, raw[:, e0 - order:] * falling_factorials(e0, width, k, normalized)
 
 
-def derivative_block(f, ks) -> tuple[np.ndarray, list]:
+def derivative_block(f, ks) -> np.ndarray:
     """The derivatives f^(k)/leading_factorial(order_p, k), k in ks, of every draw
-    of f (a PowerSeries is one draw, a SeriesBlock one draw per row).
-
-    Returns the coefficients as one (B, len(ks), n) block, each row
-    zero-padded on the right to the longest, n, and per k the lowest power of
-    z of each draw: an int when every draw shares it, else an int array (B,).
+    of f (a PowerSeries is one draw, a SeriesBlock one draw per row), as one
+    (B, len(ks), n) block: row k of every draw starts at z**max(order_p - k, 0)
+    and keeps its leading zeros, zero-padded on the right to the longest, n.
     """
     g = f if isinstance(f, SeriesBlock) else SeriesBlock(f.order_p, f.coeffs[None, :])
-    derived = [_derive(g.order_p, g.raw, k, normalized=True) for k in ks]
-    n = max(d.raw.shape[1] - (0 if d.strip is None else int(d.strip.min())) for d in derived)
-    coeffs = np.zeros((len(g.raw), len(ks), n), dtype=np.complex128)
-    powers = []
-    for i, d in enumerate(derived):
-        w = min(n, d.raw.shape[1])
-        coeffs[:, i, :w] = d.raw[:, :w]
-        if d.strip is None:
-            powers.append(d.order)
-        else:
-            each = d.order + d.strip
-            powers.append(int(each[0]) if (each == each[0]).all() else each)
-    return coeffs, powers
+    rows = [_derive(g.order_p, g.raw, k, normalized=True)[1] for k in ks]
+    coeffs = np.zeros((len(g.raw), len(ks), max(r.shape[1] for r in rows)), dtype=np.complex128)
+    for i, r in enumerate(rows):
+        coeffs[:, i, : r.shape[1]] = r
+    return coeffs
 
 
 def _check_k(k) -> None:
@@ -194,11 +166,13 @@ def differentiate(s: PowerSeries, k: int) -> PowerSeries:
     Raises NonFiniteValue where a coefficient overflows float64."""
     _check_k(k)
     with np.errstate(over="ignore", invalid="ignore"):  # found by the check below
-        d = _derive(s.order_p, s.coeffs[None, :], int(k), normalized=False)
-    if not np.isfinite(d.raw).all():
+        order, raw = _derive(s.order_p, s.coeffs[None, :], int(k), normalized=False)
+    row = raw[0]
+    if not np.isfinite(row).all():
         raise NonFiniteValue(f"a coefficient of f^({k}) overflows float64")
-    j = 0 if d.strip is None else int(d.strip[0])
-    return PowerSeries(d.order + j, d.raw[0, : d.raw.shape[1] - j])
+    # a derivative starts at its lowest nonzero term (a zero one keeps its last)
+    j = int(np.flatnonzero(row[:-1]).min(initial=row.size - 1)) if k else 0
+    return PowerSeries(order + j, row[j:])
 
 
 def integrate(s: PowerSeries, k: int) -> PowerSeries:

@@ -20,8 +20,10 @@ in one pass, and heatmap_values takes the same quantities at every point of
 the grid.
 
 Ratios such as z f'(z)/f(z) are always evaluated with the z-power divided out
-of numerator and denominator separately (f^(k)(z)/z^(p-k) is a polynomial with
-nonzero constant term), which keeps small-|z| samples far away from underflow.
+of numerator and denominator separately (f^(k)(z)/z^max(p-k,0) is a
+polynomial), which keeps small-|z| samples far away from underflow. Such a
+polynomial can still vanish at z = 0, where f has a zero coefficient; the
+certificate counts those zeros and adds them to the z-power left over.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ DEFAULT_GRID = DiskGrid()
 class SupArgResult:
     sup_abs_arg: float
     witness: complex
-    samples_used: int  # ring points, or the whole grid when every point ties
+    samples_used: int  # ring points
 
 
 @dataclass(frozen=True)
@@ -245,13 +247,18 @@ def _dominant(coeffs: np.ndarray, r: float) -> np.ndarray:
 
 
 def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex]:
-    """Smallest-modulus root of sum coeffs[j] z^j in |z| <= r_max, or None.
-    A leading coefficient so small that the companion row overflows is dropped if
-    |c_d| r^d <= _DOMINANCE_RTOL * sum |c_j| r^j, a finite sum; else NonFiniteValue."""
+    """Smallest-modulus root other than z = 0 of sum coeffs[j] z^j in
+    |z| <= r_max, or None: leading zero coefficients are dropped, so a monomial
+    has none. A leading coefficient so small that the companion row overflows is
+    dropped if |c_d| r^d <= _DOMINANCE_RTOL * sum |c_j| r^j, a finite sum; else
+    NonFiniteValue."""
     nonzero = np.flatnonzero(coeffs)
     if nonzero.size == 0:
         return 0j  # the zero polynomial vanishes everywhere
-    d = int(nonzero[-1])
+    coeffs = coeffs[nonzero[0]:]
+    d = int(nonzero[-1] - nonzero[0])
+    if d == 0:  # c z^j vanishes only at z = 0
+        return None
     companion = np.zeros((d, d), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         companion[0, :] = -coeffs[d - 1::-1] / coeffs[d]
@@ -284,8 +291,8 @@ class _Quantity:
     context: str = ""
 
 
-def _plain(kind: str, k: int, m: int) -> _Quantity:
-    return _Quantity(kind, (k, m), context=kind)
+def _plain(kind: str, k: int, m: int, context: str) -> _Quantity:
+    return _Quantity(kind, (k, m), context=context)
 
 
 def _ratio(kind: str, p: int, upper: int, context: str, add: int = 0) -> _Quantity:
@@ -305,7 +312,6 @@ class _Taken(NamedTuple):
 
     value: list  # float per draw
     witness: list  # complex per draw
-    used: list  # samples used per draw
     errors: dict  # draw -> exception
 
 
@@ -322,9 +328,11 @@ class _Evaluation:
     taken from them for the whole batch at once. The draws are one
     PowerSeries or the rows of one SeriesBlock; see series.derivative_block.
 
-    Each f^(k) is kept divided by its leading falling factorial (see
-    series.derivative_block); take multiplies the leads back where they change
-    a value.
+    Each f^(k) is kept divided by its leading falling factorial and starts
+    at z**max(p - k, 0), p = f.order_p, leading zeros included (see
+    series.derivative_block): f^(k)/z^m is its row times z**(max(p - k, 0) - m)
+    for every draw alike. take multiplies the leads back where they change a
+    value, and counts each row's zeros at z = 0 where it certifies.
 
     A failure belongs to its draw: `errors` maps a draw to the NonFiniteValue
     of its evaluation, values/take return the exceptions of each draw they
@@ -337,8 +345,7 @@ class _Evaluation:
         self.order = f.order_p
         # an overflow is found by the finiteness check below, not by a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            # lowest power of z of f^(k) per row: an int, or an array when draws differ
-            self.coeffs, self.powers = derivative_block(f, orders)
+            self.coeffs = derivative_block(f, orders)
             self.size = size = self.coeffs.shape[0]
             rows = _horner_many(self.coeffs.reshape(size * len(orders), -1), points)
         self.rows = rows.reshape((size, len(orders)) + points.shape)
@@ -365,23 +372,20 @@ class _Evaluation:
         draws, rows = (~self.dominant).nonzero()
         return list(zip(draws.tolist(), rows.tolist()))
 
-    def _term(self, term):
-        """(row, shift): f^(k)/z^m is the row's polynomial times z**shift, one
-        int shift for all draws or an array of one per draw."""
+    @cached_property
+    def zeros(self) -> np.ndarray:
+        """Per draw and row: the order of the row's zero at z = 0 (0 for the zero polynomial)."""
+        return (self.coeffs != 0).argmax(axis=2)
+
+    def _term(self, term) -> tuple[int, int]:
+        """(row, shift): f^(k)/z^m is the row's polynomial times z**shift."""
         k, m = term
-        i = self.row[k]
-        return i, self.powers[i] - m
+        return self.row[k], max(self.order - k, 0) - m
 
     def _values(self, term) -> np.ndarray:
-        i, shifts = self._term(term)
+        i, shift = self._term(term)
         vals = self.rows[:, i]
-        if isinstance(shifts, int):
-            return vals if shifts == 0 else vals * self.points**shifts
-        out = np.empty_like(vals)
-        for shift in set(shifts.tolist()):  # draws whose f^(k) starts at different powers of z
-            draws = shifts == shift
-            out[draws] = vals[draws] if shift == 0 else vals[draws] * self.points**shift
-        return out
+        return vals if shift == 0 else vals * self.points**shift
 
     def _below_tol(self, vals: np.ndarray, context: str) -> dict:
         """{draw: ZeroOnGrid at its first sample with |value| below ZERO_TOL}."""
@@ -421,7 +425,7 @@ class _Evaluation:
         return vals, errors
 
     def take(self, q: _Quantity) -> _Taken:
-        """Value, witness and samples used of one functional on the ring, for every draw."""
+        """Value and witness of one functional on the ring, for every draw."""
         points = self.points.reshape(-1)
         sup = q.kind == "sup_arg"
         vals, errors = self.values(q)
@@ -442,26 +446,17 @@ class _Evaluation:
                     f"is not finite at z = {complex(points[j])} (float64 overflow)"))
                 reduced[b] = 0.0  # keeps the rest of the batch free of inf and NaN
         idx = reduced.argmax(axis=1) if sup else reduced.argmin(axis=1)
-        extreme = reduced[np.arange(self.size), idx]
-        value, witness, used = extreme.tolist(), points[idx].tolist(), [points.size] * self.size
-        # a functional constant on the circle is constant on the disk: every grid
-        # point ties and the witness is the first one, as on the full grid
-        other = reduced.min(axis=1) if sup else reduced.max(axis=1)
-        for b in (other == extreme).nonzero()[0].tolist():
-            value[b], witness[b], used[b] = float(reduced[b, 0]), complex(self.grid.radii[0]), self.grid.size
+        value, witness = reduced[np.arange(self.size), idx].tolist(), points[idx].tolist()
 
         # the smallest root or pole in the closed disk that the functional must not have
         num, shift = self._term(q.num)
+        net = shift + self.zeros[:, num]  # the z-power of N/D at z = 0, per draw
         certified = [num] if sup else []
         if q.den is not None:
             den, den_shift = self._term(q.den)
             certified.append(den)
-            shift = shift - den_shift
-        pole = shift != 0 if sup else shift < 0  # the net z-power: a zero of an argument, or a pole
-        if isinstance(pole, np.ndarray):
-            poles = set(pole.nonzero()[0].tolist())
-        else:
-            poles = set(range(self.size)) if pole else set()
+            net = net - den_shift - self.zeros[:, den]
+        poles = set((net != 0 if sup else net < 0).nonzero()[0].tolist())  # a zero of an argument, or a pole
         suspects = {b for b, i in self.doubtful if i in certified} if certified else set()
         for b in (suspects | poles) - errors.keys() - self.errors.keys():
             try:
@@ -477,17 +472,17 @@ class _Evaluation:
             if q.kind == "min_real":
                 errors[b] = ZeroOnGrid(root, None, q.context)
             else:
-                value[b], witness[b], used[b] = math.pi, root, points.size
-        return _Taken(value, witness, used, errors)
+                value[b], witness[b] = math.pi, root
+        return _Taken(value, witness, errors)
 
 
 def _take_one(s: PowerSeries, kind: str, divisor_power: int, grid: DiskGrid):
     if divisor_power < 0:
         raise ValueError("divisor_power must be >= 0")
     ev = _Evaluation(s, (0,), grid, grid.ring)
-    taken = ev.take(_plain(kind, 0, divisor_power))
+    taken = ev.take(_plain(kind, 0, divisor_power, kind))
     _raise_first(0, ev.errors, taken.errors)
-    return taken.value[0], taken.witness[0], taken.used[0]
+    return taken.value[0], taken.witness[0]
 
 
 def sup_arg(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> SupArgResult:
@@ -495,14 +490,13 @@ def sup_arg(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -
 
     A zero in the closed disk gives exactly pi with the zero as witness.
     """
-    value, witness, used = _take_one(s, "sup_arg", divisor_power, grid)
-    return SupArgResult(sup_abs_arg=value, witness=witness, samples_used=used)
+    value, witness = _take_one(s, "sup_arg", divisor_power, grid)
+    return SupArgResult(sup_abs_arg=value, witness=witness, samples_used=grid.n_angular)
 
 
 def min_real(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> tuple[float, complex]:
     """min over |z| <= r_max of Re(s(z)/z**divisor_power), sampled on the outer ring."""
-    value, witness, _ = _take_one(s, "min_real", divisor_power, grid)
-    return value, witness
+    return _take_one(s, "min_real", divisor_power, grid)
 
 
 HEATMAP_QUANTITIES = ("arg-fp", "arg-fp1-over-z", "arg-jst", "re-ratio")
@@ -519,8 +513,8 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
     if quantity != "arg-fp" and p < 1:
         raise ParamOutOfRange(f"{quantity} requires p >= 1")
     q = {
-        "arg-fp": _plain("sup_arg", p, 0),
-        "arg-fp1-over-z": _plain("sup_arg", p - 1, 1),
+        "arg-fp": _plain("sup_arg", p, 0, quantity),
+        "arg-fp1-over-z": _plain("sup_arg", p - 1, 1, quantity),
         "arg-jst": _ratio("sup_arg", p, 1, quantity),
         "re-ratio": _ratio("min_real", p, p, quantity),
     }[quantity]
@@ -575,7 +569,7 @@ def _build_plan(theorem_id, p, alpha1, alpha0, delta, s) -> _Plan:
 
     notes: list[str] = []
     concl: list = []
-    hyp = _plain("sup_arg", p, 0)  # all but T5, L2 and L3
+    hyp = _plain("sup_arg", p, 0, f"{theorem_id} hypothesis")  # all but T5, L2 and L3
     if theorem_id == "T5":
         takes("delta", "s")
         if not (delta > 0 and 2 * delta + (2 / math.pi) * math.atan(delta) < 2.0):
@@ -584,7 +578,7 @@ def _build_plan(theorem_id, p, alpha1, alpha0, delta, s) -> _Plan:
             )
         if not isinstance(s, (int, np.integer)) or s < 2:
             raise ParamOutOfRange("s must be an integer >= 2")
-        hyp = _plain("sup_arg", s, 0)
+        hyp = _plain("sup_arg", s, 0, "T5 hypothesis")
         hyp_bound = (math.pi / 2) * delta + math.atan(delta)
         params = {"s": int(s), "delta": delta}
         concl.append(("|arg(z f^(s)/f^(s-1))|", _ratio("sup_arg", p, s, "T5 conclusion"),
@@ -608,13 +602,15 @@ def _build_plan(theorem_id, p, alpha1, alpha0, delta, s) -> _Plan:
             raise ParamOutOfRange("alpha1 must lie in (0, 1]")
         hyp_bound = (math.pi / 2) * (alpha1 + (2 / math.pi) * math.atan(alpha1))
         params = {"p": p, "alpha1": alpha1}
-        concl.append((f"|arg(f^({p - 1})/z)|", _plain("sup_arg", p - 1, 1), alpha1 * math.pi / 2))
+        concl.append((f"|arg(f^({p - 1})/z)|", _plain("sup_arg", p - 1, 1, "T1 conclusion"),
+                      alpha1 * math.pi / 2))
     elif theorem_id == "C1":
         takes()
         hyp_bound, params = 3 * math.pi / 4, {"p": p}
-        concl.append((f"|arg(f^({p - 1})/z)|", _plain("sup_arg", p - 1, 1), math.pi / 2))
+        concl.append((f"|arg(f^({p - 1})/z)|", _plain("sup_arg", p - 1, 1, "C1 conclusion"), math.pi / 2))
         for k in range(p):
-            concl.append((f"Re(f^({p - k - 1})/z^{k + 1})", _plain("min_real", p - k - 1, k + 1), 0.0))
+            concl.append((f"Re(f^({p - k - 1})/z^{k + 1})",
+                          _plain("min_real", p - k - 1, k + 1, f"C1 k={k}"), 0.0))
     elif theorem_id == "C2":
         takes()
         _, composite = solve_gamma0()
@@ -629,7 +625,7 @@ def _build_plan(theorem_id, p, alpha1, alpha0, delta, s) -> _Plan:
         chain = alpha_sequence(alpha0, p)
         if theorem_id == "T3":
             for k in range(1, p + 1):
-                concl.append((f"|arg(f^({p - k})/z^{k})|", _plain("sup_arg", p - k, k),
+                concl.append((f"|arg(f^({p - k})/z^{k})|", _plain("sup_arg", p - k, k, f"T3 k={k}"),
                               math.pi * chain.values[k] / 2))
         else:
             # the s=1 ratio is meaningful only under this extra pair-sum condition

@@ -340,6 +340,18 @@ def test_scan_runs_past_factorial_overflow(p, capsys):
     assert res["worst_function"]["p"] == p and res["worst_margin"] > 0
 
 
+def test_exit_4_c1_names_its_conclusion(capsys):
+    # C1's Re(f^(p-1)/z) carries the lead perm(p, p-1) = p!, past float64 from p = 171;
+    # the message names the conclusion, k = 0 of Re(f^(p-k-1)/z^(k+1))
+    assert run(["scan", "--theorem", "c1", "--p", "171", "--trials", "10", "--seed", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "argstar: numeric failure: C1 k=0: f^(170) with its leading falling factorial multiplied back "
+        "is not finite at z = (0.995+0j) (float64 overflow)\n"
+    )
+
+
 def test_exit_4_lemma1_zero_inside_crossing_radius(tmp_path, capsys):
     # q = 1 + 2z reaches the level 3pi/4 only as its zero at -1/2 enters the disk, at r0 = 0.5
     path = write_spec(tmp_path, "q.json", {"p": 0, "coefficients": [[2.0, 0.0]]})

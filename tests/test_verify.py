@@ -102,8 +102,8 @@ def test_sup_arg_monomial_is_zero():
     g = DiskGrid()
     r = sup_arg(make_series(3, []), 3, g)
     assert r.sup_abs_arg == 0.0
-    assert r.witness == complex(g.radii[0])  # tie broken to the first grid point
-    assert r.samples_used == g.size
+    assert r.witness == complex(g.ring[0])  # every ring sample ties: the first one
+    assert r.samples_used == g.n_angular
 
 
 def test_sup_arg_linear_tail():
@@ -132,7 +132,7 @@ def test_min_real_linear_tail():
 def test_min_real_constant():
     v, w = min_real(PowerSeries(0, np.array([6.0])), 0)
     assert v == 6.0
-    assert w == complex(DiskGrid().radii[0])
+    assert w == complex(DiskGrid().ring[0]) == 0.995
 
 
 def test_zero_on_grid_reports_first_point():
@@ -164,6 +164,23 @@ def test_net_power_of_z_is_a_zero_or_a_pole():
     assert sup_arg(f, 2, grid).sup_abs_arg < 0.1
     with pytest.raises(ZeroOnGrid, match=r"root in \|z\| <= r_max at z = 0j in min_real"):
         min_real(make_series(1, [0.1]), 2, grid)
+
+
+def test_zero_leading_coefficient_counts_as_a_zero_at_the_origin():
+    # f = z^2 + 0.3 z^3 stored from z^1 with a zero first coefficient: f/z^2 = 1 + 0.3z
+    # has no zero or pole at z = 0, and neither has z f'/f = (2 + 0.9z)/(1 + 0.3z)
+    f = PowerSeries(1, [0.0, 1.0, 0.3])
+    z = DiskGrid().ring
+    v, w = min_real(f, 2)
+    assert v == pytest.approx((1 + 0.3 * z).real.min(), abs=1e-12) and v == pytest.approx(0.7015, abs=1e-12)
+    assert w == pytest.approx(-0.995, abs=1e-12)
+    r = sup_arg(f, 2)
+    assert r.sup_abs_arg == pytest.approx(np.abs(np.angle(1 + 0.3 * z)).max(), abs=1e-12)
+    assert r.sup_abs_arg == pytest.approx(math.asin(0.3 * 0.995), abs=1e-5)
+    rep = check_theorem("L2", f)
+    assert rep.hypothesis_sup == pytest.approx(((2 + 0.9 * z) / (1 + 0.3 * z)).real.min(), abs=1e-12)
+    assert rep.hypothesis_sup == pytest.approx(1.5745, abs=1e-4)
+    assert rep.verdict == "PASS"
 
 
 def test_min_real_ignores_interior_zero():
@@ -800,27 +817,32 @@ def _reference_sample(seed, p, bound, N, s_gap=None):
 
 
 def _reference_derivative(order, coeffs, k, normalized=True):
-    """(order_p, coefficients) of the k-th derivative of sum coeffs[j] z^(order+j),
+    """(lowest exponent, coefficients) of the k-th derivative of sum coeffs[j] z^(order+j),
     divided by perm(max(order, k), k) when normalized, one Python complex at a
-    time: c * (perm(e, k) / lead) for each exponent e >= k, leading zeros stripped."""
+    time: c * (perm(e, k) / lead) for each exponent e >= k, leading zeros kept."""
     if k == 0:
         return order, coeffs
     lead = math.perm(max(order, k), k) if normalized else 1
     terms = [(e - k, c * (math.perm(e, k) / lead)) for e, c in enumerate(coeffs.tolist(), order) if e >= k]
     if not terms:
         return 0, np.zeros(1, dtype=np.complex128)
-    while len(terms) > 1 and terms[0][1] == 0:
-        del terms[0]
     return terms[0][0], np.array([c for _, c in terms], dtype=np.complex128)
 
 
+def _stripped(order, coeffs):
+    """The series from its lowest nonzero term; the zero series keeps its last term."""
+    nonzero = np.flatnonzero(coeffs)
+    j = int(nonzero[0]) if nonzero.size else coeffs.size - 1
+    return order + j, coeffs[j:]
+
+
 def _assert_block_matches_reference(block, ref_rows, ks):
-    coeffs, powers = series.derivative_block(block, ks)
+    coeffs = series.derivative_block(block, ks)
+    assert coeffs.shape[:2] == (len(ref_rows), len(ks))
     for b, ref_row in enumerate(ref_rows):
         for i, k in enumerate(ks):
             order, ref = _reference_derivative(block.order_p, ref_row, k)
-            power = powers[i] if isinstance(powers[i], int) else int(powers[i][b])
-            assert power == order, (b, k)
+            assert order == max(block.order_p - k, 0), (b, k)  # every draw's row k starts there
             assert coeffs[b, i, : ref.size].tobytes() == ref.tobytes(), (b, k)
             assert not coeffs[b, i, ref.size:].any()
 
@@ -843,16 +865,16 @@ def test_block_pipeline_matches_per_draw_reference(batch, N):
             f = sample_hypothesis_function(seed, bound=bound, N=N, **kw)
             assert f == PowerSeries(order, ref_row)
             for k in range(order + 2):
-                ref_k_order, ref_k = _reference_derivative(order, ref_row, k, normalized=False)
+                ref_k_order, ref_k = _stripped(*_reference_derivative(order, ref_row, k, normalized=False))
                 fk = differentiate(f, k)
                 assert (fk.order_p, fk.coeffs.tobytes()) == (ref_k_order, ref_k.tobytes())
             ref_rows.append(ref_row)
         _assert_block_matches_reference(block, ref_rows, tuple(range(order + 2)))
 
 
-def test_block_derivatives_strip_each_row():
-    # rows whose derivatives start with zeros: each is stripped on its own and
-    # starts at its own power of z
+def test_block_derivatives_keep_leading_zeros():
+    # rows whose derivatives start with zeros keep them: every draw's row k
+    # starts at the same power of z
     seeds = [np.random.SeedSequence((5, attempt)) for attempt in range(7)]
     raw = verify._sample_block(seeds, p=3, bound=1.0, N=8).raw
     raw[1, 1] = 0  # f^(4) starts at z
