@@ -12,7 +12,7 @@ differentiate(integrate(s, k), k) comes back within two ulps of s.
 A SeriesBlock keeps many series of one order as the rows of one array, and
 derivative_block differentiates all rows at once. Each f^(k) it returns starts
 at z**max(order_p - k, 0) for every row alike and keeps its leading zeros
-(differentiate strips them from its one series), and is divided by its
+(differentiate drops them from its one series), and is divided by its
 leading falling factorial perm(e0, k), e0 = max(order_p, k):
 one multiply per row by the cached ratios perm(e0 + j, k)/perm(e0, k), each at
 most C(e0 + j, j), so they stay finite where the factorials themselves
@@ -37,6 +37,12 @@ class ArgOfZero(ValueError):
 
 class NonFiniteValue(ArithmeticError):
     """A float64 overflow: a value of a check, or a falling factorial, is not finite."""
+
+
+def leading_power(order: int, k: int) -> int:
+    """max(order - k, 0): the power of z at which derivative_block starts f^(k)
+    of a series of this order."""
+    return max(order - k, 0)
 
 
 def leading_factorial(order: int, k: int) -> int:
@@ -129,27 +135,28 @@ class SeriesBlock:
     raw: np.ndarray
 
 
-def _derive(order: int, raw: np.ndarray, k: int, normalized: bool) -> tuple[int, np.ndarray]:
+def _derive(order: int, raw: np.ndarray, k: int, normalized: bool) -> np.ndarray:
     """The k-th derivative of every row of raw, divided by
     leading_factorial(order, k) when normalized: row b is
-    sum_j out[b, j] z**(e + j) with e = max(order - k, 0), leading zeros kept."""
+    sum_j out[b, j] z**(leading_power(order, k) + j), leading zeros kept."""
     if not k:
-        return order, raw
+        return raw
     e0 = max(order, k)  # the lowest exponent whose term survives
     width = raw.shape[1] - (e0 - order)
     if width < 1:  # every term vanishes
-        return 0, np.zeros((len(raw), 1), dtype=np.complex128)
-    return e0 - k, raw[:, e0 - order:] * falling_factorials(e0, width, k, normalized)
+        return np.zeros((len(raw), 1), dtype=np.complex128)
+    return raw[:, e0 - order:] * falling_factorials(e0, width, k, normalized)
 
 
 def derivative_block(f, ks) -> np.ndarray:
     """The derivatives f^(k)/leading_factorial(order_p, k), k in ks, of every draw
     of f (a PowerSeries is one draw, a SeriesBlock one draw per row), as one
-    (B, len(ks), n) block: row k of every draw starts at z**max(order_p - k, 0)
-    and keeps its leading zeros, zero-padded on the right to the longest, n.
+    (B, len(ks), n) block: row k of every draw starts at
+    z**leading_power(order_p, k) and keeps its leading zeros, zero-padded on
+    the right to the longest, n.
     """
     g = f if isinstance(f, SeriesBlock) else SeriesBlock(f.order_p, f.coeffs[None, :])
-    rows = [_derive(g.order_p, g.raw, k, normalized=True)[1] for k in ks]
+    rows = [_derive(g.order_p, g.raw, k, normalized=True) for k in ks]
     coeffs = np.zeros((len(g.raw), len(ks), max(r.shape[1] for r in rows)), dtype=np.complex128)
     for i, r in enumerate(rows):
         coeffs[:, i, : r.shape[1]] = r
@@ -166,13 +173,12 @@ def differentiate(s: PowerSeries, k: int) -> PowerSeries:
     Raises NonFiniteValue where a coefficient overflows float64."""
     _check_k(k)
     with np.errstate(over="ignore", invalid="ignore"):  # found by the check below
-        order, raw = _derive(s.order_p, s.coeffs[None, :], int(k), normalized=False)
-    row = raw[0]
+        row = _derive(s.order_p, s.coeffs[None, :], int(k), normalized=False)[0]
     if not np.isfinite(row).all():
         raise NonFiniteValue(f"a coefficient of f^({k}) overflows float64")
-    # a derivative starts at its lowest nonzero term (a zero one keeps its last)
+    # f^(k), k >= 1, starts at its lowest nonzero term (a zero one keeps its last); f^(0) is s as given
     j = int(np.flatnonzero(row[:-1]).min(initial=row.size - 1)) if k else 0
-    return PowerSeries(order + j, row[j:])
+    return PowerSeries(leading_power(s.order_p, k) + j, row[j:])
 
 
 def integrate(s: PowerSeries, k: int) -> PowerSeries:

@@ -46,6 +46,7 @@ from .series import (
     differentiate,
     falling_factorials,
     leading_factorial,
+    leading_power,
     principal_arg,
 )
 
@@ -330,8 +331,8 @@ class _Evaluation:
 
     Each f^(k) is kept divided by its leading falling factorial and starts
     at z**max(p - k, 0), p = f.order_p, leading zeros included (see
-    series.derivative_block): f^(k)/z^m is its row times z**(max(p - k, 0) - m)
-    for every draw alike. take multiplies the leads back where they change a
+    series.derivative_block): f^(k)/z^m is its row times z**(max(p - k, 0) - m),
+    one shift for every draw. take multiplies the leads back where they change a
     value, and counts each row's zeros at z = 0 where it certifies.
 
     A failure belongs to its draw: `errors` maps a draw to the NonFiniteValue
@@ -380,7 +381,7 @@ class _Evaluation:
     def _term(self, term) -> tuple[int, int]:
         """(row, shift): f^(k)/z^m is the row's polynomial times z**shift."""
         k, m = term
-        return self.row[k], max(self.order - k, 0) - m
+        return self.row[k], leading_power(self.order, k) - m
 
     def _values(self, term) -> np.ndarray:
         i, shift = self._term(term)

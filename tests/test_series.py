@@ -77,6 +77,14 @@ def test_differentiate_below_zero_vanishes():
     assert np.array_equal(z.coeffs, [0.0])
 
 
+def test_differentiate_starts_at_lowest_nonzero_term():
+    # 2z^3 + z^4 stored from z: f' = 6z^2 + 4z^3; f^(0) is the series as given
+    f = PowerSeries(1, [0.0, 0.0, 2.0, 1.0])
+    assert differentiate(f, 1) == PowerSeries(2, [6.0, 4.0])
+    assert differentiate(f, 0) == f
+    assert differentiate(PowerSeries(0, [5.0, 0.0, 0.0]), 1) == PowerSeries(1, [0.0])  # a zero keeps its last term
+
+
 def test_differentiate_overflow_raises_non_finite_value():
     # f' = 1 + 2e308 z overflows in a coefficient; 171! overflows in the factorial row
     with pytest.raises(NonFiniteValue, match=r"coefficient of f\^\(1\)"):
