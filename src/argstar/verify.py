@@ -249,10 +249,10 @@ def _dominant(coeffs: np.ndarray, r: float) -> np.ndarray:
 
 def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex]:
     """Smallest-modulus root other than z = 0 of sum coeffs[j] z^j in
-    |z| <= r_max, or None: leading zero coefficients are dropped, so a monomial
-    has none. A leading coefficient so small that the companion row overflows is
-    dropped if |c_d| r^d <= _DOMINANCE_RTOL * sum |c_j| r^j, a finite sum; else
-    NonFiniteValue."""
+    |z| <= r_max, or None: the power of z of the lowest nonzero term is divided
+    out, so a monomial has none. A leading coefficient so small that the
+    companion row overflows is dropped if |c_d| r^d <= _DOMINANCE_RTOL * sum
+    |c_j| r^j, a finite sum; else NonFiniteValue."""
     nonzero = np.flatnonzero(coeffs)
     if nonzero.size == 0:
         return 0j  # the zero polynomial vanishes everywhere
