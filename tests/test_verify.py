@@ -1006,18 +1006,22 @@ def test_scan_matches_per_draw_checks(monkeypatch, tid, params, n_radial, budget
 @pytest.mark.parametrize("tid", ["L2", "L3", "C2"])
 def test_batch_reports_match_check_theorem(tid):
     # row 1 is f = z^3 + 0.01 z^5, whose f^(4) = 1.2 z starts with a zero where
-    # a sampled draw's f^(4) does not; L2 and C2 read the rows f^(0) as well
+    # a sampled draw's f^(4) does not; L2 and C2 read the rows f^(0) as well.
+    # The last row, z^4 + 0.01 z^5 stored from z^3, starts every row with a zero,
+    # f^(0) included: f''' vanishes at the origin (C2), z f^(k)/f^(k-1) does not
     grid = DiskGrid(n_radial=1, n_angular=64)
     sampled = verify._sample_block([np.random.SeedSequence((80, k)) for k in range(3)], p=3, bound=0.9, N=16)
-    block = series.SeriesBlock(3, np.insert(sampled.raw, 1, [1.0, 0.0, 0.01] + [0.0] * 13, axis=0))
+    raw = np.insert(sampled.raw, 1, [1.0, 0.0, 0.01] + [0.0] * 13, axis=0)
+    block = series.SeriesBlock(3, np.vstack([raw, [0.0, 1.0, 0.01] + [0.0] * 13]))
     fs = [PowerSeries(3, row) for row in block.raw]
     assert fs[1] == make_series(3, [0.0, 0.01] + [0.0] * 13)
-    assert fs[::2] + fs[3:] == [
+    assert [fs[0], *fs[2:-1]] == [
         sample_hypothesis_function(np.random.SeedSequence((80, k)), p=3, bound=0.9, N=16) for k in range(3)
     ]
     plan = verify._build_plan(tid, 3, None, None, None, None)
     reports = verify._reports(plan, verify._Evaluation(block, plan.orders, grid, grid.ring))
     assert reports[1].hypothesis_satisfied
+    assert reports[-1].hypothesis_satisfied == (tid != "C2")
     assert reports == [check_theorem(tid, f, grid) for f in fs]
 
 
