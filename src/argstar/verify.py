@@ -14,10 +14,11 @@ whose argument is taken, and every denominator of a real-part ratio, is first
 certified zero-free on the closed disk: a root makes sup|arg| exactly pi with
 the root as witness, and a root of a real-part denominator is a pole
 (ZeroOnGrid). Each check differentiates f once per derivative order it needs
-and evaluates all of them in one Horner pass over the ring; a scan samples a
-batch of draws as one coefficient block and does the same for the whole block
-in one pass, and heatmap_values takes the same quantities at every point of
-the grid.
+and evaluates all of them in one call of the ring kernel, _ring_values: on n
+uniform angles the samples of a polynomial are the inverse DFT of c_j r^j. A
+scan samples a batch of draws as one coefficient block and does the same for
+the whole block in one call, and heatmap_values takes the same quantities at
+every point of the grid, each radius one ring.
 
 Ratios such as z f'(z)/f(z) are always evaluated with the z-power divided out
 of numerator and denominator separately (f^(k)(z)/z^max(p-k,0) is a
@@ -217,20 +218,41 @@ class ScanReport:
 
 # ------------------------------------------------------------ grid evaluation
 
-def _horner_many(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Each polynomial along the last axis of coeffs (ascending powers) at every z.
+# A transform input row whose largest component exceeds 2**_FFT_HEADROOM is
+# scaled down by a power of two first: its butterfly sums could overflow where
+# the values are finite.
+_FFT_HEADROOM = 960
 
-    The result has shape coeffs.shape[:-1] + zs.shape; every element goes
-    through the same operations as a one-polynomial Horner loop.
+
+def _ring_values(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
+    """Each polynomial along the last axis of coeffs (ascending powers) at the
+    n points r exp(2 pi i k/n), k = 0..n-1, of every radius r in radii, shape
+    coeffs.shape[:-1] + (radii.size, n).
+
+    On such a ring z^j = r^j w^(jk) with w = exp(2 pi i/n), and w^(jk) only
+    depends on j mod n, so the samples are the unnormalized inverse DFT of
+    c_j r^j with the powers folded onto n bins. A row rounds as it does
+    alone, whatever else is in the batch. A one-coefficient row is its
+    coefficient exactly, signed zeros included.
     """
-    lead = coeffs.shape[:-1]
-    c = coeffs.reshape(lead + (1,) * zs.ndim + coeffs.shape[-1:])
-    acc = np.empty(lead + zs.shape, dtype=np.complex128)
-    acc[...] = c[..., -1]
-    for j in range(coeffs.shape[-1] - 2, -1, -1):
-        acc *= zs
-        acc += c[..., j]
-    return acc
+    N = coeffs.shape[-1]
+    shape = coeffs.shape[:-1] + (radii.size, n)
+    if N == 1:
+        return np.broadcast_to(coeffs[..., None, :], shape).copy()
+    terms = coeffs[..., None, :] * radii[:, None] ** np.arange(N)
+    top = np.abs(terms.view(np.float64)).max(axis=-1)
+    big = (top > 2.0**_FFT_HEADROOM) & (top < np.inf)
+    if big.any():
+        shift = np.frexp(top[big])[1] - _FFT_HEADROOM  # each such row exactly below the headroom
+        terms.view(np.float64)[big] *= np.ldexp(1.0, -shift)[:, None]
+    if N > n:
+        folded = np.zeros(terms.shape[:-1] + (-(-N // n) * n,), dtype=np.complex128)
+        folded[..., :N] = terms
+        terms = folded.reshape(shape[:-1] + (-1, n)).sum(axis=-2)
+    values = np.fft.ifft(terms, n=n, axis=-1, norm="forward")
+    if big.any():
+        values.view(np.float64)[big] *= np.ldexp(1.0, shift)[:, None]
+    return values
 
 
 # ------------------------------------------------ certificate and evaluation
@@ -325,9 +347,10 @@ def _raise_first(draw: int, *errors: dict) -> None:
 class _Evaluation:
     """The derivatives f^(k) of the given orders of a batch of draws, each
     evaluated once at the sample points (grid.ring for the checks, grid.points
-    for heatmap and the lemma1 probe) in one Horner pass, and the quantities
-    taken from them for the whole batch at once. The draws are one
-    PowerSeries or the rows of one SeriesBlock; see series.derivative_block.
+    for heatmap and the lemma1 probe, each row of it one ring) in one
+    _ring_values call, and the quantities taken from them for the whole batch
+    at once. The draws are one PowerSeries or the rows of one SeriesBlock; see
+    series.derivative_block.
 
     Each f^(k) is kept divided by its leading falling factorial and starts
     at z**max(p - k, 0), p = f.order_p, leading zeros included (see
@@ -348,7 +371,8 @@ class _Evaluation:
         with np.errstate(over="ignore", invalid="ignore"):
             self.coeffs = derivative_block(f, orders)
             self.size = size = self.coeffs.shape[0]
-            rows = _horner_many(self.coeffs.reshape(size * len(orders), -1), points)
+            radii = grid.radii if points.ndim == 2 else grid.radii[-1:]  # grid.points, else grid.ring
+            rows = _ring_values(self.coeffs.reshape(size * len(orders), -1), radii, grid.n_angular)
         self.rows = rows.reshape((size, len(orders)) + points.shape)
         finite = np.isfinite(rows.reshape(size, -1))
         self.errors = {}
@@ -364,12 +388,19 @@ class _Evaluation:
 
     @cached_property
     def dominant(self) -> np.ndarray:
-        """Per draw and row: no root on |z| <= r_max by a dominant constant term."""
-        return _dominant(self.coeffs, self.grid.r_max)
+        """Per draw and row: no root on |z| <= r_max other than z = 0, by a
+        dominant constant term of the row, or else of the row after its zeros."""
+        r = self.grid.r_max
+        dominant = _dominant(self.coeffs, r)
+        retest = ~dominant & (self.zeros > 0)
+        for zeros in np.unique(self.zeros[retest]).tolist():
+            rows = retest & (self.zeros == zeros)
+            dominant[rows] = _dominant(self.coeffs[rows][:, zeros:], r)
+        return dominant
 
     @cached_property
     def doubtful(self) -> list:
-        """(draw, row) of every row without a dominant constant term."""
+        """(draw, row) of every row that dominant leaves in doubt."""
         draws, rows = (~self.dominant).nonzero()
         return list(zip(draws.tolist(), rows.tolist()))
 
@@ -771,8 +802,9 @@ def _horner(cs: list, z: complex) -> complex:
 
 
 def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, float]:
-    """(theta*, sup) of |arg q| on the circle of radius r: coarse scan + golden refine."""
-    vals = _horner_many(coeffs, r * np.exp(1j * angles))
+    """(theta*, sup) of |arg q| on the circle of radius r: coarse scan at the
+    n uniform angles of a grid (2 pi k/n) + golden refine."""
+    vals = _ring_values(coeffs, np.array([r]), angles.size)[0]
     args = np.angle(vals)
     absarg = np.abs(args)
     # conjugate-symmetric q gives +/- mirror maxima equal up to rounding; take
@@ -921,7 +953,7 @@ def counterexample_scan(
 
     The bounds and implicit constants are solved once, then applied to every
     draw. The draws are evaluated in batches of at most _BATCH_VALUES ring
-    values, each batch in one Horner pass, with the reports (and the first
+    values, each batch in one _ring_values call, with the reports (and the first
     error) that check_theorem gives on each draw in turn. Draws that fail the
     hypothesis on the grid are discarded and redrawn (only L3 can produce them;
     the other samplers guarantee the hypothesis), capped at 10x the requested

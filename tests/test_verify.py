@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -24,9 +25,9 @@ from argstar import (
     sample_hypothesis_function,
     sup_arg,
 )
-from argstar import series, verify
+from argstar import cli, series, verify
 from argstar.series import principal_arg
-from argstar.verify import _THETA_TOL, SLACK, ConclusionCheck, _golden_max, _horner_many
+from argstar.verify import _THETA_TOL, SLACK, ConclusionCheck, _golden_max, _ring_values
 
 # Independently computed: with q = 1 + z the max of |arg q| on |z| = r is
 # asin(r), first reaching asin(0.6) at r0 = 0.6, where z0 q'(z0)/q(z0) is
@@ -94,6 +95,90 @@ def test_angular_doubling_is_nested():
     coarse, fine = DiskGrid(n_angular=64), DiskGrid(n_angular=128)
     assert coarse.radii.tobytes() == fine.radii.tobytes()
     assert coarse.angles.tobytes() == fine.angles[::2].tobytes()
+
+
+# ---------------------------------------------------------------- ring kernel
+
+EPS = np.finfo(float).eps
+EPS_LD = float(np.finfo(np.longdouble).eps)  # EPS where long double is double
+
+
+def _ring_reference(coeffs: np.ndarray, r: float, n: int) -> np.ndarray:
+    """Horner's rule in long double at r exp(2 pi i k/n), the angles taken in long double."""
+    theta = 8 * np.arctan(np.longdouble(1)) * np.arange(n).astype(np.longdouble) / n
+    z = np.longdouble(r) * (np.cos(theta) + 1j * np.sin(theta)).astype(np.clongdouble)
+    acc = np.full(n, np.clongdouble(coeffs[-1]))
+    for c in coeffs[-2::-1]:
+        acc = acc * z + np.clongdouble(c)
+    return acc
+
+
+def _ring_bound(coeffs: np.ndarray, r: float) -> float:
+    """8 eps sum|c_j| r^j for the kernel, plus the reference's own Horner and
+    angle rounding (5 N long-double eps)."""
+    return (8 * EPS + 5 * coeffs.size * EPS_LD) * float(np.abs(coeffs) @ (r ** np.arange(coeffs.size)))
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 512])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2])  # N < n, N = n and N > n (folded)
+def test_ring_values_match_horner_within_rounding(n, extra):
+    rng = np.random.default_rng(1000 * n + extra)
+    N = max(n + extra, 2) if extra < 2 else 3 * n + 5
+    coeffs = (rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N))) / np.arange(1, N + 1)
+    coeffs[2] = coeffs[2].real  # a real row
+    radii = np.array([0.995, 0.5, 0.01])
+    got = _ring_values(coeffs, radii, n)
+    assert got.shape == (3, 3, n)
+    for b in range(3):
+        for i, r in enumerate(radii):
+            err = np.abs(got[b, i].astype(np.clongdouble) - _ring_reference(coeffs[b], r, n)).max()
+            assert err <= _ring_bound(coeffs[b], r), (b, r)
+
+
+def test_ring_values_constant_rows_are_exact():
+    coeffs = np.array([[complex(1.0, -0.0)], [complex(-0.0, 0.0)], [-2.5 + 1e-300j]])
+    got = _ring_values(coeffs, np.array([0.9, 0.1]), 5)
+    assert _bits(got) == _bits(np.broadcast_to(coeffs[:, None, :], (3, 2, 5)))
+    assert np.angle(got[0]).tolist() == [[-0.0] * 5] * 2 and np.signbit(np.angle(got[0])).all()
+
+
+def test_ring_values_flag_only_true_overflow():
+    # every value of this row is finite, but its unscaled transform overflows
+    coeffs = np.array([1.8613731354141504e307 - 3.9960794789262974e307j,
+                       -1.2960001139415074e308 + 6.622631824434946e307j])
+    r, n = 0.995, 8
+    with np.errstate(over="ignore", invalid="ignore"):
+        unscaled = np.fft.ifft(coeffs * r ** np.arange(2), n=n, norm="forward")
+    assert not np.isfinite(unscaled).all()
+    got = _ring_values(coeffs, np.array([r]), n)[0]
+    assert np.isfinite(got).all()
+    small = coeffs / 2.0**64  # the same error, scaled exactly below the overflow of the bound
+    err = np.abs((got / 2.0**64).astype(np.clongdouble) - _ring_reference(small, r, n)).max()
+    assert err <= _ring_bound(small, r)
+    # so the checks take its argument instead of reporting an overflow
+    sup_arg(PowerSeries(0, coeffs), 0, DiskGrid(r_max=r, n_radial=1, n_angular=n))
+    # 1e308 (1 + z) overflows at z = r and nowhere else on the two-point ring;
+    # the warning is the caller's to silence, as the checks do
+    with np.errstate(over="ignore"):
+        got = _ring_values(np.array([1e308, 1e308 + 0j]), np.array([r]), 2)[0]
+    assert not np.isfinite(got[0]) and np.isfinite(got[1])
+
+
+@pytest.mark.parametrize("n,N", [(64, 16), (47, 16), (512, 16), (64, 100)])
+def test_ring_values_batch_rows_match_single_rows_bitwise(n, N):
+    rng = np.random.default_rng(n + N)
+    block = rng.normal(size=(33, N)) + 1j * rng.normal(size=(33, N))
+    block[4] *= 1e306  # a row the kernel scales for its transform
+    radii = np.array([0.995, 0.3])
+    alone = [_ring_values(block[b:b + 1], radii, n)[0] for b in range(33)]
+    for size in (1, 3, 5, 7, 17, 33):
+        batch = _ring_values(block[:size], radii, n)
+        for b in range(size):
+            assert _bits(batch[b]) == _bits(alone[b]), (size, b)
 
 
 # -------------------------------------------------------------------- sup/min
@@ -195,8 +280,12 @@ def test_sup_arg_without_dominant_constant_term():
     # lie at |z| = 1.054, so the ring maximum is the maximum over the grid
     f = PowerSeries(0, np.array([1.0, 0.9, 0.9]))
     g = DiskGrid(n_radial=16, n_angular=64)
-    full = np.abs(np.angle(np.polynomial.polynomial.polyval(g.points, f.coeffs)))
+    full = np.abs(verify.heatmap_values(f, "arg-fp", g))
     assert sup_arg(f, 0, g).sup_abs_arg == full.max()
+    # and that maximum is polyval's within the kernel's rounding over min|f| on the grid
+    values = np.polynomial.polynomial.polyval(g.points, f.coeffs)
+    tol = (8 + 2 * f.coeffs.size) * EPS * np.abs(f.coeffs).sum() / np.abs(values).min()
+    assert abs(full.max() - np.abs(np.angle(values)).max()) <= tol
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -524,6 +613,29 @@ def test_rows_with_leading_zeros_match_polynomial_reference(tid, p, s):
     assert all(c.margin > 0.1 for c in rep.conclusions)
 
 
+def test_rows_dominant_after_their_zeros_need_no_companion_roots(monkeypatch):
+    # f^(3)/3! = 0.8z + 0.1z^2 starts with a zero, so its constant term does
+    # not dominate, but the row after that zero does: no eigvals call, and
+    # the report the companion roots give, byte for byte
+    f = make_series(2, [0.0, 0.2, 0.01])
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    got = check_theorem("T5", f, delta=0.5, s=4)
+    assert calls == []
+    with monkeypatch.context() as m:
+        m.setattr(verify._Evaluation, "dominant", property(lambda ev: verify._dominant(ev.coeffs, ev.grid.r_max)))
+        want = check_theorem("T5", f, delta=0.5, s=4)
+    assert calls == [(1, 1)]
+    assert json.dumps(cli._payload(got)) == json.dumps(cli._payload(want))
+    assert got.verdict == "PASS"
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_heatmap_values_match_full_grid(p):
     def arg_diff(a, b):
@@ -566,20 +678,20 @@ def test_heatmap_arg_jst_monomial_is_zero():
 
 def test_t4_check_runs_kernel_once(monkeypatch):
     calls = []
-    kernel = verify._horner_many
+    kernel = verify._ring_values
 
-    def counted(coeffs, zs):
-        calls.append((coeffs.shape, zs.shape))
-        return kernel(coeffs, zs)
+    def counted(coeffs, radii, n):
+        calls.append((coeffs.shape, radii.shape, n))
+        return kernel(coeffs, radii, n)
 
-    monkeypatch.setattr(verify, "_horner_many", counted)
+    monkeypatch.setattr(verify, "_ring_values", counted)
     grid = DiskGrid(n_radial=16, n_angular=64)
     f = sample_hypothesis_function(5, p=5, bound=1.5, N=16)
     rep = check_theorem("T4", f, grid, alpha0=1.0)
     assert rep.verdict == "PASS"
     assert len(rep.conclusions) == 6  # s = 1..5 and the starlike ratio
     # f^(0) .. f^(5), each once, on the 64 ring points
-    assert calls == [((6, 16), (64,))]
+    assert calls == [((6, 16), (1,), 64)]
 
 
 def test_conclusion_slack_window():
@@ -683,9 +795,10 @@ def test_probe_is_deterministic():
     assert (a.r0, a.z0, a.ratio, a.k_est) == (b.r0, b.z0, b.ratio, b.k_est)
 
 
-# Reference: the golden refine on the numpy coefficient array, converting one
-# numpy scalar per coefficient. verify._ring_sup runs it on coeffs.tolist()
-# and must give the same floats.
+# Reference: a Horner coarse scan, and the golden refine on the numpy
+# coefficient array, converting one numpy scalar per coefficient.
+# verify._ring_sup scans with its ring kernel and refines on coeffs.tolist();
+# it must give the same floats.
 
 def _head_horner(coeffs: np.ndarray, z: complex) -> complex:
     acc = complex(coeffs[-1])
@@ -694,9 +807,17 @@ def _head_horner(coeffs: np.ndarray, z: complex) -> complex:
     return acc
 
 
+def _head_horner_many(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    acc = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
+    for j in range(coeffs.size - 2, -1, -1):
+        acc *= zs
+        acc += coeffs[j]
+    return acc
+
+
 def _head_ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, float]:
     """(theta*, sup) of |arg q| on the circle of radius r: coarse scan + golden refine."""
-    vals = _horner_many(coeffs, r * np.exp(1j * angles))
+    vals = _head_horner_many(coeffs, r * np.exp(1j * angles))
     args = np.angle(vals)
     absarg = np.abs(args)
     # conjugate-symmetric q gives +/- mirror maxima equal up to rounding; take
@@ -1055,18 +1176,18 @@ def test_scan_raises_first_failing_draw(monkeypatch, first):
 
 def test_scan_runs_kernel_once(monkeypatch):
     calls = []
-    kernel = verify._horner_many
+    kernel = verify._ring_values
 
-    def counted(coeffs, zs):
-        calls.append((coeffs.shape, zs.shape))
-        return kernel(coeffs, zs)
+    def counted(coeffs, radii, n):
+        calls.append((coeffs.shape, radii.shape, n))
+        return kernel(coeffs, radii, n)
 
-    monkeypatch.setattr(verify, "_horner_many", counted)
+    monkeypatch.setattr(verify, "_ring_values", counted)
     grid = DiskGrid(n_radial=1, n_angular=64)
     rep = counterexample_scan("T4", trials=200, seed=501, p=5, alpha0=1.0, N=16, grid=grid)
     assert rep.attempts == len(rep.verdicts) == 200
     # f^(0) .. f^(5) of all 200 draws in one call on the 64 ring points
-    assert calls == [((1200, 16), (64,))]
+    assert calls == [((1200, 16), (1,), 64)]
 
 
 def test_scan_rejects_bad_args():
