@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import re
+import shutil
 import sys
 from pathlib import Path
 from typing import Optional
@@ -428,6 +429,20 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads the terminal width once, on first use.
+    argparse builds a formatter, which reads the width, for every
+    add_argument; only help and error output use it. Sub-parsers are of the
+    same class."""
+
+    _width: Optional[int] = None
+
+    def _get_formatter(self):
+        if self._width is None:
+            self._width = shutil.get_terminal_size().columns - 2  # HelpFormatter's own default
+        return self.formatter_class(prog=self.prog, width=self._width)
+
+
 def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """The argstar parser with every subcommand, or with just `only`.
 
@@ -435,7 +450,7 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     one: the metavar spells out every choice. The full tree keeps argparse's
     own metavar, whose error messages name the argument `subcommand`.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="argstar",
         description="Numerical checks of argument-bound starlikeness conditions on the unit disk.",
     )

@@ -4,10 +4,14 @@ Every equation solved here is strictly increasing in the unknown with a sign
 change on a bracket provable from endpoint values, so plain bisection is used
 throughout: deterministic, derivative-free, and the returned root is always
 the final bracket midpoint so printed-digit comparisons are reproducible.
+
+The constants and chains are solved once per process: solve_gamma0,
+solve_delta_max and alpha_sequence cache their (immutable) results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -69,6 +73,7 @@ def bisect_increasing(g: Callable[[float], float], lo: float, hi: float) -> floa
     raise NoConvergence(lo, hi, MAX_ITER)
 
 
+@functools.lru_cache
 def solve_gamma0() -> tuple[float, float]:
     """Unique positive root of 2g + (2/pi)atan(g) = 1, with the composite bound.
 
@@ -79,6 +84,7 @@ def solve_gamma0() -> tuple[float, float]:
     return root, root + (2 / math.pi) * math.atan(root)
 
 
+@functools.lru_cache
 def solve_delta_max() -> tuple[float, float]:
     """Unique positive root of 2d + (2/pi)atan(d) = 2, with d + (2/pi)atan(d) at the root."""
     root = bisect_increasing(lambda d: 2 * d + (2 / math.pi) * math.atan(d) - 2.0, 0.0, 2.0)
@@ -99,6 +105,8 @@ def alpha_residual(k: int, alpha_k: float, alpha_prev: float) -> float:
     return abs(alpha_k + (2 / math.pi) * math.atan(alpha_k / k) - alpha_prev)
 
 
+# typed: alpha_sequence(1, n) keeps its int alpha0, as when it was solved each call
+@functools.lru_cache(maxsize=256, typed=True)
 def alpha_sequence(alpha0: float, n: int) -> AlphaSequence:
     """Chain alpha_next n times from alpha0 in (0, 3/2]."""
     if not 0 < alpha0 <= 1.5:

@@ -333,8 +333,8 @@ class _Taken(NamedTuple):
     """One functional for each draw of an evaluation: the entries of a draw in
     `errors` (the ZeroOnGrid, NonFiniteValue or LinAlgError it raises) are meaningless."""
 
-    value: list  # float per draw
-    witness: list  # complex per draw
+    value: np.ndarray  # float per draw
+    witness: np.ndarray  # complex per draw
     errors: dict  # draw -> exception
 
 
@@ -358,7 +358,9 @@ class _Evaluation:
     one shift for every draw. take multiplies the leads back where they change a
     value, and counts each row's zeros at z = 0 where it certifies.
 
-    A failure belongs to its draw: `errors` maps a draw to the NonFiniteValue
+    take gives each functional as arrays over the batch, one value and one
+    witness per draw, and _verdicts turns them into the batch's verdicts. A
+    failure belongs to its draw: `errors` maps a draw to the NonFiniteValue
     of its evaluation, values/take return the exceptions of each draw they
     reach, and the caller raises them in its own order.
     """
@@ -478,7 +480,7 @@ class _Evaluation:
                     f"is not finite at z = {complex(points[j])} (float64 overflow)"))
                 reduced[b] = 0.0  # keeps the rest of the batch free of inf and NaN
         idx = reduced.argmax(axis=1) if sup else reduced.argmin(axis=1)
-        value, witness = reduced[np.arange(self.size), idx].tolist(), points[idx].tolist()
+        value, witness = reduced[np.arange(self.size), idx], points[idx]
 
         # the smallest root or pole in the closed disk that the functional must not have
         num, shift = self._term(q.num)
@@ -514,7 +516,7 @@ def _take_one(s: PowerSeries, kind: str, divisor_power: int, grid: DiskGrid):
     ev = _Evaluation(s, (0,), grid, grid.ring)
     taken = ev.take(_plain(kind, 0, divisor_power, kind))
     _raise_first(0, ev.errors, taken.errors)
-    return taken.value[0], taken.witness[0]
+    return float(taken.value[0]), complex(taken.witness[0])
 
 
 def sup_arg(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> SupArgResult:
@@ -730,42 +732,65 @@ def check_theorem(
             raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
         if _coefficient_of(f, s) == 0:
             raise ParamOutOfRange(f"coefficient of z^{s} must be nonzero")
-    return _reports(plan, _Evaluation(f, plan.orders, grid, grid.ring))[0]
+    v = _verdicts(plan, _Evaluation(f, plan.orders, grid, grid.ring))
+    hyp_ok = bool(v.hyp_ok[0])
+    row = zip(plan.conclusions, v.value[0].tolist(), v.witness[0].tolist())
+    conclusions = tuple(
+        ConclusionCheck(label, q.kind, value, c_bound, witness) for (label, q, c_bound), value, witness in row
+    ) if hyp_ok else ()
+    return VerificationReport(
+        theorem_id=plan.theorem_id,
+        params=plan.params,
+        hypothesis_sup=float(v.hyp_value[0]),
+        hypothesis_bound=plan.hypothesis_bound,
+        hypothesis_satisfied=hyp_ok,
+        conclusions=conclusions,
+        verdict=VERDICT_HYP if not hyp_ok else VERDICT_PASS if v.passed[0] else VERDICT_FAIL,
+        witnesses=(complex(v.hyp_witness[0]), *(c.witness for c in conclusions)),
+        notes=plan.notes,
+    )
 
 
-def _reports(plan: _Plan, ev: _Evaluation) -> list[VerificationReport]:
-    """The report of each draw of the evaluation, in draw order.
+class _Verdicts(NamedTuple):
+    """The verdict of every draw of an evaluation, over B draws and the C
+    conclusions of the plan in order. A row's conclusion entries are
+    meaningless where its hypothesis fails."""
+
+    hyp_value: np.ndarray  # (B,)
+    hyp_witness: np.ndarray  # (B,)
+    hyp_ok: np.ndarray  # (B,)
+    value: np.ndarray  # (B, C)
+    witness: np.ndarray  # (B, C)
+    margin: np.ndarray  # (B, C), as ConclusionCheck.margin
+    passed: np.ndarray  # (B,): the hypothesis holds and every margin is >= -SLACK
+
+
+def _verdicts(plan: _Plan, ev: _Evaluation) -> _Verdicts:
+    """The verdicts of every draw of the evaluation, as arrays.
 
     The first draw that fails raises, as if the draws were checked one at a
     time: within a draw its evaluation fails first, then its hypothesis, then
     each conclusion in order, and the conclusions only when the hypothesis holds.
     """
     hyp = ev.take(plan.hypothesis)
-    hyp_values, bound = np.array(hyp.value), plan.hypothesis_bound
-    hyp_ok = (hyp_values > bound if plan.hypothesis.kind == "min_real" else hyp_values < bound).tolist()
-    taken = [ev.take(q) for _, q, _ in plan.conclusions] if any(hyp_ok) else []
-    reports = []
-    for b in range(ev.size):
-        _raise_first(b, ev.errors, hyp.errors)
-        conclusions = []
-        verdict = VERDICT_HYP
-        if hyp_ok[b]:
-            for (label, q, c_bound), c in zip(plan.conclusions, taken):
-                _raise_first(b, c.errors)
-                conclusions.append(ConclusionCheck(label, q.kind, c.value[b], c_bound, c.witness[b]))
-            verdict = VERDICT_PASS if all(c.ok for c in conclusions) else VERDICT_FAIL
-        reports.append(VerificationReport(
-            theorem_id=plan.theorem_id,
-            params=plan.params,
-            hypothesis_sup=hyp.value[b],
-            hypothesis_bound=bound,
-            hypothesis_satisfied=hyp_ok[b],
-            conclusions=tuple(conclusions),
-            verdict=verdict,
-            witnesses=(hyp.witness[b], *(c.witness for c in conclusions)),
-            notes=plan.notes,
-        ))
-    return reports
+    bound = plan.hypothesis_bound
+    hyp_ok = hyp.value > bound if plan.hypothesis.kind == "min_real" else hyp.value < bound
+    shape = (ev.size, len(plan.conclusions))
+    value, witness = np.zeros(shape), np.zeros(shape, dtype=np.complex128)
+    errors = []
+    if hyp_ok.any():
+        for j, (_, q, _) in enumerate(plan.conclusions):
+            taken = ev.take(q)
+            value[:, j], witness[:, j] = taken.value, taken.witness
+            errors.append({b: exc for b, exc in taken.errors.items() if hyp_ok[b]})
+    failed = ev.errors.keys() | hyp.errors.keys() | {b for found in errors for b in found}
+    if failed:
+        _raise_first(min(failed), ev.errors, hyp.errors, *errors)
+    bounds = np.array([c_bound for _, _, c_bound in plan.conclusions])
+    sup = np.array([q.kind == "sup_arg" for _, q, _ in plan.conclusions], dtype=bool)
+    margin = np.where(sup, bounds - value, value - bounds)
+    passed = hyp_ok & (margin >= -SLACK).all(axis=1)
+    return _Verdicts(hyp.value, hyp.witness, hyp_ok, value, witness, margin, passed)
 
 
 # ------------------------------------------------------------- boundary probe
@@ -953,8 +978,10 @@ def counterexample_scan(
 
     The bounds and implicit constants are solved once, then applied to every
     draw. The draws are evaluated in batches of at most _BATCH_VALUES ring
-    values, each batch in one _ring_values call, with the reports (and the first
-    error) that check_theorem gives on each draw in turn. Draws that fail the
+    values, each batch in one _ring_values call. The verdicts and margins of
+    a batch are arrays (see _verdicts), with the verdicts, margins and first
+    error that check_theorem gives on each draw in turn; no report object is
+    built per draw, and only the worst draw becomes a PowerSeries. Draws that fail the
     hypothesis on the grid are discarded and redrawn (only L3 can produce them;
     the other samplers guarantee the hypothesis), capped at 10x the requested
     trials; a scan that reaches the cap raises DrawsExhausted. FAIL counts are
@@ -987,17 +1014,19 @@ def counterexample_scan(
         size = min(trials - len(verdicts), 10 * trials - attempts, batch)
         seeds = [np.random.SeedSequence((seed, attempts + b)) for b in range(size)]
         draws = _sample_block(seeds, order, bound, N, s_gap)
-        for row, report in zip(draws.raw, _reports(plan, _Evaluation(draws, plan.orders, grid, grid.ring))):
-            attempt = attempts
-            attempts += 1
-            if report.verdict == VERDICT_HYP:
-                counts[VERDICT_HYP] += 1
-                continue
-            counts[report.verdict] += 1
-            verdicts.append(report.verdict)
-            for c in report.conclusions:
-                if c.margin < worst[0]:
-                    worst = (c.margin, c.label, attempt, row)
+        v = _verdicts(plan, _Evaluation(draws, plan.orders, grid, grid.ring))
+        held = v.passed[v.hyp_ok].tolist()
+        verdicts.extend(VERDICT_PASS if ok else VERDICT_FAIL for ok in held)
+        counts[VERDICT_PASS] += sum(held)
+        counts[VERDICT_FAIL] += len(held) - sum(held)
+        counts[VERDICT_HYP] += size - len(held)
+        # the first smallest margin in (attempt, conclusion) order; a NaN one is never the worst
+        margin = np.where(v.hyp_ok[:, None] & ~np.isnan(v.margin), v.margin, np.inf)
+        if margin.size:
+            b, j = divmod(int(margin.argmin()), margin.shape[1])
+            if margin[b, j] < worst[0]:
+                worst = (float(margin[b, j]), plan.conclusions[j][0], attempts + b, draws.raw[b])
+        attempts += size
     if len(verdicts) < trials:
         raise DrawsExhausted(
             f"only {len(verdicts)} of {trials} draws satisfied the {theorem_id} "

@@ -668,6 +668,40 @@ def test_payload_matches_the_hand_written_builders():
             assert cli._render(cli._payload(rep), fmt) == cli._render(_reference_payload(rep), fmt), rep
 
 
+def _assert_native(obj, where):
+    """Every value the report holds is a Python str, int, float, bool, complex
+    or None, down through tuples, dicts and the worst function's spec."""
+    if isinstance(obj, PowerSeries):
+        obj = series_to_spec(obj)
+    if dataclasses.is_dataclass(obj):
+        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    elif type(obj) is dict:
+        items = list(obj.items())
+        for key in obj:
+            _assert_native(key, f"{where} key")
+    elif type(obj) in (tuple, list):
+        items = list(enumerate(obj))
+    else:
+        assert type(obj) in (str, int, float, bool, complex, type(None)), f"{where} is {type(obj).__name__}"
+        return
+    for key, value in items:
+        _assert_native(value, f"{where}.{key}")
+
+
+def test_reports_hold_python_natives():
+    reports = [r for r in _serializer_corpus() if isinstance(r, (ScanReport, VerificationReport))]
+    assert {r.theorem_id for r in reports if isinstance(r, ScanReport)} == {tid for tid, _ in THEOREM_CASES}
+    satisfied = set()
+    for rep in reports:
+        _assert_native(rep, type(rep).__name__)
+        text = cli._render(cli._envelope(["test"], rep), "csv")
+        assert "np." not in text
+        for key, cell in (line.split(",", 1) for line in text.splitlines()[1:]):
+            if key == "result.hypothesis_satisfied":
+                satisfied.add(cell)
+    assert satisfied == {"true", "false"}
+
+
 @dataclasses.dataclass(frozen=True)
 class _Inner:
     point: complex
@@ -968,6 +1002,32 @@ def test_run_matches_full_parser(template, columns, corpus_files, monkeypatch, c
         m.setattr(cli, "_build_parser", lambda only=None: _full_parser())
         want = outcome()
     assert got == want
+
+
+def test_run_reads_the_terminal_width_once_per_parser(monkeypatch, capsys, mono2):
+    reads = []
+    size = cli.shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        reads.append(args)
+        return size(*args, **kwargs)
+
+    parsers = []
+    init = cli._Parser.__init__
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.shutil, "get_terminal_size", counted)
+    monkeypatch.setattr(cli._Parser, "__init__", recorded)
+    assert run(["verify", "--theorem", "t1", "--alpha1", "0.5", "--function", mono2]) == 0
+    assert len(parsers) == 2  # argstar and its verify sub-parser
+    assert len(reads) <= len(parsers)
+    reads.clear()
+    assert run(["verify", "--theorem"]) == 2  # usage error: the message is formatted
+    assert "expected one argument" in capsys.readouterr().err
+    assert len(reads) <= len(parsers) - 2
 
 
 def test_run_builds_only_the_invoked_subcommand(monkeypatch, capsys):

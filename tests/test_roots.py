@@ -117,6 +117,15 @@ def test_alpha_sequence_values(alpha0, expected):
     assert all(r <= 1e-11 for r in seq.residuals)
 
 
+def test_alpha_sequence_solved_once():
+    first = alpha_sequence(1.0, 5)
+    again = alpha_sequence(1.0, 5)
+    assert again is first
+    assert again.values == first.values and again.residuals == first.residuals
+    assert solve_gamma0() is solve_gamma0()
+    assert solve_delta_max() is solve_delta_max()
+
+
 def test_alpha_sequence_empty_chain():
     seq = alpha_sequence(1.5, 0)
     assert seq.values == (1.5,)

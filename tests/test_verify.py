@@ -703,6 +703,23 @@ def test_conclusion_slack_window():
     assert low.ok and not worse.ok
 
 
+@pytest.mark.parametrize("excess,verdict", [(SLACK / 2, "PASS"), (2 * SLACK, "FAIL")])
+def test_verdict_slack_window(monkeypatch, excess, verdict):
+    # z^3 under C1: |arg(f''/z)| = 0 and Re(f/z^3) = 1 exactly, and bounds
+    # moved past them by `excess` leave margins of about -excess
+    real = verify._build_plan
+
+    def moved(*args):
+        plan = real(*args)
+        (first, q0, _), *middle, (last, q3, _) = plan.conclusions
+        return dataclasses.replace(plan, conclusions=((first, q0, -excess), *middle, (last, q3, 1.0 + excess)))
+
+    monkeypatch.setattr(verify, "_build_plan", moved)
+    rep = check_theorem("C1", make_series(3, []), DiskGrid(n_radial=1, n_angular=64))
+    assert [c.margin < 0 for c in rep.conclusions] == [True, False, False, True]
+    assert rep.verdict == verdict
+
+
 # ------------------------------------------------------------- boundary probe
 
 def test_probe_one_plus_z_boundary_relation():
@@ -1124,6 +1141,45 @@ def test_scan_matches_per_draw_checks(monkeypatch, tid, params, n_radial, budget
     assert rep.worst_function == worst[3]
 
 
+def test_scan_counts_fail_verdicts_as_per_draw_checks(monkeypatch):
+    # C1 p=3 with the sup_arg bound moved to 0.05 and the last Re bound to
+    # 0.98, inside the sampled values: 5 of the first 10 draws fail, and the
+    # scan must count, order and pick the worst of them as per-draw checks do
+    real = verify._build_plan
+
+    def moved(*args):
+        plan = real(*args)
+        bounds = (0.05, 0.0, 0.0, 0.98)
+        return dataclasses.replace(plan, conclusions=tuple(
+            (label, q, bound) for (label, q, _), bound in zip(plan.conclusions, bounds, strict=True)
+        ))
+
+    monkeypatch.setattr(verify, "_build_plan", moved)
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    rep = counterexample_scan("C1", trials=10, seed=904, p=3, grid=grid, N=16)
+    attempts, counts, verdicts, worst = _scan_by_checks("C1", 10, 904, grid, p=3)
+    assert counts["FAIL"] == 5
+    assert (rep.attempts, rep.counts, rep.verdicts) == (attempts, counts, verdicts)
+    assert (rep.worst_margin, rep.worst_label, rep.worst_attempt) == worst[:3]
+    assert rep.worst_margin < 0
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["one-batch", "one-draw"])
+def test_scan_worst_tie_goes_to_the_first_attempt(monkeypatch, budget):
+    # every attempt draws the same function, so every draw ties for the worst margin
+    if budget is not None:
+        monkeypatch.setattr(verify, "_BATCH_VALUES", budget)
+    real = verify._sample_block
+
+    def same(seeds, *args, **kwargs):
+        return real([np.random.SeedSequence((5, 0))] * len(seeds), *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_sample_block", same)
+    rep = counterexample_scan("C1", trials=6, seed=1, p=3, grid=DiskGrid(n_radial=1, n_angular=64))
+    assert rep.counts["PASS"] == 6
+    assert rep.worst_attempt == 0
+
+
 @pytest.mark.parametrize("tid", ["L2", "L3", "C2"])
 def test_batch_reports_match_check_theorem(tid):
     # row 1 is f = z^3 + 0.01 z^5, whose f^(4) = 1.2 z starts with a zero where
@@ -1140,10 +1196,19 @@ def test_batch_reports_match_check_theorem(tid):
         sample_hypothesis_function(np.random.SeedSequence((80, k)), p=3, bound=0.9, N=16) for k in range(3)
     ]
     plan = verify._build_plan(tid, 3, None, None, None, None)
-    reports = verify._reports(plan, verify._Evaluation(block, plan.orders, grid, grid.ring))
-    assert reports[1].hypothesis_satisfied
-    assert reports[-1].hypothesis_satisfied == (tid != "C2")
-    assert reports == [check_theorem(tid, f, grid) for f in fs]
+    v = verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid, grid.ring))
+    assert v.hyp_ok[1]
+    assert v.hyp_ok[-1] == (tid != "C2")
+    for b, f in enumerate(fs):  # every batch row is check_theorem on its draw, bit for bit
+        rep = check_theorem(tid, f, grid)
+        assert (v.hyp_value[b], v.hyp_witness[b], v.hyp_ok[b]) == (
+            rep.hypothesis_sup, rep.witnesses[0], rep.hypothesis_satisfied
+        )
+        assert v.passed[b] == (rep.verdict == "PASS")
+        if rep.hypothesis_satisfied:
+            assert list(zip(v.value[b].tolist(), v.witness[b].tolist(), v.margin[b].tolist())) == [
+                (c.value, c.witness, c.margin) for c in rep.conclusions
+            ]
 
 
 @pytest.mark.parametrize("first", ["pole", "overflow"])
@@ -1172,6 +1237,24 @@ def test_scan_raises_first_failing_draw(monkeypatch, first):
     with pytest.raises(type(alone.value)) as scanned:
         counterexample_scan("L2", trials=10, seed=3, p=2, grid=grid)
     assert str(scanned.value) == str(alone.value)
+
+
+def test_scan_builds_no_report_objects(monkeypatch):
+    built = []
+    for name in ("VerificationReport", "ConclusionCheck"):
+        cls = getattr(verify, name)
+
+        def counted(*args, _cls=cls, **kwargs):
+            built.append(_cls.__name__)
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    rep = counterexample_scan("C1", trials=50, seed=1, p=3, grid=grid)
+    assert rep.counts["PASS"] == 50
+    assert built == []
+    check_theorem("C1", rep.worst_function, grid)  # the one report of a check, with its 4 conclusions
+    assert built == ["ConclusionCheck"] * 4 + ["VerificationReport"]
 
 
 def test_scan_runs_kernel_once(monkeypatch):
