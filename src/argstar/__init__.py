@@ -16,6 +16,7 @@ from .roots import (
     alpha_next,
     alpha_sequence,
     bisect_increasing,
+    itp_increasing,
     harmonic_lower_bound,
     log_majorant_product,
     majorant_closed_form,
@@ -26,6 +27,7 @@ from .roots import (
 )
 from .verify import (
     ConclusionCheck,
+    CrossingUnresolved,
     DiskGrid,
     DrawsExhausted,
     Lemma1Report,

@@ -38,6 +38,7 @@ from .roots import (
 from .series import ArgOfZero, PowerSeries
 from .verify import (
     HEATMAP_QUANTITIES,
+    CrossingUnresolved,
     DiskGrid,
     DrawsExhausted,
     NonFiniteValue,
@@ -482,7 +483,8 @@ def run(argv) -> int:
     except FunctionFileError as e:
         print(f"argstar: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (ZeroOnGrid, NonFiniteValue, NoConvergence, ArgOfZero, BracketInvalid, np.linalg.LinAlgError) as e:
+    except (ZeroOnGrid, NonFiniteValue, NoConvergence, ArgOfZero, BracketInvalid, CrossingUnresolved,
+            np.linalg.LinAlgError) as e:
         print(f"argstar: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except DrawsExhausted as e:

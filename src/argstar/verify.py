@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .roots import alpha_sequence, bisect_increasing, sigma_index, solve_gamma0
+from .roots import alpha_sequence, itp_increasing, sigma_index, solve_gamma0
 from .series import (
     NonFiniteValue,
     PowerSeries,
@@ -87,6 +87,11 @@ class NotAttained(RuntimeError):
             f"max|arg q| = {best_sup!r} stays below the level {level!r} "
             f"(gamma = {gamma!r}) on the whole grid"
         )
+
+
+class CrossingUnresolved(ArithmeticError):
+    """The lemma1 crossing bracket is wider than its lower end: the crossing
+    radius lies within about ABS_TOL of 0, so r0 has no correct digit."""
 
 
 class DrawsExhausted(RuntimeError):
@@ -795,26 +800,60 @@ def _verdicts(plan: _Plan, ev: _Evaluation) -> _Verdicts:
 
 # ------------------------------------------------------------- boundary probe
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_THETA_TOL = 1e-10  # width of the golden-section bracket around the maximizing angle
+_THETA_TOL = 1e-10  # width of Brent's final bracket around the maximizing angle
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step of Brent's method
 
 
-def _golden_max(fun, a: float, b: float, tol: float) -> float:
-    h = b - a
-    c, d = b - _INVPHI * h, a + _INVPHI * h
-    fc, fd = fun(c), fun(d)
-    while h > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = fun(c)
+def _brent_max(fun, a: float, b: float, x: float, fx: float) -> tuple[float, float]:
+    """(x*, fun(x*)): Brent's parabolic maximization of fun on [a, b], started
+    at the interior point x with fx = fun(x) (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5). x* is the best point
+    evaluated, so fun(x*) >= fx."""
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    tol1 = _THETA_TOL / 4.0  # the smallest step; the loop stops once b - a <= 4 tol1
+    tol2 = 2.0 * tol1
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            # vertex of the parabola through (v, fv), (w, fw), (x, fx)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, m - x)
+        if not parabolic:
+            e = (b if x < m else a) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fun(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = fun(d)
-    return 0.5 * (a + b)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _horner(cs: list, z: complex) -> complex:
@@ -828,13 +867,15 @@ def _horner(cs: list, z: complex) -> complex:
 
 def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, float]:
     """(theta*, sup) of |arg q| on the circle of radius r: coarse scan at the
-    n uniform angles of a grid (2 pi k/n) + golden refine."""
+    n uniform angles of a grid (2 pi k/n), then Brent's refine from the coarse argmax."""
     vals = _ring_values(coeffs, np.array([r]), angles.size)[0]
     args = np.angle(vals)
     absarg = np.abs(args)
     # conjugate-symmetric q gives +/- mirror maxima equal up to rounding; take
-    # the positive-argument representative so the reported point is canonical
-    near = np.flatnonzero(absarg >= absarg.max() - 1e-9)
+    # the positive-argument representative so the reported point is canonical.
+    # The tie is relative: on a small ring every sample lies within any fixed
+    # distance of the maximum.
+    near = np.flatnonzero(absarg >= absarg.max() * (1.0 - 1e-9))
     positive = near[args[near] > 0]
     j = int(positive[0]) if positive.size else int(near[0])
     step = 2.0 * math.pi / angles.size
@@ -843,8 +884,8 @@ def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, 
     def g(theta: float) -> float:
         return abs(principal_arg(_horner(cs, r * cmath.exp(1j * theta))))
 
-    theta = _golden_max(g, angles[j] - step, angles[j] + step, _THETA_TOL)
-    return theta, g(theta)
+    theta = float(angles[j])
+    return _brent_max(g, theta - step, theta + step, theta, g(theta))
 
 
 def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) -> Lemma1Report:
@@ -853,14 +894,20 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
 
     arg q is harmonic where q has no zero, so by the maximum principle max|arg q|
     on |z| = r never decreases in r: the outer ring decides whether the level
-    is reached, and the crossing radius is bisected on [0, r_max]. q must then
-    be zero-free on |z| <= r0, certified as for the checks' denominators; a
-    zero there raises ZeroOnGrid.
+    is reached, and the crossing radius is bracketed on [0, r_max] by an ITP
+    solve (roots.itp_increasing) to 1e-12; r0 is the bracket's midpoint. A
+    bracket wider than its lower end raises CrossingUnresolved. q must be
+    zero-free inside the crossing radius, certified as for the checks'
+    denominators on |z| <= hi, the bracket's upper end, since the midpoint can
+    fall short of a zero that lifts the ring sup to the level; a zero there
+    raises ZeroOnGrid. Each ring's maximizing angle is refined by Brent's
+    method from the coarse argmax.
 
     At the first touching point the logarithmic derivative is purely imaginary
     with Im = (2k/pi) arg q(z0) for some k >= (a + 1/a)/2 >= 1, where
     a = |q(z0)|^(1/gamma); the report carries k_est, a_est, and the residual
     real part (imag_purity) so those inequalities can be asserted numerically.
+    An a_est or k_est that is not finite raises NonFiniteValue.
     """
     if not 0 < gamma < math.inf:
         raise ParamOutOfRange("gamma must be finite and > 0")
@@ -875,13 +922,20 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
     if top < level:
         raise NotAttained(gamma, level, top, complex(r_max * cmath.exp(1j * theta)))
 
-    # a ring that touches the level reaches it, so a zero excess counts as positive
-    r0 = bisect_increasing(lambda r: _ring_sup(coeffs, r, angles)[1] - level or math.inf, 0.0, r_max)
-    # the lemma needs q zero-free on |z| <= r0: a zero there can be what pushed arg q to the level
-    if not _dominant(coeffs, r0):
-        root = _smallest_root_in_disk(coeffs, r0)
+    # g(0) = -level because q(0) = 1; a ring that touches the level reaches it
+    lo, hi = itp_increasing(lambda r: _ring_sup(coeffs, r, angles)[1] - level, 0.0, r_max, -level, top - level)
+    if hi - lo >= lo:
+        raise CrossingUnresolved(
+            f"lemma1 probe: the crossing radius lies in ({lo!r}, {hi!r}], a bracket wider than "
+            f"its lower end, so r0 is not resolved (gamma = {gamma!r})"
+        )
+    r0 = 0.5 * (lo + hi)
+    # the lemma needs q zero-free inside the crossing radius: a zero there can be
+    # what pushed arg q to the level, so certify up to hi, the smallest radius seen to reach it
+    if not _dominant(coeffs, hi):
+        root = _smallest_root_in_disk(coeffs, hi)
         if root is not None:
-            raise ZeroOnGrid(root, None, "lemma1 probe", f"q has a root in |z| <= r0 = {r0!r}")
+            raise ZeroOnGrid(root, None, "lemma1 probe", f"q has a root in |z| <= r0 = {hi!r}")
     theta0, _ = _ring_sup(coeffs, r0, angles)
 
     z0 = r0 * cmath.exp(1j * theta0)
@@ -889,14 +943,22 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
     qprime = differentiate(q, 1)
     ratio = z0 * _horner(qprime.coeffs.tolist(), z0) * z0**qprime.order_p / qz
     arg_q = principal_arg(qz)
+    try:
+        a_est = abs(qz) ** (1.0 / gamma)
+    except OverflowError:
+        a_est = math.inf
+    k_est = (math.pi / 2.0) * abs(ratio.imag) / abs(arg_q) if arg_q else math.inf
+    for name, value in (("a_est", a_est), ("k_est", k_est)):
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"lemma1 probe: {name} is not finite at z0 = {z0} for gamma = {gamma!r}")
     return Lemma1Report(
         gamma=gamma,
         level=level,
         r0=r0,
         z0=z0,
         ratio=ratio,
-        k_est=(math.pi / 2.0) * abs(ratio.imag) / abs(arg_q),
-        a_est=abs(qz) ** (1.0 / gamma),
+        k_est=k_est,
+        a_est=a_est,
         imag_purity=abs(ratio.real),
     )
 

@@ -382,7 +382,7 @@ def test_exit_4_companion_overflow(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "argstar: numeric failure: q has a root in |z| <= r0 = 0.5000000000062552 "
+        "argstar: numeric failure: q has a root in |z| <= r0 = 0.5000000000002751 "
         "at z = (-0.5+0j) in lemma1 probe\n"
     )
     # the weights |c_j| r^j are each finite, but their sum overflows
@@ -408,6 +408,28 @@ def test_exit_2_lemma1_nonfinite_gamma(probe, gamma, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "argstar: gamma must be finite and > 0\n"
+
+
+@pytest.mark.parametrize("coefficients", [[[1.0, 0.0]], [[0.3, 0.4], [0.1, -0.2]]])
+@pytest.mark.parametrize("gamma", ["1e-17", "1e-100", "1e-200", "1e-310", "5e-324"])
+def test_exit_4_lemma1_tiny_gamma(tmp_path, coefficients, gamma, capsys):
+    # the level is reached within 1e-12 of z = 0, below the solve's tolerance:
+    # one numeric-failure line, no traceback, no report with Infinity in it
+    q = write_spec(tmp_path, "q.json", {"p": 0, "coefficients": coefficients})
+    assert run(["lemma1", "--function", q, "--gamma", gamma]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("argstar: numeric failure: lemma1 probe: the crossing radius lies in (0.0, ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("coefficients", [[[1.0, 0.0]], [[0.3, 0.4], [0.1, -0.2]]])
+def test_lemma1_small_gamma_reports(tmp_path, coefficients, capsys):
+    q = write_spec(tmp_path, "q.json", {"p": 0, "coefficients": coefficients})
+    assert run(["lemma1", "--function", q, "--gamma", "1e-5"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert all(math.isfinite(res[k]) for k in ("r0", "k_est", "a_est"))
+    assert res["k_est"] >= (res["a_est"] + 1.0 / res["a_est"]) / 2.0 - 1e-9
 
 
 def test_exit_4_not_attained_emits_partial(probe, capsys):

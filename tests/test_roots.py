@@ -12,6 +12,7 @@ from argstar import (
     alpha_sequence,
     bisect_increasing,
     harmonic_lower_bound,
+    itp_increasing,
     log_majorant_product,
     majorant_closed_form,
     majorant_sequence,
@@ -19,6 +20,7 @@ from argstar import (
     solve_delta_max,
     solve_gamma0,
 )
+from argstar.roots import ABS_TOL
 
 # Reference values solved independently with bracket tolerance 1e-15.
 GAMMA0 = 0.38344860277069026
@@ -69,6 +71,66 @@ def test_bisect_no_convergence_reports_bracket():
     assert exc.value.iterations == 200
     assert lo < math.sqrt(2) < hi
     assert hi - lo == pytest.approx(1e100 * 2.0 ** -200)
+
+
+def _itp(g, lo, hi):
+    """(bracket, evaluations) of itp_increasing, given the two known ends."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return g(t)
+
+    return itp_increasing(counted, lo, hi, g(lo), g(hi)), len(calls)
+
+
+def _step(t):
+    return -1.0 if t < 0.5 else 1.0
+
+
+@pytest.mark.parametrize("g,lo,hi,root", [
+    (lambda t: t - 1.0 / 3.0, 0.0, 1.0, 1.0 / 3.0),
+    (lambda t: t * t - 2.0, 1.0, 2.0, math.sqrt(2.0)),
+    (_step, 0.0, 1.0, 0.5),
+])
+def test_itp_brackets_root_within_one_step_of_bisection(g, lo, hi, root):
+    (a, b), evals = _itp(g, lo, hi)
+    assert b - a <= ABS_TOL
+    assert a <= root <= b
+    assert g(a) < 0.0 <= g(b)
+    assert evals <= math.ceil(math.log2((hi - lo) / ABS_TOL)) + 1
+
+
+def test_itp_converges_fast_on_smooth_functions():
+    # interpolation pays off on the smooth cases, against 40 halvings
+    assert _itp(lambda t: t - 1.0 / 3.0, 0.0, 1.0)[1] <= 12
+    assert _itp(lambda t: t * t - 2.0, 1.0, 2.0)[1] <= 12
+
+
+def test_itp_zero_counts_as_positive():
+    # g is 0 on [0.5, 1]: the bracket closes on the first point that reaches 0
+    (a, b), _ = _itp(lambda t: min(t - 0.5, 0.0), 0.0, 1.0)
+    assert a < 0.5 <= b and b - a <= ABS_TOL
+    # a zero at the upper end is a valid bracket end
+    (a, b), _ = _itp(lambda t: t - 1.0, 0.0, 1.0)
+    assert b == 1.0 and b - a <= ABS_TOL
+
+
+def test_itp_bad_bracket():
+    with pytest.raises(BracketInvalid):
+        itp_increasing(lambda t: t, 1.0, 2.0, 1.0, 2.0)
+    with pytest.raises(BracketInvalid):
+        itp_increasing(lambda t: t, 1.0, -1.0, 1.0, -1.0)
+    with pytest.raises(BracketInvalid):
+        itp_increasing(lambda t: t, 0.0, 1.0, 0.0, 1.0)  # g(lo) = 0 is not below the root
+
+
+def test_itp_no_convergence_reports_bracket():
+    with pytest.raises(NoConvergence) as exc:
+        itp_increasing(lambda t: t * t - 2.0, 1.0, 1e100, -1.0, 1e200)
+    lo, hi = exc.value.bracket
+    assert exc.value.iterations == 200
+    assert lo < math.sqrt(2) < hi
 
 
 def test_gamma0():

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argstar import (
+    CrossingUnresolved,
     DiskGrid,
+    NonFiniteValue,
     NotAttained,
     ParamOutOfRange,
     PowerSeries,
@@ -27,7 +29,8 @@ from argstar import (
 )
 from argstar import cli, series, verify
 from argstar.series import principal_arg
-from argstar.verify import _THETA_TOL, SLACK, ConclusionCheck, _golden_max, _ring_values
+from argstar.roots import ABS_TOL
+from argstar.verify import SLACK, ConclusionCheck, _brent_max, _ring_values
 
 # Independently computed: with q = 1 + z the max of |arg q| on |z| = r is
 # asin(r), first reaching asin(0.6) at r0 = 0.6, where z0 q'(z0)/q(z0) is
@@ -772,19 +775,26 @@ def test_probe_rejects_bad_inputs():
         lemma1_probe(make_series(1, [1.0]), 0.5)  # vanishes at 0
 
 
-def test_probe_work_is_one_bisection(monkeypatch):
-    # the outer ring, both bracket ends, the halvings of [0, r_max] down to
-    # 1e-12, and the ring at r0; the parent scan of every grid radius took 94
-    radii = []
-    ring_sup = verify._ring_sup
+def test_probe_work_is_one_itp_solve(monkeypatch):
+    # the outer ring, the ITP steps on [0, r_max] down to 1e-12 (the ends are
+    # known: g(0) = -level, g(r_max) from the outer ring), and the ring at r0;
+    # bisection took 44 rings here and 1,938 Horner evaluations
+    radii, horners = [], []
+    ring_sup, horner = verify._ring_sup, verify._horner
 
     def counted(coeffs, r, angles):
         radii.append(r)
         return ring_sup(coeffs, r, angles)
 
+    def counted_horner(cs, z):
+        horners.append(z)
+        return horner(cs, z)
+
     monkeypatch.setattr(verify, "_ring_sup", counted)
+    monkeypatch.setattr(verify, "_horner", counted_horner)
     lemma1_probe(PowerSeries(0, np.array([1.0, 1.0])), 2.0 * math.asin(0.6) / math.pi)
-    assert len(radii) <= 45
+    assert len(radii) <= 12
+    assert len(horners) <= 250
 
     radii.clear()
     with pytest.raises(NotAttained) as exc:
@@ -792,6 +802,33 @@ def test_probe_work_is_one_bisection(monkeypatch):
     r_max = DiskGrid().r_max
     assert radii == [r_max]  # the outer ring alone decides that the level is missed
     assert abs(abs(exc.value.best_point) - r_max) <= 1e-15
+
+
+def test_probe_step_takes_at_most_one_ring_beyond_bisection(monkeypatch):
+    # q = 1 + 2z: the ring sup jumps to pi as the zero at -1/2 enters the disk,
+    # a step that interpolation cannot shortcut; ITP with n0 = 1 then takes at
+    # most one step more than the 40 halvings of [0, r_max] to 1e-12
+    radii, brackets = [], []
+    ring_sup, itp = verify._ring_sup, verify.itp_increasing
+
+    def counted(coeffs, r, angles):
+        radii.append(r)
+        return ring_sup(coeffs, r, angles)
+
+    def spy(*args):
+        brackets.append(itp(*args))
+        return brackets[-1]
+
+    monkeypatch.setattr(verify, "_ring_sup", counted)
+    monkeypatch.setattr(verify, "itp_increasing", spy)
+    with pytest.raises(ZeroOnGrid, match="q has a root"):
+        lemma1_probe(PowerSeries(0, np.array([1.0, 2.0])), 1.5)
+    halvings = math.ceil(math.log2(DiskGrid().r_max / ABS_TOL))
+    assert len(radii) <= 1 + halvings + 1
+    # the bracket's midpoint falls short of the zero, so the certificate has
+    # to reach the upper end, the smallest radius seen to reach the level
+    (lo, hi), = brackets
+    assert lo < 0.5 <= hi and 0.5 * (lo + hi) < 0.5
 
 
 def test_probe_level_touched_on_outer_ring():
@@ -812,7 +849,62 @@ def test_probe_is_deterministic():
     assert (a.r0, a.z0, a.ratio, a.k_est) == (b.r0, b.z0, b.ratio, b.k_est)
 
 
-# Reference: a Horner coarse scan, and the golden refine on the numpy
+@pytest.mark.parametrize("gamma", [1e-5, 1e-8, 1e-12])
+def test_probe_small_level_on_small_ring(gamma):
+    # every sample of a small ring lies within 1e-9 of its maximum, so an
+    # absolute tie rule took the first positive-argument angle, not the
+    # maximizing one; for q = 1 + z the crossing radius is sin(level)
+    rep = lemma1_probe(PowerSeries(0, np.array([1.0, 1.0])), gamma)
+    assert rep.r0 == pytest.approx(math.sin(rep.level), rel=1e-6)
+    assert rep.k_est == pytest.approx(math.pi / 2.0, rel=1e-6)
+    assert rep.imag_purity <= 1e-6 * abs(rep.ratio)
+
+
+def test_probe_unresolved_crossing_radius():
+    # the level pi/2 * 1e-17 is reached at r = 1.6e-17, far below the solve's
+    # 1e-12 tolerance: the bracket never leaves 0 and r0 has no correct digit
+    with pytest.raises(CrossingUnresolved, match=r"lies in \(0\.0, "):
+        lemma1_probe(PowerSeries(0, np.array([1.0, 1.0])), 1e-17)
+
+
+@pytest.mark.parametrize("gamma,field", [(1e-4, "a_est"), (0.5, "k_est")])
+def test_probe_nonfinite_estimates_raise(monkeypatch, gamma, field):
+    # rings whose sup grows linearly to the level at r = 0.9 on the positive
+    # axis, where q = 1 + 0.9z is 1.81 with arg 0: 1.81^(1/gamma) overflows
+    # for gamma = 1e-4, and k_est divides by arg q(z0) = 0
+    level = math.pi * gamma / 2.0
+    monkeypatch.setattr(verify, "_ring_sup", lambda coeffs, r, angles: (0.0, level * r / 0.9))
+    with pytest.raises(NonFiniteValue, match=rf"^lemma1 probe: {field} is not finite"):
+        lemma1_probe(PowerSeries(0, np.array([1.0, 0.9])), gamma)
+
+
+def _bimodal(t: float) -> float:
+    return math.exp(-((t - 0.3) / 0.05) ** 2) + 0.8 * math.exp(-((t + 0.3) / 0.05) ** 2)
+
+
+@pytest.mark.parametrize("start", [-0.3, -0.2, 0.0, 0.3, 0.55, 0.9])
+def test_brent_max_never_below_its_start(start):
+    # two peaks on [-1, 1]; from the lower peak, a valley or a flank the
+    # result may be either peak but never worse than the start
+    calls = []
+
+    def fun(t):
+        calls.append(t)
+        return _bimodal(t)
+
+    theta, top = _brent_max(fun, -1.0, 1.0, start, _bimodal(start))
+    assert top >= _bimodal(start)
+    assert top == _bimodal(theta)
+    assert all(-1.0 <= t <= 1.0 for t in calls)
+
+
+def test_brent_max_converges_on_a_smooth_peak():
+    theta, top = _brent_max(_bimodal, 0.2, 0.4, 0.31, _bimodal(0.31))
+    assert abs(theta - 0.3) <= 1e-8
+    assert top == pytest.approx(1.0, abs=1e-15)
+
+
+# Reference: a Horner coarse scan, and Brent's refine on the numpy
 # coefficient array, converting one numpy scalar per coefficient.
 # verify._ring_sup scans with its ring kernel and refines on coeffs.tolist();
 # it must give the same floats.
@@ -833,13 +925,13 @@ def _head_horner_many(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
 
 
 def _head_ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, float]:
-    """(theta*, sup) of |arg q| on the circle of radius r: coarse scan + golden refine."""
+    """(theta*, sup) of |arg q| on the circle of radius r: coarse scan + Brent's refine."""
     vals = _head_horner_many(coeffs, r * np.exp(1j * angles))
     args = np.angle(vals)
     absarg = np.abs(args)
     # conjugate-symmetric q gives +/- mirror maxima equal up to rounding; take
     # the positive-argument representative so the reported point is canonical
-    near = np.flatnonzero(absarg >= absarg.max() - 1e-9)
+    near = np.flatnonzero(absarg >= absarg.max() * (1.0 - 1e-9))
     positive = near[args[near] > 0]
     j = int(positive[0]) if positive.size else int(near[0])
     step = 2.0 * math.pi / angles.size
@@ -847,8 +939,8 @@ def _head_ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[fl
     def g(theta: float) -> float:
         return abs(principal_arg(_head_horner(coeffs, r * cmath.exp(1j * theta))))
 
-    theta = _golden_max(g, angles[j] - step, angles[j] + step, _THETA_TOL)
-    return theta, g(theta)
+    theta = float(angles[j])
+    return _brent_max(g, theta - step, theta + step, theta, g(theta))
 
 
 def _random_q(rng, complex_coeffs: bool) -> PowerSeries:
