@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -158,7 +158,6 @@ DEFAULT_GRID = DiskGrid()
 class SupArgResult:
     sup_abs_arg: float
     witness: complex
-    samples_used: int  # ring points
 
 
 @dataclass(frozen=True)
@@ -530,7 +529,7 @@ def sup_arg(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -
     A zero in the closed disk gives exactly pi with the zero as witness.
     """
     value, witness = _take_one(s, "sup_arg", divisor_power, grid)
-    return SupArgResult(sup_abs_arg=value, witness=witness, samples_used=grid.n_angular)
+    return SupArgResult(sup_abs_arg=value, witness=witness)
 
 
 def min_real(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> tuple[float, complex]:
@@ -965,13 +964,123 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
 
 # ------------------------------------------------------------------- sampling
 
-def _sample_block(seeds, p: int, bound: float, N: int = 16, s_gap: Optional[int] = None) -> SeriesBlock:
-    """One draw of sample_hypothesis_function per seed, as the rows of a block.
+# SeedSequence's hash (numpy.random.SeedSequence, after O'Neill's
+# seed_seq_fe): 32-bit words, a pool of four, and hash constants that step the
+# same way whatever the data, so one pass can hash a whole batch of draws.
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L = 0xCA01_F9DD
+_MIX_NEG_R = (1 << 32) - 0x4973_F715  # mix subtracts MIX_MULT_R y: add this times y instead
 
-    Each draw takes its 2N-1 uniforms, u, the weights and the phases, from its
-    own default_rng(seed); everything after that is one array operation over
-    the block, and rounds as it does for a draw alone.
+
+def _words32(n: int) -> list[int]:
+    """The little-endian 32-bit words of n >= 0 as SeedSequence takes them, [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_keys(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) pairs of n hashes in turn: the hash constant
+    before and after each step multiplies it by mult mod 2**32."""
+    keys, const = [], init
+    for _ in range(n):
+        keys.append((const, const := const * mult & _MASK32))
+    return keys
+
+
+@lru_cache(maxsize=None)
+def _mix_steps(n_words: int) -> tuple[tuple[int, int, int, int], ...]:
+    """SeedSequence's mix_entropy after its first four hashes, for n_words >= 4
+    words of entropy, as (src, dst, xor, mul) steps over the pool followed by
+    the entropy past it: the hash of each pool word is mixed into every other
+    one, then that of each word past the pool into all of them."""
+    pairs = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst]
+    pairs += [(src, dst) for src in range(_POOL_SIZE, n_words) for dst in range(_POOL_SIZE)]
+    keys = _hash_keys(_INIT_A, _MULT_A, _POOL_SIZE + len(pairs))[_POOL_SIZE:]
+    return tuple(pair + key for pair, key in zip(pairs, keys))
+
+
+_POOL_KEYS = _hash_keys(_INIT_A, _MULT_A, _POOL_SIZE)  # the first hash of each pool word
+_STATE_KEYS = _hash_keys(_INIT_B, _MULT_B, 2 * _POOL_SIZE)  # generate_state(4, uint64): eight 32-bit words
+
+
+def _seed_states(seed: int, first: int, size: int) -> np.ndarray:
+    """SeedSequence((seed, first + b)).generate_state(4, np.uint64) for b < size, shape (size, 4).
+
+    Every value is a Python int with one 64-bit lane per draw, draw b in bits
+    64b..64b+63, and its 32-bit word in the low half of the lane: a product of
+    two words stays in its lane, so each step of numpy's hash (value ^ xor) *
+    mul mod 2**32, then value ^ value >> 16, is a few operations over the batch.
+    A batch is hashed in one pass as long as its attempts share all but their
+    lowest 32-bit word, and split where an attempt crosses a multiple of 2**32.
     """
+    n = min(size, (1 << 32) - (first & _MASK32))
+    if n < size:
+        return np.concatenate([_seed_states(seed, first, n), _seed_states(seed, first + n, size - n)])
+    ones = int.from_bytes(b"\x01\0\0\0\0\0\0\0" * size, "little")
+    mask, low16 = ones * _MASK32, ones * 0xFFFF
+    ramp = int.from_bytes(np.arange(size, dtype="<u8").tobytes(), "little")
+    attempt = _words32(first)
+    entropy = [w * ones for w in _words32(seed)] + [attempt[0] * ones + ramp] + [w * ones for w in attempt[1:]]
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    words = []  # the pool, then the entropy past it
+    for word, (xor, mul) in zip(entropy, _POOL_KEYS):
+        value = (word ^ xor * ones) * mul & mask
+        words.append(value ^ (value >> 16 & low16))
+    words += entropy[_POOL_SIZE:]
+    for src, dst, xor, mul in _mix_steps(len(words)):
+        value = (words[src] ^ xor * ones) * mul & mask
+        value ^= value >> 16 & low16
+        mixed = (_MIX_MULT_L * words[dst] & mask) + _MIX_NEG_R * value & mask  # stays in the lane
+        words[dst] = mixed ^ (mixed >> 16 & low16)
+    state = []  # cycling through the pool
+    for i, (xor, mul) in enumerate(_STATE_KEYS):
+        value = (words[i % _POOL_SIZE] ^ xor * ones) * mul & mask
+        state.append(value ^ (value >> 16 & low16))
+    lanes = b"".join((lo | hi << 32).to_bytes(8 * size, "little") for lo, hi in zip(state[::2], state[1::2]))
+    return np.ascontiguousarray(np.frombuffer(lanes, dtype="<u8").reshape(4, size).T, dtype=np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _state_words() -> type:
+    """The class of a PCG64 seed that hands it four given words in place of
+    SeedSequence.generate_state(4, uint64): an ISeedSequence, made on first
+    use because numpy imports numpy.random only when it is first used."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def _scan_uniforms(seed: int, first: int, size: int, count: int) -> np.ndarray:
+    """The uniforms of attempts first..first+size-1 of a scan, shape (size, count):
+    row b is default_rng(SeedSequence((seed, first + b))).random(count), bit for bit.
+
+    The SeedSequence hash of the whole batch is one pass (_seed_states); each
+    draw's PCG64 gets its four state words, and Generator.random's
+    (raw >> 11) * 2**-53 turns the raw 64-bit outputs of all draws into
+    doubles at once.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    raw, state_words = np.empty((size, count), dtype=np.uint64), _state_words()
+    for b, words in enumerate(_seed_states(int(seed), first, size)):
+        raw[b] = np.random.PCG64(state_words(words)).random_raw(count)
+    return (raw >> 11) * 2.0**-53
+
+
+def _sampler_order(p: int, bound: float, N: int, s_gap: Optional[int]) -> int:
+    """Check the sampler's arguments; the order of its draws, s_gap if given, else p."""
     if not 0.0 < bound < math.pi / 2.0:
         raise ValueError("bound must lie in (0, pi/2)")
     if N < 2:
@@ -981,16 +1090,25 @@ def _sample_block(seeds, p: int, bound: float, N: int = 16, s_gap: Optional[int]
         raise ValueError("s_gap must be >= 2")
     if s_gap is None and order < 1:
         raise ValueError("p must be >= 1")
+    return order
 
-    uniforms = np.empty((len(seeds), 2 * N - 1))
-    for b, seed in enumerate(seeds):
-        np.random.default_rng(seed).random(out=uniforms[b])
+
+def _sample_block(uniforms: np.ndarray, order: int, bound: float) -> SeriesBlock:
+    """One draw of sample_hypothesis_function per row of uniforms, as the rows
+    of a block of series of the given order; arguments as checked by _sampler_order.
+
+    Row b holds its draw's 2N-1 uniforms, u, the N-1 weights and the N-1
+    phases: default_rng(seed).random(2N-1) for sample_hypothesis_function,
+    one row of _scan_uniforms for each attempt of a scan batch. The rest is
+    one array operation over the block, and rounds as it does for a draw alone.
+    """
+    N = (uniforms.shape[1] + 1) // 2
     # uniform(low, high) is low + (high - low) * random(), so these are bit-identical
     u, weights, phases = uniforms[:, 0], uniforms[:, 1:N], 2.0 * math.pi * uniforms[:, N:]
     total = math.sin(bound) * u
     wsum = weights.sum(axis=1)[:, None]
     moduli = np.divide(total[:, None] * weights, wsum, out=np.zeros_like(weights), where=wsum > 0)
-    raw = np.empty((len(seeds), N), dtype=np.complex128)
+    raw = np.empty((len(uniforms), N), dtype=np.complex128)
     raw[:, 0] = 1.0
     # f^(order) = order! h: the coefficient of z^(order+j) of f is h_j / C(order+j, j)
     raw[:, 1:] = moduli / falling_factorials(order, N, order, normalized=True)[1:] * np.exp(1j * phases)
@@ -1008,9 +1126,11 @@ def sample_hypothesis_function(
     p! h, i.e. f^(p) = p! h with f in the normalized class (leading
     coefficient exactly 1): f's coefficient of z^(p+j) is c_j / C(p+j, j).
     With s_gap = s the same construction starts at z^s, so the coefficient
-    of z^(s-1) is 0 and that of z^s is 1.
+    of z^(s-1) is 0 and that of z^s is 1. The 2N-1 uniforms come from
+    default_rng(seed), any seed numpy takes.
     """
-    block = _sample_block([seed], p, bound, N, s_gap)
+    order = _sampler_order(p, bound, N, s_gap)
+    block = _sample_block(np.random.default_rng(seed).random((1, 2 * N - 1)), order, bound)
     return PowerSeries(block.order_p, block.raw[0])
 
 
@@ -1039,8 +1159,11 @@ def counterexample_scan(
     """Check the implication on `trials` sampled hypothesis-satisfying functions.
 
     The bounds and implicit constants are solved once, then applied to every
-    draw. The draws are evaluated in batches of at most _BATCH_VALUES ring
-    values, each batch in one _ring_values call. The verdicts and margins of
+    draw. Attempt a draws f as sample_hypothesis_function does from
+    SeedSequence((seed, a)), and seed must be an integer >= 0: a batch takes
+    the uniforms of all its draws from one _scan_uniforms call. The draws are
+    evaluated in batches of at most _BATCH_VALUES ring values, each batch in
+    one _ring_values call. The verdicts and margins of
     a batch are arrays (see _verdicts), with the verdicts, margins and first
     error that check_theorem gives on each draw in turn; no report object is
     built per draw, and only the worst draw becomes a PowerSeries. Draws that fail the
@@ -1064,6 +1187,7 @@ def counterexample_scan(
         order, s_gap = p, None
     plan = _build_plan(theorem_id, order, alpha1, alpha0, delta, s)
     bound = _RE_SAMPLER_BOUND.get(theorem_id, min(plan.hypothesis_bound, _SAMPLER_CAP))
+    order = _sampler_order(order, bound, N, s_gap)
     given = (("alpha1", alpha1), ("alpha0", alpha0), ("delta", delta), ("s", s))
 
     counts = {VERDICT_PASS: 0, VERDICT_FAIL: 0, VERDICT_HYP: 0}
@@ -1074,8 +1198,7 @@ def counterexample_scan(
     while len(verdicts) < trials and attempts < 10 * trials:
         # every draw of a batch is needed: each one adds at most one verdict
         size = min(trials - len(verdicts), 10 * trials - attempts, batch)
-        seeds = [np.random.SeedSequence((seed, attempts + b)) for b in range(size)]
-        draws = _sample_block(seeds, order, bound, N, s_gap)
+        draws = _sample_block(_scan_uniforms(seed, attempts, size, 2 * N - 1), order, bound)
         v = _verdicts(plan, _Evaluation(draws, plan.orders, grid, grid.ring))
         held = v.passed[v.hyp_ok].tolist()
         verdicts.extend(VERDICT_PASS if ok else VERDICT_FAIL for ok in held)

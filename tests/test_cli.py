@@ -259,6 +259,13 @@ def test_exit_2_t5_scan_rejects_p(capsys):
     assert "T5 does not take parameter p" in captured.err
 
 
+def test_exit_2_negative_seed_is_named(capsys):
+    assert run(["scan", "--theorem", "t4", "--p", "3", "--alpha0", "1.0", "--trials", "20", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "argstar: seed must be an integer >= 0, got -1\n"
+
+
 def test_exit_3_parse_errors(tmp_path):
     assert run(["verify", "--theorem", "t1", "--function", str(tmp_path / "nope.json"), "--alpha1", "1.0"]) == 3
     bad = tmp_path / "bad.json"

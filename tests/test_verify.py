@@ -191,7 +191,6 @@ def test_sup_arg_monomial_is_zero():
     r = sup_arg(make_series(3, []), 3, g)
     assert r.sup_abs_arg == 0.0
     assert r.witness == complex(g.ring[0])  # every ring sample ties: the first one
-    assert r.samples_used == g.n_angular
 
 
 def test_sup_arg_linear_tail():
@@ -248,7 +247,7 @@ def test_net_power_of_z_is_a_zero_or_a_pole():
     # z + 0.1 z^2 over z^2 has a pole there
     grid = DiskGrid(n_radial=2, n_angular=16)
     f = make_series(2, [0.1])
-    assert sup_arg(f, 0, grid) == verify.SupArgResult(math.pi, 0j, 16)
+    assert sup_arg(f, 0, grid) == verify.SupArgResult(math.pi, 0j)
     assert sup_arg(f, 2, grid).sup_abs_arg < 0.1
     with pytest.raises(ZeroOnGrid, match=r"root in \|z\| <= r_max at z = 0j in min_real"):
         min_real(make_series(1, [0.1]), 2, grid)
@@ -1085,7 +1084,8 @@ def test_block_pipeline_matches_per_draw_reference(batch, N):
     for order, kw in [(p, {"p": p}) for p in range(1, 6)] + [(s, {"p": 1, "s_gap": s}) for s in (2, 3)]:
         bound = 0.3 + 0.1 * order
         seeds = [np.random.SeedSequence((order, N, batch, attempt)) for attempt in range(batch)]
-        block = verify._sample_block(seeds, bound=bound, N=N, **kw)
+        uniforms = np.array([np.random.default_rng(seed).random(2 * N - 1) for seed in seeds])
+        block = verify._sample_block(uniforms, order, bound)
         assert (block.order_p, block.raw.shape) == (order, (batch, N))
         ref_rows = []
         for b, seed in enumerate(seeds):
@@ -1105,8 +1105,7 @@ def test_block_pipeline_matches_per_draw_reference(batch, N):
 def test_block_derivatives_keep_leading_zeros():
     # rows whose derivatives start with zeros keep them: every draw's row k
     # starts at the same power of z
-    seeds = [np.random.SeedSequence((5, attempt)) for attempt in range(7)]
-    raw = verify._sample_block(seeds, p=3, bound=1.0, N=8).raw
+    raw = verify._sample_block(verify._scan_uniforms(5, 0, 7, 15), 3, 1.0).raw
     raw[1, 1] = 0  # f^(4) starts at z
     raw[3, 1:4] = 0  # f^(4) starts at z^3
     raw[5, 1:] = 0  # f^(4) is the zero polynomial
@@ -1123,6 +1122,27 @@ def test_sampler_guarantees_hypothesis():
         tail_mass = np.abs(fp.coeffs[1:] / fp.coeffs[0]).sum()
         assert tail_mass < math.sin(bound)
         assert sup_arg(fp, 0).sup_abs_arg <= math.asin(tail_mass) + 1e-12
+
+
+# the seed words: one, one at the top of 32 bits, two, three (2**64 + 3) and
+# four (2**100; with the attempt, entropy longer than SeedSequence's pool)
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100])
+@pytest.mark.parametrize("first", [0, 2**32 - 2], ids=["first-0", "crosses-2**32"])
+@pytest.mark.parametrize("size", [1, 4, 40, 85])
+def test_scan_uniforms_are_numpys_per_draw_seeding(seed, first, size):
+    uniforms = verify._scan_uniforms(seed, first, size, 31)
+    states = verify._seed_states(seed, first, size)
+    assert uniforms.shape == (size, 31) and states.shape == (size, 4)
+    for b in range(size):
+        seq = np.random.SeedSequence((seed, first + b))
+        assert states[b].tobytes() == seq.generate_state(4, np.uint64).tobytes(), b
+        assert uniforms[b].tobytes() == np.random.default_rng(seq).random(31).tobytes(), b
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_scan_names_a_bad_seed(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed}$"):
+        counterexample_scan("C1", trials=2, seed=seed, p=3, grid=DiskGrid(n_radial=1, n_angular=64))
 
 
 # ----------------------------------------------------------------------- scan
@@ -1261,12 +1281,12 @@ def test_scan_worst_tie_goes_to_the_first_attempt(monkeypatch, budget):
     # every attempt draws the same function, so every draw ties for the worst margin
     if budget is not None:
         monkeypatch.setattr(verify, "_BATCH_VALUES", budget)
-    real = verify._sample_block
+    real = verify._scan_uniforms
 
-    def same(seeds, *args, **kwargs):
-        return real([np.random.SeedSequence((5, 0))] * len(seeds), *args, **kwargs)
+    def same(seed, first, size, count):
+        return np.repeat(real(5, 0, 1, count), size, axis=0)
 
-    monkeypatch.setattr(verify, "_sample_block", same)
+    monkeypatch.setattr(verify, "_scan_uniforms", same)
     rep = counterexample_scan("C1", trials=6, seed=1, p=3, grid=DiskGrid(n_radial=1, n_angular=64))
     assert rep.counts["PASS"] == 6
     assert rep.worst_attempt == 0
@@ -1279,7 +1299,7 @@ def test_batch_reports_match_check_theorem(tid):
     # The last row, z^4 + 0.01 z^5 stored from z^3, starts every row with a zero,
     # f^(0) included: f''' vanishes at the origin (C2), z f^(k)/f^(k-1) does not
     grid = DiskGrid(n_radial=1, n_angular=64)
-    sampled = verify._sample_block([np.random.SeedSequence((80, k)) for k in range(3)], p=3, bound=0.9, N=16)
+    sampled = verify._sample_block(verify._scan_uniforms(80, 0, 3, 31), 3, 0.9)
     raw = np.insert(sampled.raw, 1, [1.0, 0.0, 0.01] + [0.0] * 13, axis=0)
     block = series.SeriesBlock(3, np.vstack([raw, [0.0, 1.0, 0.01] + [0.0] * 13]))
     fs = [PowerSeries(3, row) for row in block.raw]
@@ -1312,12 +1332,17 @@ def test_scan_raises_first_failing_draw(monkeypatch, first):
         "overflow": np.array([1.0, 1.7e308 / 3, 1.7e308 / 6] + [0.0] * 13),
     }
     later = "overflow" if first == "pole" else "pole"
-    real = verify._sample_block
+    real_uniforms, real_sampler = verify._scan_uniforms, verify._sample_block
+    attempts = []  # the attempts of the batch being sampled
 
-    def sampler(seeds, *args, **kw):
-        block = real(seeds, *args, **kw)
-        for b, seed in enumerate(seeds):
-            fault = {2: faults[first], 5: faults[later]}.get(seed.entropy[1])
+    def uniforms(seed, first, size, count):
+        attempts[:] = range(first, first + size)
+        return real_uniforms(seed, first, size, count)
+
+    def sampler(u, *args, **kw):
+        block = real_sampler(u, *args, **kw)
+        for b, attempt in enumerate(attempts):
+            fault = {2: faults[first], 5: faults[later]}.get(attempt)
             if fault is not None:
                 block.raw[b] = fault
         return block
@@ -1325,6 +1350,7 @@ def test_scan_raises_first_failing_draw(monkeypatch, first):
     grid = DiskGrid(n_radial=1, n_angular=64)
     with pytest.raises((ZeroOnGrid, verify.NonFiniteValue)) as alone:
         check_theorem("L2", PowerSeries(2, faults[first]), grid)
+    monkeypatch.setattr(verify, "_scan_uniforms", uniforms)
     monkeypatch.setattr(verify, "_sample_block", sampler)
     with pytest.raises(type(alone.value)) as scanned:
         counterexample_scan("L2", trials=10, seed=3, p=2, grid=grid)
