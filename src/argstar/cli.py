@@ -38,6 +38,7 @@ from .roots import (
 from .series import ArgOfZero, PowerSeries
 from .verify import (
     HEATMAP_QUANTITIES,
+    THEOREMS,
     CrossingUnresolved,
     DiskGrid,
     DrawsExhausted,
@@ -303,7 +304,8 @@ def _cmd_alpha(args, argv) -> int:
 def _cmd_verify(args, argv) -> int:
     f, meta = parse_function_file(args.function)
     grid = _grid_from(args)
-    s = meta.get("gap_index") if args.s is None and args.theorem.upper() == "T5" else args.s
+    theorem = THEOREMS.get(args.theorem.upper())  # a gap-series theorem takes s from the file by default
+    s = meta.get("gap_index") if args.s is None and theorem is not None and "s" in theorem.params else args.s
     rep = check_theorem(args.theorem, f, grid, alpha1=args.alpha1, alpha0=args.alpha0, delta=args.delta, s=s)
     _write(_render(_envelope(argv, rep, grid=grid), args.format), args.out)
     return EXIT_FAIL if rep.verdict == "FAIL" else EXIT_PASS
@@ -380,7 +382,7 @@ def _add_alpha(sub):
 
 
 def _add_verify(sub):
-    sub.add_argument("--theorem", required=True, help="t1|c1|c2|t3|t4|t5|l2|l3")
+    sub.add_argument("--theorem", required=True, help="|".join(THEOREMS).lower())
     sub.add_argument("--function", required=True, help="function spec JSON file")
     sub.add_argument("--alpha1", type=float, default=None)
     sub.add_argument("--alpha0", type=float, default=None)
@@ -492,6 +494,11 @@ def run(argv) -> int:
         return EXIT_NUMERIC
     except ValueError as e:  # ParamOutOfRange among them
         print(f"argstar: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as e:  # writing --out: a spec file that cannot be read is a FunctionFileError
+        if args.out is None:
+            raise
+        print(f"argstar: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -567,13 +567,6 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
 
 # ------------------------------------------------------------- theorem checks
 
-def _coefficient_of(f: PowerSeries, exponent: int) -> complex:
-    j = exponent - f.order_p
-    if j < 0 or j >= f.coeffs.size:
-        return 0j
-    return complex(f.coeffs[j])
-
-
 @dataclass(frozen=True)
 class _Plan:
     """One implication for series of order p: everything that does not depend
@@ -591,75 +584,100 @@ class _Plan:
         return _orders(self.hypothesis, *(q for _, q, _ in self.conclusions))
 
 
-def _build_plan(theorem_id, p, alpha1, alpha0, delta, s) -> _Plan:
-    """Check the theorem id and parameters and plan the implication for series
-    of order p. Each branch names the parameters its theorem takes, checks
-    their ranges, and lists the hypothesis, bounds and conclusions."""
-    theorem_id = theorem_id.upper()
-    given = {"alpha1": alpha1, "alpha0": alpha0, "delta": delta, "s": s}
+class _Theorem(NamedTuple):
+    """An implication's parameters besides p, in report order, and the bound
+    its scans draw below (None: its hypothesis bound, up to _SAMPLER_CAP).
 
-    def takes(*names):
-        for name, value in given.items():
-            if value is not None and name not in names:
-                raise ParamOutOfRange(f"{theorem_id} does not take parameter {name}")
-            if value is None and name in names:
-                raise ParamOutOfRange(f"{theorem_id} requires parameter {name}")
+    A theorem that takes s is about gap series: the coefficient of z^(s-1)
+    of f is 0 and that of z^s is not, a scan draws series of order s and
+    takes no p, and the report gives s in place of p.
+    """
+
+    params: tuple[str, ...]
+    sampler_bound: Optional[float]
+
+
+# Every implication by id, in the order of README's table of theorem ids,
+# which states its hypothesis and conclusions. The real-part implications draw
+# below fixed bounds: asin(S) + asin(S/2) <= 1.44 < pi/2 for S <= sin(1), so
+# the L2 hypothesis holds by construction at 1.0; L3 draws can miss theirs
+# and are redrawn.
+THEOREMS = {
+    "T1": _Theorem(("alpha1",), None),
+    "C1": _Theorem((), None),
+    "C2": _Theorem((), None),
+    "T3": _Theorem(("alpha0",), None),
+    "T4": _Theorem(("alpha0",), None),
+    "T5": _Theorem(("s", "delta"), None),
+    "L2": _Theorem((), 1.0),
+    "L3": _Theorem((), 0.9),
+}
+
+# Each parameter's admissible test and the message when it fails, in the
+# order a call's parameters are checked.
+_PARAMS = {
+    "alpha1": (lambda alpha1: 0 < alpha1 <= 1, "alpha1 must lie in (0, 1]"),
+    "alpha0": (lambda alpha0: 0 < alpha0 <= 1.5, "alpha0 must lie in (0, 3/2]"),
+    "delta": (lambda delta: delta > 0 and 2 * delta + (2 / math.pi) * math.atan(delta) < 2.0,
+              "delta must satisfy delta > 0 and 2 delta + (2/pi)atan(delta) < 2"),
+    "s": (lambda s: isinstance(s, (int, np.integer)) and s >= 2, "s must be an integer >= 2"),
+}
+
+
+def _theorem(theorem_id: str) -> tuple[str, _Theorem]:
+    """The id in upper case and its THEOREMS entry."""
+    theorem_id = theorem_id.upper()
+    if theorem_id not in THEOREMS:
+        raise ParamOutOfRange(f"unknown theorem id {theorem_id!r}")
+    return theorem_id, THEOREMS[theorem_id]
+
+
+def _build_plan(theorem_id, p, alpha1, alpha0, delta, s) -> _Plan:
+    """Check the theorem id and parameters (THEOREMS, _PARAMS) and plan the
+    implication for series of order p. Each branch lists the hypothesis,
+    bounds, conclusions and notes of its theorem."""
+    theorem_id, theorem = _theorem(theorem_id)
+    given = {"alpha1": alpha1, "alpha0": alpha0, "delta": delta, "s": s}
+    for name, value in given.items():  # each one given exactly when taken, before any range
+        if (value is not None) != (name in theorem.params):
+            raise ParamOutOfRange(f"{theorem_id} {'requires' if value is None else 'does not take'} parameter {name}")
+    for name, (admissible, message) in _PARAMS.items():
+        if name in theorem.params and not admissible(given[name]):
+            raise ParamOutOfRange(message)
+    given.update(p=p, s=None if s is None else int(s))
+    params = {name: given[name] for name in (theorem.params if "s" in theorem.params else ("p", *theorem.params))}
 
     notes: list[str] = []
     concl: list = []
-    hyp = _plain("sup_arg", p, 0, f"{theorem_id} hypothesis")  # all but T5, L2 and L3
+    hyp = _plain("sup_arg", params.get("s", p), 0, f"{theorem_id} hypothesis")  # L2 and L3 replace it
     if theorem_id == "T5":
-        takes("delta", "s")
-        if not (delta > 0 and 2 * delta + (2 / math.pi) * math.atan(delta) < 2.0):
-            raise ParamOutOfRange(
-                "delta must satisfy delta > 0 and 2 delta + (2/pi)atan(delta) < 2"
-            )
-        if not isinstance(s, (int, np.integer)) or s < 2:
-            raise ParamOutOfRange("s must be an integer >= 2")
-        hyp = _plain("sup_arg", s, 0, "T5 hypothesis")
         hyp_bound = (math.pi / 2) * delta + math.atan(delta)
-        params = {"s": int(s), "delta": delta}
         concl.append(("|arg(z f^(s)/f^(s-1))|", _ratio("sup_arg", p, s, "T5 conclusion"),
                       (math.pi / 2) * delta + 2 * math.atan(delta)))
     elif theorem_id == "L2":
-        takes()
-        hyp = _ratio("min_real", p, p, "L2 hypothesis")
-        hyp_bound, params = 0.0, {"p": p}
+        hyp, hyp_bound = _ratio("min_real", p, p, "L2 hypothesis"), 0.0
         for k in range(1, p + 1):
             concl.append((f"Re(z f^({k})/f^({k - 1}))", _ratio("min_real", p, k, f"L2 k={k}"), 0.0))
     elif theorem_id == "L3":
-        takes()
-        hyp = _ratio("min_real", p, p + 1, "L3 hypothesis", add=p)
-        hyp_bound, params = 0.0, {"p": p}
+        hyp, hyp_bound = _ratio("min_real", p, p + 1, "L3 hypothesis", add=p), 0.0
         for k in range(1, p):
             concl.append((f"Re({k} + z f^({k + 1})/f^({k}))",
                           _ratio("min_real", p, k + 1, f"L3 k={k}", add=k), 0.0))
     elif theorem_id == "T1":
-        takes("alpha1")
-        if not 0 < alpha1 <= 1:
-            raise ParamOutOfRange("alpha1 must lie in (0, 1]")
         hyp_bound = (math.pi / 2) * (alpha1 + (2 / math.pi) * math.atan(alpha1))
-        params = {"p": p, "alpha1": alpha1}
         concl.append((f"|arg(f^({p - 1})/z)|", _plain("sup_arg", p - 1, 1, "T1 conclusion"),
                       alpha1 * math.pi / 2))
     elif theorem_id == "C1":
-        takes()
-        hyp_bound, params = 3 * math.pi / 4, {"p": p}
+        hyp_bound = 3 * math.pi / 4
         concl.append((f"|arg(f^({p - 1})/z)|", _plain("sup_arg", p - 1, 1, "C1 conclusion"), math.pi / 2))
         for k in range(p):
             concl.append((f"Re(f^({p - k - 1})/z^{k + 1})",
                           _plain("min_real", p - k - 1, k + 1, f"C1 k={k}"), 0.0))
     elif theorem_id == "C2":
-        takes()
-        _, composite = solve_gamma0()
-        hyp_bound, params = (math.pi / 2) * composite, {"p": p}
+        hyp_bound = (math.pi / 2) * solve_gamma0()[1]
         concl.append(("|arg(z f'/f)|", _ratio("sup_arg", p, 1, "C2 conclusion"), math.pi / 2))
-    elif theorem_id in ("T3", "T4"):
-        takes("alpha0")
-        if not 0 < alpha0 <= 1.5:
-            raise ParamOutOfRange("alpha0 must lie in (0, 3/2]")
+    else:  # T3 and T4
         hyp_bound = math.pi * alpha0 / 2
-        params = {"p": p, "alpha0": alpha0}
         chain = alpha_sequence(alpha0, p)
         if theorem_id == "T3":
             for k in range(1, p + 1):
@@ -686,8 +704,6 @@ def _build_plan(theorem_id, p, alpha1, alpha0, delta, s) -> _Plan:
                     f"no sigma <= p={p} with alpha_sigma + alpha_(sigma-1) <= 1; "
                     "starlikeness conclusion not applicable"
                 )
-    else:
-        raise ParamOutOfRange(f"unknown theorem id {theorem_id!r}")
     return _Plan(theorem_id, params, hyp, hyp_bound, tuple(concl), tuple(notes))
 
 
@@ -701,40 +717,22 @@ def check_theorem(
     delta: Optional[float] = None,
     s: Optional[int] = None,
 ) -> VerificationReport:
-    """Verify one hypothesis -> conclusions implication on the grid.
+    """Verify one hypothesis -> conclusions implication on the grid, for
+    p = f.order_p, with every quantity sampled on the outer ring of the grid
+    (see the module docstring).
 
-    Implications by id (p = f.order_p, all quantities sampled on the outer
-    ring of the grid, see the module docstring):
-
-    * T1: sup|arg f^(p)| < (pi/2)(a1 + (2/pi)atan a1)  =>
-          sup|arg(f^(p-1)/z)| < a1 pi/2, for a1 in (0, 1].
-    * C1: sup|arg f^(p)| < 3pi/4  =>  sup|arg(f^(p-1)/z)| < pi/2 and
-          min Re(f^(p-k-1)/z^(k+1)) > 0 for k in {0..p-1}.
-    * C2: sup|arg f^(p)| < (pi/2)(g0 + (2/pi)atan g0), g0 the root of
-          2g + (2/pi)atan g = 1  =>  sup|arg(z f'/f)| < pi/2 (starlike).
-    * T3: sup|arg f^(p)| < pi a0/2, a0 in (0, 3/2]  =>
-          sup|arg(f^(p-k)/z^k)| < pi a_k/2 for k in {1..p}, a_k the implicit
-          chain a_k + (2/pi)atan(a_k/k) = a_{k-1}.
-    * T4: same hypothesis as T3  =>
-          sup|arg(z f^(p-s+1)/f^(p-s))| < (pi/2)(a_s + a_{s-1}) for s in
-          {2..p}; the s=1 case is included only when a0 + a1 < 2; when some
-          sigma <= p has a_sigma + a_{sigma-1} <= 1, additionally
-          sup|arg(z f'/f)| < pi/2.
-    * T5: for a gap series (coefficient of z^(s-1) zero, of z^s nonzero):
-          sup|arg f^(s)| < (pi/2)delta + atan(delta)  =>
-          sup|arg(z f^(s)/f^(s-1))| < (pi/2)delta + 2 atan(delta).
-    * L2: min Re(z f^(p)/f^(p-1)) > 0  =>  the same for every lower order
-          k in {1..p}.
-    * L3: min Re(p + z f^(p+1)/f^(p)) > 0  =>
-          min Re(k + z f^(k+1)/f^(k)) > 0 for k in {1..p-1}.
+    README's table of theorem ids states each implication; THEOREMS gives
+    the parameters each id takes. A gap series must have a zero coefficient
+    of z^(s-1) and a nonzero one of z^s.
     """
     if f.order_p < 1:
         raise ParamOutOfRange("f must have order_p >= 1")
     plan = _build_plan(theorem_id, f.order_p, alpha1, alpha0, delta, s)
-    if plan.theorem_id == "T5":
-        if _coefficient_of(f, s - 1) != 0:
+    if "s" in plan.params:  # a gap series
+        coeff = dict(enumerate(f.coeffs.tolist(), f.order_p))  # exponent -> coefficient
+        if coeff.get(s - 1, 0) != 0:
             raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
-        if _coefficient_of(f, s) == 0:
+        if coeff.get(s, 0) == 0:
             raise ParamOutOfRange(f"coefficient of z^{s} must be nonzero")
     v = _verdicts(plan, _Evaluation(f, plan.orders, grid, grid.ring))
     hyp_ok = bool(v.hyp_ok[0])
@@ -1137,10 +1135,6 @@ def sample_hypothesis_function(
 _SAMPLER_CAP = math.pi / 2.0 - 1e-9
 # A scan batch holds at most this many ring values (4 MB of complex128).
 _BATCH_VALUES = 2**18
-# Sampler bounds of the real-part implications. asin(S) + asin(S/2) <= 1.44 <
-# pi/2 for S <= sin(1), so the L2 hypothesis holds by construction at 1.0;
-# L3 draws can miss theirs and are redrawn.
-_RE_SAMPLER_BOUND = {"L2": 1.0, "L3": 0.9}
 
 
 def counterexample_scan(
@@ -1175,20 +1169,15 @@ def counterexample_scan(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    theorem_id = theorem_id.upper()
-    if theorem_id == "T5":
-        # T5 draws gap series of order s
-        if p is not None:
-            raise ParamOutOfRange("T5 does not take parameter p")
-        order, s_gap = s, s
-    elif p is None or p < 1:
+    theorem_id, theorem = _theorem(theorem_id)
+    gap = "s" in theorem.params  # its draws are gap series of order s
+    if gap and p is not None:
+        raise ParamOutOfRange(f"{theorem_id} does not take parameter p")
+    if not gap and (p is None or p < 1):
         raise ParamOutOfRange(f"{theorem_id} scan requires p >= 1")
-    else:
-        order, s_gap = p, None
-    plan = _build_plan(theorem_id, order, alpha1, alpha0, delta, s)
-    bound = _RE_SAMPLER_BOUND.get(theorem_id, min(plan.hypothesis_bound, _SAMPLER_CAP))
-    order = _sampler_order(order, bound, N, s_gap)
-    given = (("alpha1", alpha1), ("alpha0", alpha0), ("delta", delta), ("s", s))
+    plan = _build_plan(theorem_id, s if gap else p, alpha1, alpha0, delta, s)
+    bound = min(plan.hypothesis_bound, _SAMPLER_CAP) if theorem.sampler_bound is None else theorem.sampler_bound
+    order = _sampler_order(p, bound, N, s if gap else None)
 
     counts = {VERDICT_PASS: 0, VERDICT_FAIL: 0, VERDICT_HYP: 0}
     verdicts: list[str] = []
@@ -1220,7 +1209,7 @@ def counterexample_scan(
     return ScanReport(
         theorem_id=theorem_id,
         p=p,
-        params={name: value for name, value in given if value is not None},
+        params={name: value for name, value in zip(_PARAMS, (alpha1, alpha0, delta, s)) if value is not None},
         trials=trials,
         seed=seed,
         sampler_N=N,

@@ -259,6 +259,82 @@ def test_exit_2_t5_scan_rejects_p(capsys):
     assert "T5 does not take parameter p" in captured.err
 
 
+_ALPHA1 = "alpha1 must lie in (0, 1]"
+_ALPHA0 = "alpha0 must lie in (0, 3/2]"
+_DELTA = "delta must satisfy delta > 0 and 2 delta + (2/pi)atan(delta) < 2"
+_S = "s must be an integer >= 2"
+
+# (theorem, flags, the one stderr line) of verify and scan alike; scan adds
+# --p 2 except for t5, whose series have order s, and q7, which is no id
+_ID_AND_PARAM_ERRORS = [
+    ("q7", [], "unknown theorem id 'Q7'"),
+    ("q7", ["--alpha1", "5"], "unknown theorem id 'Q7'"),
+    ("t1", [], "T1 requires parameter alpha1"),
+    ("t3", [], "T3 requires parameter alpha0"),
+    ("t4", [], "T4 requires parameter alpha0"),
+    ("t5", ["--s", "2"], "T5 requires parameter delta"),
+    ("t5", ["--delta", "0.3"], "T5 requires parameter s"),
+    ("t5", [], "T5 requires parameter delta"),
+    ("c1", ["--alpha1", "0.5"], "C1 does not take parameter alpha1"),
+    ("c2", ["--alpha0", "1.0"], "C2 does not take parameter alpha0"),
+    ("l2", ["--delta", "0.3"], "L2 does not take parameter delta"),
+    ("l3", ["--s", "2"], "L3 does not take parameter s"),
+    ("t1", ["--alpha1", "0.5", "--alpha0", "1.0"], "T1 does not take parameter alpha0"),
+    ("t5", ["--alpha1", "0.5", "--delta", "0.3", "--s", "2"], "T5 does not take parameter alpha1"),
+    # every presence check, in the order alpha1, alpha0, delta, s, before any range
+    ("t3", ["--alpha1", "0.5"], "T3 does not take parameter alpha1"),
+    ("t1", ["--alpha1", "5", "--delta", "0.3"], "T1 does not take parameter delta"),
+    ("t5", ["--alpha0", "9", "--delta", "9"], "T5 does not take parameter alpha0"),
+    ("t5", ["--delta", "9"], "T5 requires parameter s"),
+    ("t1", ["--alpha1", "0"], _ALPHA1),
+    ("t1", ["--alpha1", "1.5"], _ALPHA1),
+    ("t1", ["--alpha1", "nan"], _ALPHA1),
+    ("t3", ["--alpha0", "0"], _ALPHA0),
+    ("t4", ["--alpha0", "2"], _ALPHA0),
+    ("t3", ["--alpha0", "nan"], _ALPHA0),
+    ("t5", ["--delta", "0", "--s", "2"], _DELTA),
+    ("t5", ["--delta", "0.9", "--s", "2"], _DELTA),
+    ("t5", ["--delta", "nan", "--s", "2"], _DELTA),
+    ("t5", ["--delta", "0.3", "--s", "1"], _S),
+    ("t5", ["--delta", "5", "--s", "1"], _DELTA),  # delta is checked first
+]
+_SCAN_ONLY_ERRORS = [
+    ("t1", ["--alpha1", "0.5"], "T1 scan requires p >= 1"),
+    ("c1", ["--p", "0"], "C1 scan requires p >= 1"),
+]
+_ERROR_CASES = [
+    *[("verify", theorem, flags, message) for theorem, flags, message in _ID_AND_PARAM_ERRORS],
+    *[("scan", theorem, flags if theorem in ("t5", "q7") else ["--p", "2", *flags], message)
+      for theorem, flags, message in _ID_AND_PARAM_ERRORS],
+    *[("scan", *case) for case in _SCAN_ONLY_ERRORS],
+]
+
+
+@pytest.mark.parametrize(
+    "command,theorem,flags,message", _ERROR_CASES, ids=[f"{c[0]}-{c[1]}-{' '.join(c[2])}" for c in _ERROR_CASES]
+)
+def test_exit_2_id_and_parameter_errors(command, theorem, flags, message, mono2, capsys):
+    inputs = ["--function", mono2] if command == "verify" else ["--seed", "1", "--trials", "2"]
+    assert run([command, "--theorem", theorem, *inputs, *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"argstar: {message}\n")
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["gamma0", "verify", "heatmap"])
+def test_exit_2_unwritable_out(command, where, mono2, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json" if where == "missing" else tmp_path
+    argv = {
+        "gamma0": ["gamma0"],
+        "verify": ["verify", "--theorem", "t1", "--function", mono2, "--alpha1", "1.0"],  # a PASS verdict
+        "heatmap": ["heatmap", "--function", mono2, "--quantity", "arg-fp", "--grid", "2x4"],
+    }[command]
+    assert run([*argv, "--out", str(out)]) == 2
+    reason = "No such file or directory" if where == "missing" else "Is a directory"
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"argstar: cannot write {out}: {reason}\n")
+
+
 def test_exit_2_negative_seed_is_named(capsys):
     assert run(["scan", "--theorem", "t4", "--p", "3", "--alpha0", "1.0", "--trials", "20", "--seed", "-1"]) == 2
     captured = capsys.readouterr()

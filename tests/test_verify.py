@@ -2,6 +2,8 @@ import cmath
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1215,9 +1217,10 @@ SCAN_CASES = [
 
 def _scan_by_checks(tid, trials, seed, grid, N=16, p=None, **params):
     """counterexample_scan as one public check_theorem call per attempt."""
-    order = params["s"] if tid == "T5" else p
+    theorem = verify.THEOREMS[tid]
+    order = params["s"] if "s" in theorem.params else p
     hyp_bound = check_theorem(tid, make_series(order, []), grid, **params).hypothesis_bound
-    bound = verify._RE_SAMPLER_BOUND.get(tid, min(hyp_bound, verify._SAMPLER_CAP))
+    bound = min(hyp_bound, verify._SAMPLER_CAP) if theorem.sampler_bound is None else theorem.sampler_bound
     counts = {"PASS": 0, "FAIL": 0, "HYPOTHESIS_NOT_SATISFIED": 0}
     verdicts, worst, attempt = [], (math.inf, "", -1, None), 0
     while len(verdicts) < trials and attempt < 10 * trials:
@@ -1400,3 +1403,17 @@ def test_scan_rejects_bad_args():
         counterexample_scan("Q7", trials=2, seed=1, p=2)
     with pytest.raises(ParamOutOfRange, match="T5 does not take parameter p"):
         counterexample_scan("T5", trials=2, seed=1, p=7, s=2, delta=0.3)  # draws have order s
+    with pytest.raises(ParamOutOfRange, match="unknown theorem id 'Q7'"):
+        counterexample_scan("Q7", trials=2, seed=1)  # the id is named before the missing p
+
+
+def test_readme_theorem_table_matches_theorems():
+    # the id column and the parameter column (its --flags, or "none") of
+    # README's table of theorem ids, row by row, are THEOREMS in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Theorem ids", 1)[1].split("\n#", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("|")][2:]
+    assert [(row[0].lstrip("| ").upper(), re.findall(r"`--(\w+)`", row[-1])) for row in rows] == [
+        (tid, list(theorem.params)) for tid, theorem in verify.THEOREMS.items()
+    ]
+    assert [row[-1].rstrip(" |") == "none" for row in rows] == [not t.params for t in verify.THEOREMS.values()]
