@@ -231,6 +231,7 @@ def _write(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a full disk or closed pipe behind stdout raises here, inside run
 
 
 # ------------------------------------------------------------------- heatmap
@@ -495,10 +496,8 @@ def run(argv) -> int:
     except ValueError as e:  # ParamOutOfRange among them
         print(f"argstar: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as e:  # writing --out: a spec file that cannot be read is a FunctionFileError
-        if args.out is None:
-            raise
-        print(f"argstar: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+    except OSError as e:  # writing the report: a spec file that cannot be read is a FunctionFileError
+        print(f"argstar: cannot write {args.out or 'stdout'}: {e.strerror or e}", file=sys.stderr)
         return EXIT_USAGE
 
 

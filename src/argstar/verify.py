@@ -276,28 +276,31 @@ def _dominant(coeffs: np.ndarray, r: float) -> np.ndarray:
 def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex]:
     """Smallest-modulus root other than z = 0 of sum coeffs[j] z^j in
     |z| <= r_max, or None: the power of z of the lowest nonzero term is divided
-    out, so a monomial has none. A leading coefficient so small that the
-    companion row overflows is dropped if |c_d| r^d <= _DOMINANCE_RTOL * sum
-    |c_j| r^j, a finite sum; else NonFiniteValue."""
+    out, so a monomial has none, and a rest with a dominant constant term
+    (_dominant) has none, with no companion matrix formed. A leading
+    coefficient so small that the companion row overflows is dropped if
+    |c_d| r^d <= _DOMINANCE_RTOL * sum |c_j| r^j, a finite sum; else
+    NonFiniteValue."""
     nonzero = np.flatnonzero(coeffs)
     if nonzero.size == 0:
         return 0j  # the zero polynomial vanishes everywhere
     coeffs = coeffs[nonzero[0]:]
     d = int(nonzero[-1] - nonzero[0])
-    if d == 0:  # c z^j vanishes only at z = 0
-        return None
-    companion = np.zeros((d, d), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        companion[0, :] = -coeffs[d - 1::-1] / coeffs[d]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing tail sum just fails _dominant
+        if d == 0 or _dominant(coeffs, r_max):  # c z^j vanishes only at z = 0
+            return None
+        row = -coeffs[d - 1::-1] / coeffs[d]
         weights = np.abs(coeffs[: d + 1]) * r_max ** np.arange(d + 1)
         total = weights.sum()  # can overflow though each weight is finite
-    if not np.isfinite(companion[0]).all():
+    if not np.isfinite(row).all():
         if np.isfinite(total) and weights[d] <= _DOMINANCE_RTOL * total:
             return _smallest_root_in_disk(coeffs[:d], r_max)
         raise NonFiniteValue(
             f"companion row -c_j/c_{d} of a degree-{d} polynomial is not finite "
             f"(c_{d} = {complex(coeffs[d])}, float64 overflow)"
         )
+    companion = np.zeros((d, d), dtype=np.complex128)
+    companion[0, :] = row
     companion[np.arange(1, d), np.arange(d - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
     inside = roots[np.abs(roots) <= r_max]
@@ -350,8 +353,8 @@ def _raise_first(draw: int, *errors: dict) -> None:
 
 class _Evaluation:
     """The derivatives f^(k) of the given orders of a batch of draws, each
-    evaluated once at the sample points (grid.ring for the checks, grid.points
-    for heatmap and the lemma1 probe, each row of it one ring) in one
+    evaluated once at the sample points (grid.ring for the checks and the
+    lemma1 probe, grid.points for heatmap, each row of it one ring) in one
     _ring_values call, and the quantities taken from them for the whole batch
     at once. The draws are one PowerSeries or the rows of one SeriesBlock; see
     series.derivative_block.
@@ -394,21 +397,10 @@ class _Evaluation:
 
     @cached_property
     def dominant(self) -> np.ndarray:
-        """Per draw and row: no root on |z| <= r_max other than z = 0, by a
-        dominant constant term of the row, or else of the row after its zeros."""
-        r = self.grid.r_max
-        dominant = _dominant(self.coeffs, r)
-        retest = ~dominant & (self.zeros > 0)
-        for zeros in np.unique(self.zeros[retest]).tolist():
-            rows = retest & (self.zeros == zeros)
-            dominant[rows] = _dominant(self.coeffs[rows][:, zeros:], r)
-        return dominant
-
-    @cached_property
-    def doubtful(self) -> list:
-        """(draw, row) of every row that dominant leaves in doubt."""
-        draws, rows = (~self.dominant).nonzero()
-        return list(zip(draws.tolist(), rows.tolist()))
+        """Per draw and row: no root on |z| <= r_max, by a dominant constant
+        term. A pre-filter over the batch: _smallest_root_in_disk decides
+        every row it leaves."""
+        return _dominant(self.coeffs, self.grid.r_max)
 
     @cached_property
     def zeros(self) -> np.ndarray:
@@ -495,7 +487,7 @@ class _Evaluation:
             certified.append(den)
             net = net - den_shift - self.zeros[:, den]
         poles = set((net != 0 if sup else net < 0).nonzero()[0].tolist())  # a zero of an argument, or a pole
-        suspects = {b for b, i in self.doubtful if i in certified} if certified else set()
+        suspects = set((~self.dominant[:, certified]).any(axis=1).nonzero()[0].tolist())
         for b in (suspects | poles) - errors.keys() - self.errors.keys():
             try:
                 found = [_smallest_root_in_disk(self.coeffs[b, i], self.grid.r_max)
@@ -559,9 +551,11 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
     ev = _Evaluation(f, _orders(q), grid, grid.points)
     vals, errors = ev.values(q)
     _raise_first(0, ev.errors, errors)
-    if q.kind == "sup_arg":  # arg is undefined where the value, or a ratio's numerator, vanishes
-        _raise_first(0, ev._below_tol(ev._values(q.num), quantity))
-    vals = np.angle(vals[0]) if q.kind == "sup_arg" else ev._lead_ratio(q) * vals[0].real
+    if q.kind == "min_real":  # a real value, -pi among them, as it is
+        return ev._lead_ratio(q) * vals[0].real
+    # arg is undefined where the value, or a ratio's numerator, vanishes
+    _raise_first(0, ev._below_tol(ev._values(q.num), quantity))
+    vals = np.angle(vals[0])
     return np.where(vals == -np.pi, np.pi, vals)  # fold onto (-pi, pi]
 
 
@@ -894,24 +888,25 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
     is reached, and the crossing radius is bracketed on [0, r_max] by an ITP
     solve (roots.itp_increasing) to 1e-12; r0 is the bracket's midpoint. A
     bracket wider than its lower end raises CrossingUnresolved. q must be
-    zero-free inside the crossing radius, certified as for the checks'
-    denominators on |z| <= hi, the bracket's upper end, since the midpoint can
-    fall short of a zero that lifts the ring sup to the level; a zero there
-    raises ZeroOnGrid. Each ring's maximizing angle is refined by Brent's
+    zero-free inside the crossing radius, certified by _smallest_root_in_disk
+    as the checks' denominators are, on |z| <= hi, the bracket's upper end,
+    since the midpoint can fall short of a zero that lifts the ring sup to
+    the level; a zero there raises ZeroOnGrid. Each ring's maximizing angle is refined by Brent's
     method from the coarse argmax.
 
     At the first touching point the logarithmic derivative is purely imaginary
     with Im = (2k/pi) arg q(z0) for some k >= (a + 1/a)/2 >= 1, where
     a = |q(z0)|^(1/gamma); the report carries k_est, a_est, and the residual
     real part (imag_purity) so those inequalities can be asserted numerically.
-    An a_est or k_est that is not finite raises NonFiniteValue.
+    A q that overflows on the outer ring, where |q| is largest (maximum
+    modulus principle), or an a_est or k_est that is not finite raises
+    NonFiniteValue.
     """
     if not 0 < gamma < math.inf:
         raise ParamOutOfRange("gamma must be finite and > 0")
     if q.order_p != 0 or q.coeffs[0] != 1:
         raise ParamOutOfRange("q must satisfy q(0) = 1 (order_p 0, constant term 1)")
-    ev = _Evaluation(q, (0,), grid, grid.points)
-    _raise_first(0, ev.errors, ev._below_tol(ev.rows[:, 0], "lemma1 probe"))
+    _raise_first(0, _Evaluation(q, (0,), grid, grid.ring).errors)
     level = math.pi * gamma / 2.0
 
     coeffs, angles, r_max = q.coeffs, grid.angles, grid.r_max
@@ -929,10 +924,9 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
     r0 = 0.5 * (lo + hi)
     # the lemma needs q zero-free inside the crossing radius: a zero there can be
     # what pushed arg q to the level, so certify up to hi, the smallest radius seen to reach it
-    if not _dominant(coeffs, hi):
-        root = _smallest_root_in_disk(coeffs, hi)
-        if root is not None:
-            raise ZeroOnGrid(root, None, "lemma1 probe", f"q has a root in |z| <= r0 = {hi!r}")
+    root = _smallest_root_in_disk(coeffs, hi)
+    if root is not None:
+        raise ZeroOnGrid(root, None, "lemma1 probe", f"q has a root in |z| <= r0 = {hi!r}")
     theta0, _ = _ring_sup(coeffs, r0, angles)
 
     z0 = r0 * cmath.exp(1j * theta0)
@@ -1209,7 +1203,7 @@ def counterexample_scan(
     return ScanReport(
         theorem_id=theorem_id,
         p=p,
-        params={name: value for name, value in zip(_PARAMS, (alpha1, alpha0, delta, s)) if value is not None},
+        params={name: value for name, value in plan.params.items() if name != "p"},  # as verify reports them
         trials=trials,
         seed=seed,
         sampler_N=N,

@@ -1,7 +1,11 @@
 import argparse
 import dataclasses
+import errno
+import io
 import json
 import math
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +339,32 @@ def test_exit_2_unwritable_out(command, where, mono2, tmp_path, capsys):
     assert (captured.out, captured.err) == ("", f"argstar: cannot write {out}: {reason}\n")
 
 
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: its write, or only its flush, raises ENOSPC."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["gamma0"], ["alpha", "--alpha0", "1.0", "--count", "30", "--format", "csv"]])
+def test_exit_2_unwritable_stdout(argv, failing, monkeypatch, capsys):
+    # a report that fails to reach stdout is named in one line, never a traceback
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "argstar: cannot write stdout: No space left on device\n"
+
+
 def test_exit_2_negative_seed_is_named(capsys):
     assert run(["scan", "--theorem", "t4", "--p", "3", "--alpha0", "1.0", "--trials", "20", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
@@ -386,18 +416,22 @@ def test_exit_4_interior_pole(tmp_path, capsys):
     assert "root" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
 def test_exit_4_overflowing_derivative(tmp_path, capsys):
     # z^2 + 1e308 z^3 is finite, but its normalized f''/2! = 1 + 3e308 z is not
     path = write_spec(tmp_path, "big.json", {"p": 2, "coefficients": [[1e308, 0.0]]})
     # z + 1e308 z^2 is finite on the grid, its derivative 1 + 2e308 z is not
     wide = write_spec(tmp_path, "wide.json", {"p": 1, "coefficients": [[1e308, 0.0]]})
+    # q = 1 + 1e308 z + 1e308 z^2 overflows first on the outer ring, where |q| is largest
+    q = write_spec(tmp_path, "q.json", {"p": 0, "coefficients": [[1e308, 0.0], [1e308, 0.0]]})
     out = tmp_path / "hm.csv"
     # the message names the first non-finite sample: on the outer ring for
-    # verify, the first point of the whole grid for heatmap
+    # verify and lemma1, the first point of the whole grid for heatmap
     ring, disk = complex(DiskGrid().ring[0]), complex(DiskGrid().points[0, 0])
     for argv, where in (
         (["verify", "--theorem", "t1", "--function", path, "--alpha1", "1.0"], f"f^(2) is not finite at z = {ring}"),
         (["verify", "--theorem", "t1", "--function", wide, "--alpha1", "1.0"], f"f^(1) is not finite at z = {ring}"),
+        (["lemma1", "--function", q, "--gamma", "0.5"], "f^(0) is not finite at z = (0.995+0j)"),
         (["heatmap", "--function", path, "--quantity", "re-ratio", "--out", str(out)],
          f"f^(2) is not finite at z = {disk}"),
         (["heatmap", "--function", wide, "--quantity", "arg-jst", "--out", str(out)],
@@ -873,6 +907,16 @@ def test_heatmap_quantities_all_emit(lin, tmp_path):
         out = tmp_path / f"{q}.csv"
         assert run(["heatmap", "--function", lin, "--quantity", q, "--grid", "4x8", "--out", str(out)]) == 0
         assert out.exists()
+
+
+def test_heatmap_re_ratio_keeps_minus_pi(tmp_path):
+    # Re(z f'/f) of f = z + c z^2 is (1 + 2cz)/(1 + cz), -pi at z = 0.5 for this
+    # c: a real value, not an argument, so it is not folded onto pi
+    path = write_spec(tmp_path, "f.json", {"p": 1, "coefficients": [[-1.6110154703516573, 0.0]]})
+    out = tmp_path / "hm.csv"
+    argv = ["heatmap", "--function", path, "--quantity", "re-ratio", "--rmax", "0.5", "--grid", "1x8"]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0.5,0.0,-3.141592653589793"
 
 
 def test_heatmap_rejects_unknown_quantity(lin, tmp_path):

@@ -620,7 +620,8 @@ def test_rows_with_leading_zeros_match_polynomial_reference(tid, p, s):
 def test_rows_dominant_after_their_zeros_need_no_companion_roots(monkeypatch):
     # f^(3)/3! = 0.8z + 0.1z^2 starts with a zero, so its constant term does
     # not dominate, but the row after that zero does: no eigvals call, and
-    # the report the companion roots give, byte for byte
+    # the report the companion roots give with no dominance test at all
+    # (f^(4) for the hypothesis, f^(4) and f^(3) for the conclusion), byte for byte
     f = make_series(2, [0.0, 0.2, 0.01])
     eigvals = np.linalg.eigvals
     calls = []
@@ -633,9 +634,9 @@ def test_rows_dominant_after_their_zeros_need_no_companion_roots(monkeypatch):
     got = check_theorem("T5", f, delta=0.5, s=4)
     assert calls == []
     with monkeypatch.context() as m:
-        m.setattr(verify._Evaluation, "dominant", property(lambda ev: verify._dominant(ev.coeffs, ev.grid.r_max)))
+        m.setattr(verify, "_dominant", lambda coeffs, r: np.zeros(np.shape(coeffs)[:-1], dtype=bool))
         want = check_theorem("T5", f, delta=0.5, s=4)
-    assert calls == [(1, 1)]
+    assert calls == [(1, 1)] * 3
     assert json.dumps(cli._payload(got)) == json.dumps(cli._payload(want))
     assert got.verdict == "PASS"
 
@@ -765,6 +766,18 @@ def test_probe_not_attained_carries_best():
         lemma1_probe(PowerSeries(0, np.array([1.0, 0.1])), 0.5)
     assert exc.value.best_sup < exc.value.level
     assert exc.value.best_sup > 0
+
+
+@pytest.mark.parametrize("n_radial", [1, 2, 64])
+def test_probe_reads_no_interior_ring(n_radial):
+    # q = 1 - z/rho vanishes at rho, a point of the default grid's second ring,
+    # beyond the crossing radius rho sin(pi/4) of gamma = 1/2, where the lemma
+    # asks nothing of q: the report is that of the outer ring alone
+    rho = float(DiskGrid().radii[-2])
+    q = PowerSeries(0, np.array([1.0, -1.0 / rho]))
+    want = lemma1_probe(q, 0.5, DiskGrid(n_radial=1))
+    assert lemma1_probe(q, 0.5, DiskGrid(n_radial=n_radial)) == want
+    assert abs(want.r0 - rho * math.sin(math.pi / 4)) < 1e-9
 
 
 def test_probe_rejects_bad_inputs():
@@ -1183,6 +1196,16 @@ def test_scan_t5_uses_gap_sampler():
     assert rep.counts["FAIL"] == 0
     assert rep.worst_function.order_p == 3
     assert rep.params == {"delta": 0.3, "s": 3}
+
+
+@pytest.mark.parametrize("s", [3, np.int64(3)])
+def test_scan_params_as_verify_reports_them(s):
+    # the layout of the verify report, with s a Python int that JSON takes
+    rep = counterexample_scan("T5", trials=2, seed=601, s=s, delta=0.3, N=8, grid=SMALL_GRID)
+    checked = check_theorem("T5", rep.worst_function, SMALL_GRID, s=s, delta=0.3)
+    assert list(rep.params.items()) == list(checked.params.items()) == [("s", 3), ("delta", 0.3)]
+    assert type(rep.params["s"]) is int
+    assert json.loads(json.dumps(cli._payload(rep)))["params"] == {"s": 3, "delta": 0.3}
 
 
 @pytest.mark.parametrize(
