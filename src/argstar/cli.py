@@ -9,12 +9,14 @@ complex values as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
 import itertools
 import json
 import math
+import os
 import re
 import shutil
 import sys
@@ -497,6 +499,12 @@ def run(argv) -> int:
         print(f"argstar: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:  # writing the report: a spec file that cannot be read is a FunctionFileError
+        if not args.out:
+            # what is left in stdout's buffer is flushed again at exit; on the same full disk or
+            # closed pipe that would print a second error and make the exit status 120
+            with contextlib.suppress(AttributeError, OSError, ValueError):  # a stdout with no file behind it
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         print(f"argstar: cannot write {args.out or 'stdout'}: {e.strerror or e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -490,8 +490,7 @@ class _Evaluation:
         suspects = set((~self.dominant[:, certified]).any(axis=1).nonzero()[0].tolist())
         for b in (suspects | poles) - errors.keys() - self.errors.keys():
             try:
-                found = [_smallest_root_in_disk(self.coeffs[b, i], self.grid.r_max)
-                         for i in certified if not self.dominant[b, i]]
+                found = [_smallest_root_in_disk(self.coeffs[b, i], self.grid.r_max) for i in certified]
             except (NonFiniteValue, np.linalg.LinAlgError) as exc:
                 errors[b] = exc
                 continue
@@ -858,8 +857,14 @@ def _horner(cs: list, z: complex) -> complex:
 
 def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, float]:
     """(theta*, sup) of |arg q| on the circle of radius r: coarse scan at the
-    n uniform angles of a grid (2 pi k/n), then Brent's refine from the coarse argmax."""
-    vals = _ring_values(coeffs, np.array([r]), angles.size)[0]
+    n uniform angles of a grid (2 pi k/n), then Brent's refine from the coarse
+    argmax. A sample of q that is not finite raises NonFiniteValue."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is found by the check below
+        vals = _ring_values(coeffs, np.array([r]), angles.size)[0]
+    finite = np.isfinite(vals)
+    if not finite.all():
+        z = complex(r * np.exp(1j * angles[np.argmin(finite)]))
+        raise NonFiniteValue(f"f^(0) is not finite at z = {z} (float64 overflow)")
     args = np.angle(vals)
     absarg = np.abs(args)
     # conjugate-symmetric q gives +/- mirror maxima equal up to rounding; take
@@ -906,7 +911,6 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
         raise ParamOutOfRange("gamma must be finite and > 0")
     if q.order_p != 0 or q.coeffs[0] != 1:
         raise ParamOutOfRange("q must satisfy q(0) = 1 (order_p 0, constant term 1)")
-    _raise_first(0, _Evaluation(q, (0,), grid, grid.ring).errors)
     level = math.pi * gamma / 2.0
 
     coeffs, angles, r_max = q.coeffs, grid.angles, grid.r_max

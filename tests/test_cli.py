@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -363,6 +364,33 @@ def test_exit_2_unwritable_stdout(argv, failing, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
     assert run(argv) == 2
     assert capsys.readouterr().err == "argstar: cannot write stdout: No space left on device\n"
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("target", ["full", "pipe"])
+@pytest.mark.parametrize("argv", [["gamma0"], ["alpha", "--alpha0", "1.0", "--count", "3000", "--format", "csv"]])
+def test_exit_2_unwritable_stdout_in_a_fresh_process(argv, target):
+    # the interpreter flushes stdout once more at exit; that flush must neither
+    # print a second error nor turn the exit status into 120
+    if target == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        stdout, reason = os.open("/dev/full", os.O_WRONLY), "No space left on device"
+    else:
+        stdout, reason = _closed_pipe(), "Broken pipe"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "argstar.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr.decode()) == (2, f"argstar: cannot write stdout: {reason}\n")
 
 
 def test_exit_2_negative_seed_is_named(capsys):
