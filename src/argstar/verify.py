@@ -18,7 +18,10 @@ and evaluates all of them in one call of the ring kernel, _ring_values: on n
 uniform angles the samples of a polynomial are the inverse DFT of c_j r^j. A
 scan samples a batch of draws as one coefficient block and does the same for
 the whole block in one call, and heatmap_values takes the same quantities at
-every point of the grid, each radius one ring.
+every point of the grid, each radius one ring. One pass over the coefficients
+(_row_bounds) bounds every sample of each polynomial from below and above; the
+per-sample overflow and ZERO_TOL scans run only where those bounds do not
+already decide them, with the same outcome.
 
 Ratios such as z f'(z)/f(z) are always evaluated with the z-power divided out
 of numerator and denominator separately (f^(k)(z)/z^max(p-k,0) is a
@@ -265,12 +268,53 @@ def _ring_values(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
 _DOMINANCE_RTOL = 1e-12
 
 
-def _dominant(coeffs: np.ndarray, r: float) -> np.ndarray:
-    """Per polynomial along the last axis: the constant term beats the rest on |z| <= r, so no root there."""
+def _head_tail(coeffs: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per polynomial along the last axis: |c_0| and the tail sum sum_{j>=1} |c_j| r^j."""
     mag = np.abs(coeffs)
     # a stacked matmul makes one product per draw, rounded as for that draw alone
-    tail = mag[..., 1:] @ (r ** np.arange(1, mag.shape[-1]))
-    return mag[..., 0] > tail * (1.0 + _DOMINANCE_RTOL)
+    return mag[..., 0], mag[..., 1:] @ (r ** np.arange(1, mag.shape[-1]))
+
+
+def _dominant(coeffs: np.ndarray, r: float) -> np.ndarray:
+    """Per polynomial along the last axis: the constant term beats the rest on |z| <= r, so no root there."""
+    head, tail = _head_tail(coeffs, r)
+    return head > tail * (1.0 + _DOMINANCE_RTOL)
+
+
+def _rounding_allowance(N: int, n: int) -> float:
+    """eps(N, n): the error of a _ring_values sample of an N-coefficient row
+    on n angles, plus that of the row's floor (_row_bounds), as a multiple of
+    S = sum_j |c_j| r^j. With u = 2**-52 (float64 eps):
+
+    - each term c_j r^j is a rounded power times one rounded product per
+      component: within 2u of |c_j| r^j, so 2u S in all;
+    - the fold onto n bins sums at most ceil(N/n) terms per bin: ceil(N/n) u S;
+    - the inverse DFT computes each sample over ceil(log2 n) butterfly stages,
+      each a twiddle product and an add that round within 8u of the partial
+      sum (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      section 24.1): 8 ceil(log2 n) u S;
+    - the floor's tail sum of N - 1 products rounds within N u S, and its
+      |c_0|, two subtractions and the product eps(N, n) S within 3u S;
+    - the z-power of a term, its product with the sample, the modulus that
+      _below_tol compares with ZERO_TOL, the smallest |z|**shift that
+      _clears takes and ZERO_TOL over it each round within u: 5u of a row
+      sample of at most about S, 5u S.
+
+    That is eps(N, n) = (8 ceil(log2 n) + ceil(N/n) + N + 10) u.
+    """
+    return (8 * math.ceil(math.log2(n)) + -(-N // n) + N + 10) * 2.0**-52
+
+
+def _row_bounds(coeffs: np.ndarray, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(floor, upper) per polynomial along the last axis, for its samples by
+    _ring_values on n angles of any radius <= r: every sample has modulus
+    at least floor (|c_0| - sum_{j>=1} |c_j| r^j less the rounding allowance)
+    and is finite where upper = sum_j |c_j| r^j < 2**_FFT_HEADROOM, since no
+    partial sum of the transform can then overflow. A row with an infinite
+    or NaN coefficient has a NaN or infinite bound, which decides nothing."""
+    head, tail = _head_tail(coeffs, r)
+    upper = head + tail
+    return head - tail - _rounding_allowance(coeffs.shape[-1], n) * upper, upper
 
 
 def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex]:
@@ -365,6 +409,10 @@ class _Evaluation:
     one shift for every draw. take multiplies the leads back where they change a
     value, and counts each row's zeros at z = 0 where it certifies.
 
+    floor holds each row's lower bound on |sample| (_row_bounds): a batch
+    whose upper bounds all lie below 2**_FFT_HEADROOM skips the finiteness
+    scan, and a term it clears (_clears) skips its ZERO_TOL scan.
+
     take gives each functional as arrays over the batch, one value and one
     witness per draw, and _verdicts turns them into the batch's verdicts. A
     failure belongs to its draw: `errors` maps a draw to the NonFiniteValue
@@ -376,23 +424,28 @@ class _Evaluation:
         self.grid = grid
         self.points = points
         self.order = f.order_p
-        # an overflow is found by the finiteness check below, not by a numpy warning
+        # an overflow is found by the bounds or the finiteness check below, not by a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             self.coeffs = derivative_block(f, orders)
             self.size = size = self.coeffs.shape[0]
             radii = grid.radii if points.ndim == 2 else grid.radii[-1:]  # grid.points, else grid.ring
             rows = _ring_values(self.coeffs.reshape(size * len(orders), -1), radii, grid.n_angular)
+            self.floor, upper = _row_bounds(self.coeffs, grid.r_max, grid.n_angular)
         self.rows = rows.reshape((size, len(orders)) + points.shape)
-        finite = np.isfinite(rows.reshape(size, -1))
         self.errors = {}
-        for b in (~finite.all(axis=1)).nonzero()[0].tolist():
-            i, j = divmod(int(np.argmin(finite[b])), points.size)  # first such row, its first sample
-            z = complex(points.flat[j])
-            self.errors[b] = NonFiniteValue(f"f^({orders[i]}) is not finite at z = {z} (float64 overflow)")
-            # the constant 1 in its place keeps the rest of the batch free of inf and NaN
-            self.coeffs[b] = 0.0
-            self.coeffs[b, :, 0] = 1.0
-            self.rows[b] = 1.0
+        if not (upper < 2.0**_FFT_HEADROOM).all():  # else no sample can overflow
+            finite = np.isfinite(rows.reshape(size, -1))
+            for b in (~finite.all(axis=1)).nonzero()[0].tolist():
+                i, j = divmod(int(np.argmin(finite[b])), points.size)  # first such row, its first sample
+                z = complex(points.flat[j])
+                self.errors[b] = NonFiniteValue(f"f^({orders[i]}) is not finite at z = {z} (float64 overflow)")
+                # the constant 1 in its place keeps the rest of the batch free of inf and NaN
+                self.coeffs[b] = 0.0
+                self.coeffs[b, :, 0] = 1.0
+                self.rows[b] = 1.0
+            if self.errors:  # and the bounds of the constant 1
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self.floor = _row_bounds(self.coeffs, grid.r_max, grid.n_angular)[0]
         self.row = {k: i for i, k in enumerate(orders)}
 
     @cached_property
@@ -416,6 +469,21 @@ class _Evaluation:
         i, shift = self._term(term)
         vals = self.rows[:, i]
         return vals if shift == 0 else vals * self.points**shift
+
+    @cached_property
+    def _moduli(self) -> tuple[float, float]:
+        """The smallest and the largest |z| over the sample points."""
+        mod = np.abs(self.points)
+        return float(mod.min()), float(mod.max())
+
+    def _clears(self, term) -> bool:
+        """Every value of the term, for every draw, has modulus above
+        ZERO_TOL by its row's floor times the smallest |z|**shift over the
+        sample points (compared as floor > ZERO_TOL/|z|**shift, which cannot
+        overflow): its _below_tol pass would find nothing."""
+        i, shift = self._term(term)
+        scale = min(m**shift for m in self._moduli) if shift else 1.0
+        return bool((self.floor[:, i] > ZERO_TOL / scale).all())
 
     def _below_tol(self, vals: np.ndarray, context: str) -> dict:
         """{draw: ZeroOnGrid at its first sample with |value| below ZERO_TOL}."""
@@ -447,7 +515,7 @@ class _Evaluation:
         errors = {}
         if q.den is not None:
             den = self._values(q.den)
-            errors = self._below_tol(den, q.context)
+            errors = {} if self._clears(q.den) else self._below_tol(den, q.context)
             if errors:  # those draws are lost; keep their division finite
                 den = den.copy()
                 den[list(errors)] = 1.0
@@ -459,7 +527,7 @@ class _Evaluation:
         points = self.points.reshape(-1)
         sup = q.kind == "sup_arg"
         vals, errors = self.values(q)
-        if q.den is None:
+        if q.den is None and not self._clears(q.num):
             errors = self._below_tol(vals, q.context)
         if sup:  # the leads are positive and leave every argument alone
             reduced = np.abs(np.angle(vals)).reshape(self.size, -1)
@@ -553,7 +621,8 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
     if q.kind == "min_real":  # a real value, -pi among them, as it is
         return ev._lead_ratio(q) * vals[0].real
     # arg is undefined where the value, or a ratio's numerator, vanishes
-    _raise_first(0, ev._below_tol(ev._values(q.num), quantity))
+    if not ev._clears(q.num):
+        _raise_first(0, ev._below_tol(ev._values(q.num), quantity))
     vals = np.angle(vals[0])
     return np.where(vals == -np.pi, np.pi, vals)  # fold onto (-pi, pi]
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from argstar import (
@@ -184,6 +184,174 @@ def test_ring_values_batch_rows_match_single_rows_bitwise(n, N):
         batch = _ring_values(block[:size], radii, n)
         for b in range(size):
             assert _bits(batch[b]) == _bits(alone[b]), (size, b)
+
+
+# ------------------------------------------------------------- per-row bounds
+
+
+@pytest.mark.parametrize("n", [8, 47, 512, 8192])
+def test_rounding_allowance_has_a_tenfold_margin(n):
+    # the largest kernel error against a 30-digit evaluation, over the 1-norm
+    # of the terms, stays within a tenth of eps(N, n); the exact value sums each
+    # bin of the fold, then takes the bins by Horner at w^k, k all angles of a
+    # small ring or 16 of a large one
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(n)
+    ks = np.arange(n) if n <= 64 else np.unique(np.r_[0, n // 4, n // 2, rng.integers(0, n, 13)])
+    with mpmath.workdps(30):
+        for N in (2, 3, 16, 40, 300, 2000):
+            for r, kind in ((0.995, "aligned"), (0.995, "spread"), (0.6, "normal")):
+                c = rng.normal(size=N) + 1j * rng.normal(size=N)
+                if kind == "aligned":  # every term real and positive: the largest value, at k = 0
+                    c = np.abs(c)
+                elif kind == "spread":
+                    c *= 10.0 ** rng.uniform(-5, 5, size=N)
+                got = _ring_values(c[None, :], np.array([r]), n)[0, 0, ks]
+                bins = [mpmath.mpc(0)] * min(N, n)
+                power = mpmath.mpf(1)
+                for j, cj in enumerate(c.tolist()):
+                    bins[j % n] += mpmath.mpc(cj) * power
+                    power *= r
+                worst = 0.0
+                for k, value in zip(ks.tolist(), got.tolist()):
+                    w, exact = mpmath.expjpi(mpmath.mpf(2 * k) / n), mpmath.mpc(0)
+                    for b in reversed(bins):
+                        exact = exact * w + b
+                    worst = max(worst, float(abs(mpmath.mpc(value) - exact)))
+                total = float(np.abs(c) @ (r ** np.arange(N)))
+                assert worst <= verify._rounding_allowance(N, n) / 10 * total, (N, r, kind)
+
+
+def _never_clears(coeffs, r, n):
+    """A _row_bounds that decides nothing: every scan runs per sample."""
+    shape = np.shape(coeffs)[:-1]
+    return np.full(shape, -np.inf), np.full(shape, np.inf)
+
+
+def _outcome(call, *args):
+    """What a call gives, bit for bit: its result's arrays as bytes and its
+    errors as (type, message) per draw, or the type and message it raises."""
+    try:
+        got = call(*args)
+    except Exception as exc:  # the first error of a check is part of its outcome
+        return "raised", type(exc), str(exc)
+    if isinstance(got, np.ndarray):
+        return _bits(got)
+    return tuple(
+        {b: (type(e), str(e)) for b, e in part.items()} if isinstance(part, dict) else _bits(np.asarray(part))
+        for part in got
+    )
+
+
+@st.composite
+def _bound_cases(draw):
+    """(raw, grid, points): rows of a SeriesBlock of order 1, on the ring or on
+    all points of a grid of 8 or 16 angles (folded from degree 8 or 16 on).
+    Row kinds: a random tail around the constant term; every tail term real and
+    opposite to c_0, so the first sample is c_0 - tail, with c_0 set a few ulps
+    around where the floor of a term with z-shift -1, 0 or +1 (m = 2, 1, 0)
+    clears ZERO_TOL; a root just outside r_max. Every row scaled by 1e-13, 1,
+    1e300 or up to the largest float64, where values can overflow."""
+    n = draw(st.sampled_from([8, 16]))
+    on_points = draw(st.booleans())
+    grid = DiskGrid(r_max=draw(st.sampled_from([0.5, 0.9, 0.995])), n_radial=3 if on_points else 1, n_angular=n)
+    points = grid.points if on_points else grid.ring
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.integers(2, 41))  # degrees 1-40
+    r, weights = grid.r_max, grid.r_max ** np.arange(N)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "near", "root"]))
+        scale = draw(st.sampled_from([1e-13, 1.0, 1e300, np.finfo(float).max]))
+        if kind == "random":
+            row = (rng.normal(size=N) + 1j * rng.normal(size=N)) / np.arange(1, N + 1) ** rng.uniform(0, 2)
+            row[0] = 1.0
+            row[1:] *= draw(st.floats(0.2, 3.0)) / (np.abs(row[1:]) @ weights[1:])
+        elif kind == "near":
+            row = -rng.uniform(0, 1, size=N).astype(complex)
+            row[1:] /= np.abs(row[1:]) @ weights[1:]  # tail 1 at r_max
+            shift = draw(st.sampled_from([-1, 0, 1]))
+            lo, hi = np.abs(points).min(), np.abs(points).max()
+            target = series.ZERO_TOL / scale / min(lo**shift, hi**shift)
+            eps = verify._rounding_allowance(N, n)
+            head = (target + 1.0 + eps) / (1.0 - eps)  # floor(head) = target, up to rounding
+            for _ in range(abs(ulps := draw(st.integers(-4, 4)))):
+                head = np.nextafter(head, np.inf if ulps > 0 else 0.0)
+            row[0] = head
+            row *= np.exp(1j * rng.uniform(0, 2 * np.pi))  # a phase leaves every modulus alone
+        else:
+            rho = r * (1 + 10.0 ** rng.uniform(-8, -2)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            q = np.r_[1.0, (rng.normal(size=N - 2) + 1j * rng.normal(size=N - 2)) * 0.3 / np.arange(2, N) ** 2]
+            row = np.polynomial.polynomial.polymul(q, [-rho, 1.0])
+        rows.append(row * min(scale, 0.999 * np.finfo(float).max / max(np.abs(row).max(), 1.0)))  # all finite
+    return np.array(rows), grid, points
+
+
+def _bound_quantities():
+    # on one row of order 1: m = 0, 1, 2 is a z-shift of 1, 0, -1
+    for kind in ("sup_arg", "min_real"):
+        for m in (0, 1, 2):
+            yield verify._plain(kind, 0, m, "plain")
+            yield verify._Quantity(kind, (0, 1), (0, m), context="ratio")
+
+
+_HALF_RING = DiskGrid(r_max=0.5, n_radial=1, n_angular=8)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=_bound_cases())
+# a floor near the largest float over |z| = 0.5 clears a z-shift of -1 without overflowing
+@example(case=(np.array([[1.7e308, 1e307]], dtype=complex), _HALF_RING, _HALF_RING.ring))
+def test_row_bounds_never_clear_a_term_with_a_bad_sample(case):
+    raw, grid, points = case
+    block = series.SeriesBlock(1, raw)
+    ev = verify._Evaluation(block, (0,), grid, points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_row_bounds", _never_clears)
+        per_sample = verify._Evaluation(block, (0,), grid, points)
+    assert _outcome(lambda: (ev.errors, ev.rows, ev.coeffs)) == _outcome(
+        lambda: (per_sample.errors, per_sample.rows, per_sample.coeffs))
+    assert np.isfinite(ev.rows).all()  # the draws that overflow are replaced by the constant 1
+    for m in (0, 1, 2):
+        if ev._clears((0, m)):
+            with np.errstate(over="ignore"):  # a row near the largest float over |z| < 1 overflows, cleared or not
+                values = ev._values((0, m))
+            assert ev._below_tol(values, "") == {}
+    for q in _bound_quantities():
+        assert _outcome(ev.take, q) == _outcome(per_sample.take, q), q
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=_bound_cases())
+def test_row_bounds_leave_verdicts_and_heatmaps_alone(case):
+    raw, grid, points = case
+    block = series.SeriesBlock(1, raw)
+    plans = [verify._build_plan(tid, 1, alpha1, None, None, None)
+             for tid, alpha1 in (("T1", 0.5), ("C1", None), ("C2", None), ("L2", None), ("L3", None))]
+    f = PowerSeries(1, raw[0])
+
+    def outcomes():
+        return ([_outcome(verify._verdicts, plan, verify._Evaluation(block, plan.orders, grid, points)) for plan in plans]
+                + [_outcome(verify.heatmap_values, f, quantity, grid) for quantity in verify.HEATMAP_QUANTITIES])
+
+    got = outcomes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_row_bounds", _never_clears)
+        assert got == outcomes()
+
+
+def test_scan_draws_need_no_per_sample_zero_scan(monkeypatch):
+    # the bound pass decides every term of default scan draws, and a row that
+    # starts with a zero (|c_0| = 0) still takes the per-sample scan
+    calls = []
+    below_tol = verify._Evaluation._below_tol
+    monkeypatch.setattr(verify._Evaluation, "_below_tol", lambda self, *a: calls.append(1) or below_tol(self, *a))
+    for tid, kw in (("T4", {"p": 5, "alpha0": 1.0}), ("C2", {"p": 2}), ("L2", {"p": 3}), ("T5", {"s": 2, "delta": 0.3})):
+        counterexample_scan(tid, 40, 1, grid=DiskGrid(n_radial=1), **kw)
+    assert calls == []
+    f = make_series(2, [0.0, 0.2, 0.01])
+    assert check_theorem("T5", f, delta=0.5, s=4).verdict == "PASS"
+    assert calls
 
 
 # -------------------------------------------------------------------- sup/min
