@@ -21,7 +21,8 @@ the whole block in one call, and heatmap_values takes the same quantities at
 every point of the grid, each radius one ring. One pass over the coefficients
 (_row_bounds) bounds every sample of each polynomial from below and above; the
 per-sample overflow and ZERO_TOL scans run only where those bounds do not
-already decide them, with the same outcome.
+already decide them, with the same outcome. An evaluation raises the first
+failure it meets, and a scan batch that fails is checked again draw by draw.
 
 Ratios such as z f'(z)/f(z) are always evaluated with the z-power divided out
 of numerator and denominator separately (f^(k)(z)/z^max(p-k,0) is a
@@ -275,9 +276,8 @@ def _head_tail(coeffs: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     return mag[..., 0], mag[..., 1:] @ (r ** np.arange(1, mag.shape[-1]))
 
 
-def _dominant(coeffs: np.ndarray, r: float) -> np.ndarray:
-    """Per polynomial along the last axis: the constant term beats the rest on |z| <= r, so no root there."""
-    head, tail = _head_tail(coeffs, r)
+def _dominant(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Per polynomial, from its _head_tail at r: the constant term beats the rest on |z| <= r, so no root there."""
     return head > tail * (1.0 + _DOMINANCE_RTOL)
 
 
@@ -305,16 +305,15 @@ def _rounding_allowance(N: int, n: int) -> float:
     return (8 * math.ceil(math.log2(n)) + -(-N // n) + N + 10) * 2.0**-52
 
 
-def _row_bounds(coeffs: np.ndarray, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(floor, upper) per polynomial along the last axis, for its samples by
-    _ring_values on n angles of any radius <= r: every sample has modulus
-    at least floor (|c_0| - sum_{j>=1} |c_j| r^j less the rounding allowance)
-    and is finite where upper = sum_j |c_j| r^j < 2**_FFT_HEADROOM, since no
-    partial sum of the transform can then overflow. A row with an infinite
-    or NaN coefficient has a NaN or infinite bound, which decides nothing."""
-    head, tail = _head_tail(coeffs, r)
+def _row_bounds(head: np.ndarray, tail: np.ndarray, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(floor, upper) per polynomial of N coefficients from its _head_tail at
+    r, for its samples by _ring_values on n angles of any radius <= r: every
+    sample has modulus at least floor (|c_0| - sum_{j>=1} |c_j| r^j less the
+    rounding allowance) and is finite where upper = sum_j |c_j| r^j <
+    2**_FFT_HEADROOM, as no partial sum of the transform can then overflow.
+    A row with an infinite or NaN coefficient has a NaN or infinite bound, which decides nothing."""
     upper = head + tail
-    return head - tail - _rounding_allowance(coeffs.shape[-1], n) * upper, upper
+    return head - tail - _rounding_allowance(N, n) * upper, upper
 
 
 def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex]:
@@ -331,7 +330,7 @@ def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex
     coeffs = coeffs[nonzero[0]:]
     d = int(nonzero[-1] - nonzero[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing tail sum just fails _dominant
-        if d == 0 or _dominant(coeffs, r_max):  # c z^j vanishes only at z = 0
+        if d == 0 or _dominant(*_head_tail(coeffs, r_max)):  # c z^j vanishes only at z = 0
             return None
         row = -coeffs[d - 1::-1] / coeffs[d]
         weights = np.abs(coeffs[: d + 1]) * r_max ** np.arange(d + 1)
@@ -380,21 +379,6 @@ def _orders(*quantities: _Quantity) -> tuple[int, ...]:
     return tuple(sorted({t[0] for q in quantities for t in (q.num, q.den) if t is not None}))
 
 
-class _Taken(NamedTuple):
-    """One functional for each draw of an evaluation: the entries of a draw in
-    `errors` (the ZeroOnGrid, NonFiniteValue or LinAlgError it raises) are meaningless."""
-
-    value: np.ndarray  # float per draw
-    witness: np.ndarray  # complex per draw
-    errors: dict  # draw -> exception
-
-
-def _raise_first(draw: int, *errors: dict) -> None:
-    for found in errors:
-        if draw in found:
-            raise found[draw]
-
-
 class _Evaluation:
     """The derivatives f^(k) of the given orders of a batch of draws, each
     evaluated once at the sample points (grid.ring for the checks and the
@@ -409,15 +393,15 @@ class _Evaluation:
     one shift for every draw. take multiplies the leads back where they change a
     value, and counts each row's zeros at z = 0 where it certifies.
 
-    floor holds each row's lower bound on |sample| (_row_bounds): a batch
-    whose upper bounds all lie below 2**_FFT_HEADROOM skips the finiteness
-    scan, and a term it clears (_clears) skips its ZERO_TOL scan.
+    One bound pass (_head_tail, _row_bounds) gives each row's lower bound on
+    |sample| (floor) and whether its constant term dominates (dominant): a
+    batch whose upper bounds all lie below 2**_FFT_HEADROOM skips the
+    finiteness scan, and a term it clears (_clears) skips its ZERO_TOL scan.
 
     take gives each functional as arrays over the batch, one value and one
-    witness per draw, and _verdicts turns them into the batch's verdicts. A
-    failure belongs to its draw: `errors` maps a draw to the NonFiniteValue
-    of its evaluation, values/take return the exceptions of each draw they
-    reach, and the caller raises them in its own order.
+    witness per draw, and _verdicts turns them into the batch's verdicts.
+    Each step raises the first failure it finds, an overflow, a ZeroOnGrid or
+    a certificate's error; _scan_verdicts finds the batch's first failing draw.
     """
 
     def __init__(self, f, orders, grid: DiskGrid, points: np.ndarray):
@@ -430,30 +414,18 @@ class _Evaluation:
             self.size = size = self.coeffs.shape[0]
             radii = grid.radii if points.ndim == 2 else grid.radii[-1:]  # grid.points, else grid.ring
             rows = _ring_values(self.coeffs.reshape(size * len(orders), -1), radii, grid.n_angular)
-            self.floor, upper = _row_bounds(self.coeffs, grid.r_max, grid.n_angular)
-        self.rows = rows.reshape((size, len(orders)) + points.shape)
-        self.errors = {}
+            head, tail = _head_tail(self.coeffs, grid.r_max)
+            self.floor, upper = _row_bounds(head, tail, self.coeffs.shape[-1], grid.n_angular)
+            # per draw and row, a pre-filter: _smallest_root_in_disk decides every row it leaves
+            self.dominant = _dominant(head, tail)
         if not (upper < 2.0**_FFT_HEADROOM).all():  # else no sample can overflow
-            finite = np.isfinite(rows.reshape(size, -1))
-            for b in (~finite.all(axis=1)).nonzero()[0].tolist():
-                i, j = divmod(int(np.argmin(finite[b])), points.size)  # first such row, its first sample
+            finite = np.isfinite(rows)
+            if not finite.all():
+                i, j = divmod(int(np.argmin(finite)), points.size)  # first such row, its first sample
                 z = complex(points.flat[j])
-                self.errors[b] = NonFiniteValue(f"f^({orders[i]}) is not finite at z = {z} (float64 overflow)")
-                # the constant 1 in its place keeps the rest of the batch free of inf and NaN
-                self.coeffs[b] = 0.0
-                self.coeffs[b, :, 0] = 1.0
-                self.rows[b] = 1.0
-            if self.errors:  # and the bounds of the constant 1
-                with np.errstate(over="ignore", invalid="ignore"):
-                    self.floor = _row_bounds(self.coeffs, grid.r_max, grid.n_angular)[0]
+                raise NonFiniteValue(f"f^({orders[i % len(orders)]}) is not finite at z = {z} (float64 overflow)")
+        self.rows = rows.reshape((size, len(orders)) + points.shape)
         self.row = {k: i for i, k in enumerate(orders)}
-
-    @cached_property
-    def dominant(self) -> np.ndarray:
-        """Per draw and row: no root on |z| <= r_max, by a dominant constant
-        term. A pre-filter over the batch: _smallest_root_in_disk decides
-        every row it leaves."""
-        return _dominant(self.coeffs, self.grid.r_max)
 
     @cached_property
     def zeros(self) -> np.ndarray:
@@ -468,7 +440,14 @@ class _Evaluation:
     def _values(self, term) -> np.ndarray:
         i, shift = self._term(term)
         vals = self.rows[:, i]
-        return vals if shift == 0 else vals * self.points**shift
+        if shift == 0:
+            return vals
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = vals * self.points**shift
+        if shift < 0 and not np.isfinite(vals).all():  # only a negative shift can grow a value
+            z = complex(self.points.flat[int(np.argmin(np.isfinite(vals))) % self.points.size])
+            raise NonFiniteValue(f"f^({term[0]})/z^{term[1]} is not finite at z = {z} (float64 overflow)")
+        return vals
 
     @cached_property
     def _moduli(self) -> tuple[float, float]:
@@ -485,17 +464,13 @@ class _Evaluation:
         scale = min(m**shift for m in self._moduli) if shift else 1.0
         return bool((self.floor[:, i] > ZERO_TOL / scale).all())
 
-    def _below_tol(self, vals: np.ndarray, context: str) -> dict:
-        """{draw: ZeroOnGrid at its first sample with |value| below ZERO_TOL}."""
-        mag = np.abs(vals).reshape(self.size, -1)
+    def _below_tol(self, vals: np.ndarray, context: str) -> None:
+        """Raise ZeroOnGrid at the first sample, in (draw, radial, angular) order, with |value| below ZERO_TOL."""
+        mag = np.abs(vals).reshape(-1)
         low = mag < ZERO_TOL
-        errors: dict = {}
-        if not low.any():
-            return errors
-        for b in low.any(axis=1).nonzero()[0].tolist():
-            j = int(np.argmax(low[b]))  # first offending point in (radial, angular) order
-            errors[b] = ZeroOnGrid(complex(self.points.flat[j]), float(mag[b, j]), context)
-        return errors
+        if low.any():
+            j = int(np.argmax(low))
+            raise ZeroOnGrid(complex(self.points.flat[j % self.points.size]), float(mag[j]), context)
 
     def _lead_ratio(self, q: _Quantity) -> float:
         """The positive factor by which the true N/D exceeds the normalized one,
@@ -507,28 +482,24 @@ class _Evaluation:
         except OverflowError:
             return math.inf
 
-    def values(self, q: _Quantity) -> tuple[np.ndarray, dict]:
+    def values(self, q: _Quantity) -> np.ndarray:
         """N/D of the normalized derivatives of every draw at every sample
-        point, and the ZeroOnGrid of each draw whose denominator falls below
-        ZERO_TOL at a sample."""
+        point; a denominator below ZERO_TOL at a sample raises ZeroOnGrid."""
         vals = self._values(q.num)
-        errors = {}
-        if q.den is not None:
-            den = self._values(q.den)
-            errors = {} if self._clears(q.den) else self._below_tol(den, q.context)
-            if errors:  # those draws are lost; keep their division finite
-                den = den.copy()
-                den[list(errors)] = 1.0
-            vals = vals / den
-        return vals, errors
+        if q.den is None:
+            return vals
+        den = self._values(q.den)
+        if not self._clears(q.den):
+            self._below_tol(den, q.context)
+        return vals / den
 
-    def take(self, q: _Quantity) -> _Taken:
-        """Value and witness of one functional on the ring, for every draw."""
+    def take(self, q: _Quantity) -> tuple[np.ndarray, np.ndarray]:
+        """Value and witness of one functional on the ring, one of each per draw."""
         points = self.points.reshape(-1)
         sup = q.kind == "sup_arg"
-        vals, errors = self.values(q)
+        vals = self.values(q)
         if q.den is None and not self._clears(q.num):
-            errors = self._below_tol(vals, q.context)
+            self._below_tol(vals, q.context)
         if sup:  # the leads are positive and leave every argument alone
             reduced = np.abs(np.angle(vals)).reshape(self.size, -1)
         else:
@@ -537,12 +508,10 @@ class _Evaluation:
             if q.add:
                 reduced += q.add
             finite = np.isfinite(reduced)
-            for b in (~finite.all(axis=1)).nonzero()[0].tolist():
-                j = int(np.argmin(finite[b]))
-                errors.setdefault(b, NonFiniteValue(
-                    f"{q.context}: f^({q.num[0]}) with its leading falling factorial multiplied back "
-                    f"is not finite at z = {complex(points[j])} (float64 overflow)"))
-                reduced[b] = 0.0  # keeps the rest of the batch free of inf and NaN
+            if not finite.all():
+                z = complex(points[int(np.argmin(finite)) % points.size])
+                raise NonFiniteValue(f"{q.context}: f^({q.num[0]}) with its leading falling factorial "
+                                     f"multiplied back is not finite at z = {z} (float64 overflow)")
         idx = reduced.argmax(axis=1) if sup else reduced.argmin(axis=1)
         value, witness = reduced[np.arange(self.size), idx], points[idx]
 
@@ -554,32 +523,23 @@ class _Evaluation:
             den, den_shift = self._term(q.den)
             certified.append(den)
             net = net - den_shift - self.zeros[:, den]
-        poles = set((net != 0 if sup else net < 0).nonzero()[0].tolist())  # a zero of an argument, or a pole
-        suspects = set((~self.dominant[:, certified]).any(axis=1).nonzero()[0].tolist())
-        for b in (suspects | poles) - errors.keys() - self.errors.keys():
-            try:
-                found = [_smallest_root_in_disk(self.coeffs[b, i], self.grid.r_max) for i in certified]
-            except (NonFiniteValue, np.linalg.LinAlgError) as exc:
-                errors[b] = exc
-                continue
-            found = [r for r in found if r is not None] + ([0j] if b in poles else [])
-            root = min(found, key=abs, default=None)
+        poles = net != 0 if sup else net < 0  # a zero of an argument, or a pole
+        for b in np.flatnonzero(poles | ~self.dominant[:, certified].all(axis=1)).tolist():
+            found = [_smallest_root_in_disk(self.coeffs[b, i], self.grid.r_max) for i in certified]
+            root = min([r for r in found if r is not None] + ([0j] if poles[b] else []), key=abs, default=None)
             if root is None:
                 continue
-            if q.kind == "min_real":
-                errors[b] = ZeroOnGrid(root, None, q.context)
-            else:
-                value[b], witness[b] = math.pi, root
-        return _Taken(value, witness, errors)
+            if not sup:
+                raise ZeroOnGrid(root, None, q.context)
+            value[b], witness[b] = math.pi, root
+        return value, witness
 
 
 def _take_one(s: PowerSeries, kind: str, divisor_power: int, grid: DiskGrid):
     if divisor_power < 0:
         raise ValueError("divisor_power must be >= 0")
-    ev = _Evaluation(s, (0,), grid, grid.ring)
-    taken = ev.take(_plain(kind, 0, divisor_power, kind))
-    _raise_first(0, ev.errors, taken.errors)
-    return float(taken.value[0]), complex(taken.witness[0])
+    value, witness = _Evaluation(s, (0,), grid, grid.ring).take(_plain(kind, 0, divisor_power, kind))
+    return float(value[0]), complex(witness[0])
 
 
 def sup_arg(s: PowerSeries, divisor_power: int, grid: DiskGrid = DEFAULT_GRID) -> SupArgResult:
@@ -616,13 +576,12 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
         "re-ratio": _ratio("min_real", p, p, quantity),
     }[quantity]
     ev = _Evaluation(f, _orders(q), grid, grid.points)
-    vals, errors = ev.values(q)
-    _raise_first(0, ev.errors, errors)
+    vals = ev.values(q)
     if q.kind == "min_real":  # a real value, -pi among them, as it is
         return ev._lead_ratio(q) * vals[0].real
     # arg is undefined where the value, or a ratio's numerator, vanishes
     if not ev._clears(q.num):
-        _raise_first(0, ev._below_tol(ev._values(q.num), quantity))
+        ev._below_tol(ev._values(q.num), quantity)
     vals = np.angle(vals[0])
     return np.where(vals == -np.pi, np.pi, vals)  # fold onto (-pi, pi]
 
@@ -830,31 +789,40 @@ class _Verdicts(NamedTuple):
 
 
 def _verdicts(plan: _Plan, ev: _Evaluation) -> _Verdicts:
-    """The verdicts of every draw of the evaluation, as arrays.
-
-    The first draw that fails raises, as if the draws were checked one at a
-    time: within a draw its evaluation fails first, then its hypothesis, then
-    each conclusion in order, and the conclusions only when the hypothesis holds.
-    """
-    hyp = ev.take(plan.hypothesis)
+    """The verdicts of every draw of the evaluation, as arrays. The
+    hypothesis is taken for every draw, then each conclusion in order when
+    it holds for any draw, and the first failure raises: on one draw its
+    hypothesis fails first, then each conclusion in order, and the
+    conclusions only when the hypothesis holds (see _scan_verdicts)."""
+    hyp_value, hyp_witness = ev.take(plan.hypothesis)
     bound = plan.hypothesis_bound
-    hyp_ok = hyp.value > bound if plan.hypothesis.kind == "min_real" else hyp.value < bound
+    hyp_ok = hyp_value > bound if plan.hypothesis.kind == "min_real" else hyp_value < bound
     shape = (ev.size, len(plan.conclusions))
     value, witness = np.zeros(shape), np.zeros(shape, dtype=np.complex128)
-    errors = []
     if hyp_ok.any():
         for j, (_, q, _) in enumerate(plan.conclusions):
-            taken = ev.take(q)
-            value[:, j], witness[:, j] = taken.value, taken.witness
-            errors.append({b: exc for b, exc in taken.errors.items() if hyp_ok[b]})
-    failed = ev.errors.keys() | hyp.errors.keys() | {b for found in errors for b in found}
-    if failed:
-        _raise_first(min(failed), ev.errors, hyp.errors, *errors)
+            value[:, j], witness[:, j] = ev.take(q)
     bounds = np.array([c_bound for _, _, c_bound in plan.conclusions])
     sup = np.array([q.kind == "sup_arg" for _, q, _ in plan.conclusions], dtype=bool)
     margin = np.where(sup, bounds - value, value - bounds)
     passed = hyp_ok & (margin >= -SLACK).all(axis=1)
-    return _Verdicts(hyp.value, hyp.witness, hyp_ok, value, witness, margin, passed)
+    return _Verdicts(hyp_value, hyp_witness, hyp_ok, value, witness, margin, passed)
+
+
+def _scan_verdicts(plan: _Plan, draws: SeriesBlock, grid: DiskGrid) -> _Verdicts:
+    """The verdicts of a scan batch, as check_theorem gives them on each draw
+    in turn. A batch that fails is checked again draw by draw, so the first
+    draw that fails raises, and a draw whose hypothesis fails is never failed
+    by its conclusions. A row rounds as it does alone, whatever its batch
+    (_ring_values, _head_tail), so the draws' verdicts are the batch's."""
+    def verdicts(block: SeriesBlock) -> _Verdicts:
+        return _verdicts(plan, _Evaluation(block, plan.orders, grid, grid.ring))
+
+    try:
+        return verdicts(draws)
+    except (ZeroOnGrid, NonFiniteValue, np.linalg.LinAlgError):
+        alone = [verdicts(SeriesBlock(draws.order_p, row[None])) for row in draws.raw]
+        return _Verdicts(*map(np.concatenate, zip(*alone)))
 
 
 # ------------------------------------------------------------- boundary probe
@@ -1225,7 +1193,7 @@ def counterexample_scan(
     the uniforms of all its draws from one _scan_uniforms call. The draws are
     evaluated in batches of at most _BATCH_VALUES ring values, each batch in
     one _ring_values call. The verdicts and margins of
-    a batch are arrays (see _verdicts), with the verdicts, margins and first
+    a batch are arrays (see _scan_verdicts), with the verdicts, margins and first
     error that check_theorem gives on each draw in turn; no report object is
     built per draw, and only the worst draw becomes a PowerSeries. Draws that fail the
     hypothesis on the grid are discarded and redrawn (only L3 can produce them;
@@ -1255,7 +1223,7 @@ def counterexample_scan(
         # every draw of a batch is needed: each one adds at most one verdict
         size = min(trials - len(verdicts), 10 * trials - attempts, batch)
         draws = _sample_block(_scan_uniforms(seed, attempts, size, 2 * N - 1), order, bound)
-        v = _verdicts(plan, _Evaluation(draws, plan.orders, grid, grid.ring))
+        v = _scan_verdicts(plan, draws, grid)
         held = v.passed[v.hyp_ok].tolist()
         verdicts.extend(VERDICT_PASS if ok else VERDICT_FAIL for ok in held)
         counts[VERDICT_PASS] += sum(held)

@@ -222,25 +222,28 @@ def test_rounding_allowance_has_a_tenfold_margin(n):
                 assert worst <= verify._rounding_allowance(N, n) / 10 * total, (N, r, kind)
 
 
-def _never_clears(coeffs, r, n):
+def _never_clears(head, tail, N, n):
     """A _row_bounds that decides nothing: every scan runs per sample."""
-    shape = np.shape(coeffs)[:-1]
+    shape = np.shape(head)
     return np.full(shape, -np.inf), np.full(shape, np.inf)
 
 
 def _outcome(call, *args):
-    """What a call gives, bit for bit: its result's arrays as bytes and its
-    errors as (type, message) per draw, or the type and message it raises."""
+    """What a call gives, bit for bit: its result's arrays as bytes, or the
+    type and message it raises."""
     try:
         got = call(*args)
     except Exception as exc:  # the first error of a check is part of its outcome
         return "raised", type(exc), str(exc)
     if isinstance(got, np.ndarray):
         return _bits(got)
-    return tuple(
-        {b: (type(e), str(e)) for b, e in part.items()} if isinstance(part, dict) else _bits(np.asarray(part))
-        for part in got
-    )
+    return tuple(_bits(np.asarray(part)) for part in got)
+
+
+def _batch_and_draws(raw):
+    """The block of order 1 of all rows of raw, then one block per row alone:
+    the first failure of a batch need not be that of its first draw."""
+    return [series.SeriesBlock(1, rows) for rows in (raw, *raw[:, None])]
 
 
 @st.composite
@@ -304,40 +307,50 @@ _HALF_RING = DiskGrid(r_max=0.5, n_radial=1, n_angular=8)
 @example(case=(np.array([[1.7e308, 1e307]], dtype=complex), _HALF_RING, _HALF_RING.ring))
 def test_row_bounds_never_clear_a_term_with_a_bad_sample(case):
     raw, grid, points = case
-    block = series.SeriesBlock(1, raw)
-    ev = verify._Evaluation(block, (0,), grid, points)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_row_bounds", _never_clears)
-        per_sample = verify._Evaluation(block, (0,), grid, points)
-    assert _outcome(lambda: (ev.errors, ev.rows, ev.coeffs)) == _outcome(
-        lambda: (per_sample.errors, per_sample.rows, per_sample.coeffs))
-    assert np.isfinite(ev.rows).all()  # the draws that overflow are replaced by the constant 1
-    for m in (0, 1, 2):
-        if ev._clears((0, m)):
-            with np.errstate(over="ignore"):  # a row near the largest float over |z| < 1 overflows, cleared or not
-                values = ev._values((0, m))
-            assert ev._below_tol(values, "") == {}
-    for q in _bound_quantities():
-        assert _outcome(ev.take, q) == _outcome(per_sample.take, q), q
+    for block in _batch_and_draws(raw):
+        def evaluated(use, *args):
+            return use(verify._Evaluation(block, (0,), grid, points), *args)
+
+        def outcomes():
+            return [_outcome(evaluated, lambda ev: (ev.rows, ev.coeffs))] + [
+                _outcome(evaluated, verify._Evaluation.take, q) for q in _bound_quantities()]
+
+        got = outcomes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_row_bounds", _never_clears)
+            assert outcomes() == got
+        try:
+            ev = verify._Evaluation(block, (0,), grid, points)
+        except NonFiniteValue:  # a batch with a sample that overflows raises
+            continue
+        assert np.isfinite(ev.rows).all()
+        for m in (0, 1, 2):
+            if ev._clears((0, m)):
+                with np.errstate(over="ignore", invalid="ignore"):  # a row near the largest float overflows over |z| < 1
+                    values = ev.rows[:, 0] * points ** (1 - m)  # f/z^m, cleared or not
+                ev._below_tol(values, "")  # raises nothing
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(case=_bound_cases())
 def test_row_bounds_leave_verdicts_and_heatmaps_alone(case):
     raw, grid, points = case
-    block = series.SeriesBlock(1, raw)
     plans = [verify._build_plan(tid, 1, alpha1, None, None, None)
              for tid, alpha1 in (("T1", 0.5), ("C1", None), ("C2", None), ("L2", None), ("L3", None))]
-    f = PowerSeries(1, raw[0])
+    for block in _batch_and_draws(raw):
+        f = PowerSeries(1, block.raw[0])
 
-    def outcomes():
-        return ([_outcome(verify._verdicts, plan, verify._Evaluation(block, plan.orders, grid, points)) for plan in plans]
-                + [_outcome(verify.heatmap_values, f, quantity, grid) for quantity in verify.HEATMAP_QUANTITIES])
+        def verdicts(plan):
+            return verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid, points))
 
-    got = outcomes()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_row_bounds", _never_clears)
-        assert got == outcomes()
+        def outcomes():
+            return ([_outcome(verdicts, plan) for plan in plans]
+                    + [_outcome(verify.heatmap_values, f, quantity, grid) for quantity in verify.HEATMAP_QUANTITIES])
+
+        got = outcomes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_row_bounds", _never_clears)
+            assert got == outcomes()
 
 
 def test_scan_draws_need_no_per_sample_zero_scan(monkeypatch):
@@ -361,6 +374,19 @@ def test_sup_arg_monomial_is_zero():
     r = sup_arg(make_series(3, []), 3, g)
     assert r.sup_abs_arg == 0.0
     assert r.witness == complex(g.ring[0])  # every ring sample ties: the first one
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("functional", [sup_arg, min_real])
+@pytest.mark.parametrize("coeffs,first", [([0.0, 1.5e308, 1.5e308j], 5), ([1e308, 1e307], 0)])
+def test_shifted_sample_overflow_raises(functional, coeffs, first):
+    # s/z doubles s on |z| = 0.5, past the largest float64 first at ring point
+    # `first`: 1.5e308 (1 + iz) is finite on the ring (sup|arg| = asin(0.5)),
+    # its doubled samples are not, and no warning or value may come of them
+    z = complex(_HALF_RING.ring[first])
+    with pytest.raises(NonFiniteValue) as raised:
+        functional(PowerSeries(0, coeffs), 1, _HALF_RING)
+    assert str(raised.value) == f"f^(0)/z^1 is not finite at z = {z} (float64 overflow)"
 
 
 def test_sup_arg_linear_tail():
@@ -802,7 +828,7 @@ def test_rows_dominant_after_their_zeros_need_no_companion_roots(monkeypatch):
     got = check_theorem("T5", f, delta=0.5, s=4)
     assert calls == []
     with monkeypatch.context() as m:
-        m.setattr(verify, "_dominant", lambda coeffs, r: np.zeros(np.shape(coeffs)[:-1], dtype=bool))
+        m.setattr(verify, "_DOMINANCE_RTOL", math.inf)  # no constant term dominates
         want = check_theorem("T5", f, delta=0.5, s=4)
     assert calls == [(1, 1)] * 3
     assert json.dumps(cli._payload(got)) == json.dumps(cli._payload(want))
@@ -1549,6 +1575,44 @@ def test_scan_raises_first_failing_draw(monkeypatch, first):
     with pytest.raises(type(alone.value)) as scanned:
         counterexample_scan("L2", trials=10, seed=3, p=2, grid=grid)
     assert str(scanned.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["one-batch", "one-draw"])
+def test_scan_batch_failed_by_a_missed_hypothesis_completes(monkeypatch, budget):
+    # C1 at p = 170, attempt 2 made f = z^170 (1 + 50 z): f^(170) has a root in
+    # the disk, so its hypothesis fails, and Re(f^(169)/z) overflows once 170!
+    # is multiplied back. The batch of all draws raises on that conclusion and
+    # is checked again draw by draw, where this draw is never asked for it
+    if budget is not None:
+        monkeypatch.setattr(verify, "_BATCH_VALUES", budget)
+    fault = [1.0, 50.0] + [0.0] * 14
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    assert check_theorem("C1", PowerSeries(170, fault), grid).verdict == "HYPOTHESIS_NOT_SATISFIED"
+    target = verify._scan_uniforms(1, 2, 1, 31)[0]  # also the uniforms of sample_hypothesis_function
+    real_sampler, real_verdicts = verify._sample_block, verify._verdicts
+    raised = []
+
+    def sampler(u, *args, **kw):
+        block = real_sampler(u, *args, **kw)
+        block.raw[(u == target).all(axis=1)] = fault
+        return block
+
+    def verdicts(*args):
+        try:
+            return real_verdicts(*args)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(verify, "_sample_block", sampler)
+    monkeypatch.setattr(verify, "_verdicts", verdicts)
+    rep = counterexample_scan("C1", trials=10, seed=1, p=170, grid=grid)
+    assert raised == ([] if budget == 1 else [verify.NonFiniteValue])
+    attempts, counts, verdicts_, worst = _scan_by_checks("C1", 10, 1, grid, p=170)
+    assert counts["HYPOTHESIS_NOT_SATISFIED"] == 1
+    assert (rep.attempts, rep.counts, rep.verdicts) == (attempts, counts, verdicts_)
+    assert (rep.worst_margin, rep.worst_label, rep.worst_attempt) == worst[:3]
+    assert rep.worst_function == worst[3]
 
 
 def test_scan_builds_no_report_objects(monkeypatch):
