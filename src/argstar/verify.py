@@ -21,8 +21,12 @@ the whole block in one call, and heatmap_values takes the same quantities at
 every point of the grid, each radius one ring. One pass over the coefficients
 (_row_bounds) bounds every sample of each polynomial from below and above; the
 per-sample overflow and ZERO_TOL scans run only where those bounds do not
-already decide them, with the same outcome. An evaluation raises the first
-failure it meets, and a scan batch that fails is checked again draw by draw.
+already decide them, with the same outcome. The same pass decides a scan
+batch's sup|arg f^(p)| hypothesis where it can (_Evaluation._certified): the
+bounds then prove it on the whole closed disk, the hypothesis is not sampled,
+and _Verdicts.hyp_value is NaN, which no report shows; check_theorem always
+samples it. An evaluation raises the first failure it meets, and a scan batch
+that fails is checked again draw by draw.
 
 Ratios such as z f'(z)/f(z) are always evaluated with the z-power divided out
 of numerator and denominator separately (f^(k)(z)/z^max(p-k,0) is a
@@ -361,7 +365,7 @@ class _Quantity:
     num: tuple[int, int]
     den: Optional[tuple[int, int]] = None
     add: int = 0
-    context: str = ""
+    context: str = field(default="", compare=False)  # names it in errors; equal quantities take the same values
 
 
 def _plain(kind: str, k: int, m: int, context: str) -> _Quantity:
@@ -377,6 +381,32 @@ def _ratio(kind: str, p: int, upper: int, context: str, add: int = 0) -> _Quanti
 def _orders(*quantities: _Quantity) -> tuple[int, ...]:
     """The distinct derivative orders the quantities read, ascending."""
     return tuple(sorted({t[0] for q in quantities for t in (q.num, q.den) if t is not None}))
+
+
+class _Hypothesis(NamedTuple):
+    """A plan's hypothesis sup|arg f^(p)| < bound, which a scan batch
+    certifies from coefficients where it can (_Evaluation._certified)."""
+
+    quantity: _Quantity
+    bound: float
+    drop: bool  # no conclusion reads the highest derivative order: a certified batch does not sample it
+
+
+# The rounding margin of the hypothesis certificate (_Evaluation._certified):
+# what the steps after the certificate's bound rho on every sample may add to
+# the angles. With u = 2**-52 as in _rounding_allowance:
+#
+# - asin(rho), a value below 2, is within 4 ulps (the C library's math.asin
+#   is within 1), 4u;
+# - np.angle's arctan2 of a sample, a value below 2 in modulus on a half
+#   plane Re w > 0, is within 4 ulps (numpy's SIMD versions; the C library's
+#   within 1), 4u;
+# - the angle plus the margin, below 4, rounds within u before it is compared
+#   with the bound.
+#
+# That is 9u; the margin is 32u, which still covers arcsin and arctan2
+# implementations several ulps worse than these.
+_HYPOTHESIS_MARGIN = 32 * 2.0**-52
 
 
 class _Evaluation:
@@ -396,7 +426,11 @@ class _Evaluation:
     One bound pass (_head_tail, _row_bounds) gives each row's lower bound on
     |sample| (floor) and whether its constant term dominates (dominant): a
     batch whose upper bounds all lie below 2**_FFT_HEADROOM skips the
-    finiteness scan, and a term it clears (_clears) skips its ZERO_TOL scan.
+    finiteness scan, a term it clears (_clears) skips its ZERO_TOL scan, and a
+    ratio it bounds (_bounded) skips the finiteness scan of its quotients.
+    A scan hands over its plan's hypothesis, and a batch for whose every draw
+    the same pass proves it (_certified) is certified: the hypothesis is not
+    taken, and its highest order is not evaluated where only it reads that.
 
     take gives each functional as arrays over the batch, one value and one
     witness per draw, and _verdicts turns them into the batch's verdicts.
@@ -404,28 +438,60 @@ class _Evaluation:
     a certificate's error; _scan_verdicts finds the batch's first failing draw.
     """
 
-    def __init__(self, f, orders, grid: DiskGrid, points: np.ndarray):
+    def __init__(self, f, orders, grid: DiskGrid, points: np.ndarray, hypothesis: Optional[_Hypothesis] = None):
         self.grid = grid
         self.points = points
         self.order = f.order_p
+        self.row = {k: i for i, k in enumerate(orders)}
         # an overflow is found by the bounds or the finiteness check below, not by a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             self.coeffs = derivative_block(f, orders)
             self.size = size = self.coeffs.shape[0]
-            radii = grid.radii if points.ndim == 2 else grid.radii[-1:]  # grid.points, else grid.ring
-            rows = _ring_values(self.coeffs.reshape(size * len(orders), -1), radii, grid.n_angular)
             head, tail = _head_tail(self.coeffs, grid.r_max)
             self.floor, upper = _row_bounds(head, tail, self.coeffs.shape[-1], grid.n_angular)
             # per draw and row, a pre-filter: _smallest_root_in_disk decides every row it leaves
             self.dominant = _dominant(head, tail)
-        if not (upper < 2.0**_FFT_HEADROOM).all():  # else no sample can overflow
+            self.top = float(upper.max())  # the largest upper bound, NaN where one is
+            self.certified = hypothesis is not None and self._certified(hypothesis, head)
+            kept = len(orders) - (self.certified and hypothesis.drop)  # the highest order is the last row
+            radii = grid.radii if points.ndim == 2 else grid.radii[-1:]  # grid.points, else grid.ring
+            evaluated = self.coeffs[:, :kept].reshape(size * kept, self.coeffs.shape[-1])
+            rows = _ring_values(evaluated, radii, grid.n_angular)
+        if not self.top < 2.0**_FFT_HEADROOM:  # else no sample can overflow
             finite = np.isfinite(rows)
             if not finite.all():
                 i, j = divmod(int(np.argmin(finite)), points.size)  # first such row, its first sample
                 z = complex(points.flat[j])
-                raise NonFiniteValue(f"f^({orders[i % len(orders)]}) is not finite at z = {z} (float64 overflow)")
-        self.rows = rows.reshape((size, len(orders)) + points.shape)
-        self.row = {k: i for i, k in enumerate(orders)}
+                raise NonFiniteValue(f"f^({orders[i % kept]}) is not finite at z = {z} (float64 overflow)")
+        self.rows = rows.reshape((size, kept) + points.shape)
+
+    def _certified(self, hypothesis: _Hypothesis, head: np.ndarray) -> bool:
+        """Whether the hypothesis holds for every draw by its coefficients,
+        and so surely that take would give it for every draw, raising nothing.
+
+        The row of f^(p) must have no z-power (shift 0), and in every draw a
+        real c_0 > 0 that dominates (dominant) and floor > ZERO_TOL; every
+        row's upper bound must lie below 2**_FFT_HEADROOM. By the derivation
+        of _rounding_allowance every sample w of such a row, as _ring_values
+        computes it, lies within c_0 - floor < c_0 of c_0, so
+        |arg w| <= asin(rho) with rho = (c_0 - floor)/c_0 < 1, which also
+        bounds |arg f^(p)| on the closed disk. Computed as here, rho rounds
+        twice, within u/2 each (u = 2**-52), so rho (1 + 2u) rounded is at
+        least rho, and its arcsin must stay below the bound by
+        _HYPOTHESIS_MARGIN.
+
+        The same conditions make take raise nothing: the floors clear the
+        ZERO_TOL scan, no sample can overflow below 2**_FFT_HEADROOM, and a
+        dominant row with c_0 != 0 needs no root certificate.
+        """
+        i, shift = self._term(hypothesis.quantity.num)
+        if shift or not self.top < 2.0**_FFT_HEADROOM or not self.dominant[:, i].all():
+            return False
+        h, floor = head[:, i], self.floor[:, i]
+        if not (floor.min() > ZERO_TOL and (self.coeffs[:, i, 0] == h).all()):  # c_0 = |c_0| > 0
+            return False
+        rho = float(((h - floor) / h).max())
+        return math.asin(min(rho * (1.0 + 2.0**-51), 1.0)) + _HYPOTHESIS_MARGIN < hypothesis.bound
 
     @cached_property
     def zeros(self) -> np.ndarray:
@@ -464,6 +530,16 @@ class _Evaluation:
         scale = min(m**shift for m in self._moduli) if shift else 1.0
         return bool((self.floor[:, i] > ZERO_TOL / scale).all())
 
+    def _bounded(self, q: _Quantity) -> bool:
+        """No quotient N/D of any draw can overflow, in numpy's complex
+        division either: every |D| is at least ZERO_TOL (values checks it),
+        and every |N| at most the largest upper bound times the largest
+        |z|**shift, below 2**_FFT_HEADROOM ZERO_TOL. Called once N is
+        finite, so its power does not overflow."""
+        shift = self._term(q.num)[1]
+        scale = max(m**shift for m in self._moduli) if shift < 0 else 1.0  # |z| < 1: else at most 1
+        return self.top * scale < 2.0**_FFT_HEADROOM * ZERO_TOL
+
     def _below_tol(self, vals: np.ndarray, context: str) -> None:
         """Raise ZeroOnGrid at the first sample, in (draw, radial, angular) order, with |value| below ZERO_TOL."""
         mag = np.abs(vals).reshape(-1)
@@ -484,14 +560,24 @@ class _Evaluation:
 
     def values(self, q: _Quantity) -> np.ndarray:
         """N/D of the normalized derivatives of every draw at every sample
-        point; a denominator below ZERO_TOL at a sample raises ZeroOnGrid."""
+        point; a denominator below ZERO_TOL at a sample raises ZeroOnGrid,
+        and a quotient that is not finite NonFiniteValue."""
         vals = self._values(q.num)
         if q.den is None:
             return vals
         den = self._values(q.den)
         if not self._clears(q.den):
             self._below_tol(den, q.context)
-        return vals / den
+        if self._bounded(q):
+            return vals / den
+        with np.errstate(over="ignore", invalid="ignore"):  # found by the check below
+            vals = vals / den
+        finite = np.isfinite(vals)
+        if not finite.all():
+            z = complex(self.points.flat[int(np.argmin(finite)) % self.points.size])
+            raise NonFiniteValue(f"{q.context}: f^({q.num[0]})/z^{q.num[1]} over f^({q.den[0]})/z^{q.den[1]} "
+                                 f"is not finite at z = {z} (float64 overflow)")
+        return vals
 
     def take(self, q: _Quantity) -> tuple[np.ndarray, np.ndarray]:
         """Value and witness of one functional on the ring, one of each per draw."""
@@ -603,6 +689,25 @@ class _Plan:
     @cached_property
     def orders(self) -> tuple[int, ...]:
         return _orders(self.hypothesis, *(q for _, q, _ in self.conclusions))
+
+    @cached_property
+    def first_equal(self) -> tuple[int, ...]:
+        """Per conclusion, the index in (hypothesis, *conclusions) of the
+        first quantity equal to it, whose take serves both (T4's starlike
+        conclusion is its s = p one, L2's hypothesis its k = p one)."""
+        quantities = [self.hypothesis, *(q for _, q, _ in self.conclusions)]
+        return tuple(quantities.index(q) for q in quantities[1:])
+
+    @cached_property
+    def certificate(self) -> Optional[_Hypothesis]:
+        """The hypothesis for a scan batch to certify from coefficients: a
+        plain sup|arg| that no conclusion equals. L3's real part offset by p
+        is no arcsin bound, and L2's hypothesis is its k = p conclusion, whose
+        take is made anyway."""
+        q, conclusions = self.hypothesis, [c for _, c, _ in self.conclusions]
+        if q.kind != "sup_arg" or q.den is not None or q in conclusions:
+            return None
+        return _Hypothesis(q, self.hypothesis_bound, self.orders[-1] not in _orders(*conclusions))
 
 
 class _Theorem(NamedTuple):
@@ -790,18 +895,26 @@ class _Verdicts(NamedTuple):
 
 def _verdicts(plan: _Plan, ev: _Evaluation) -> _Verdicts:
     """The verdicts of every draw of the evaluation, as arrays. The
-    hypothesis is taken for every draw, then each conclusion in order when
-    it holds for any draw, and the first failure raises: on one draw its
+    hypothesis is taken for every draw, unless the evaluation certified it
+    (its value and witness are then NaN), then each conclusion in order when
+    it holds for any draw, a conclusion equal to the hypothesis or to an
+    earlier one reusing its values. The first failure raises: on one draw its
     hypothesis fails first, then each conclusion in order, and the
     conclusions only when the hypothesis holds (see _scan_verdicts)."""
-    hyp_value, hyp_witness = ev.take(plan.hypothesis)
-    bound = plan.hypothesis_bound
-    hyp_ok = hyp_value > bound if plan.hypothesis.kind == "min_real" else hyp_value < bound
+    if ev.certified:
+        hyp_value = np.full(ev.size, np.nan)
+        hyp_witness, hyp_ok = hyp_value.astype(np.complex128), np.ones(ev.size, dtype=bool)
+    else:
+        hyp_value, hyp_witness = ev.take(plan.hypothesis)
+        bound = plan.hypothesis_bound
+        hyp_ok = hyp_value > bound if plan.hypothesis.kind == "min_real" else hyp_value < bound
     shape = (ev.size, len(plan.conclusions))
     value, witness = np.zeros(shape), np.zeros(shape, dtype=np.complex128)
     if hyp_ok.any():
-        for j, (_, q, _) in enumerate(plan.conclusions):
-            value[:, j], witness[:, j] = ev.take(q)
+        taken = [(hyp_value, hyp_witness)]  # per quantity of (hypothesis, *conclusions) in turn
+        for j, ((_, q, _), first) in enumerate(zip(plan.conclusions, plan.first_equal)):
+            taken.append(taken[first] if first <= j else ev.take(q))
+            value[:, j], witness[:, j] = taken[-1]
     bounds = np.array([c_bound for _, _, c_bound in plan.conclusions])
     sup = np.array([q.kind == "sup_arg" for _, q, _ in plan.conclusions], dtype=bool)
     margin = np.where(sup, bounds - value, value - bounds)
@@ -811,12 +924,14 @@ def _verdicts(plan: _Plan, ev: _Evaluation) -> _Verdicts:
 
 def _scan_verdicts(plan: _Plan, draws: SeriesBlock, grid: DiskGrid) -> _Verdicts:
     """The verdicts of a scan batch, as check_theorem gives them on each draw
-    in turn. A batch that fails is checked again draw by draw, so the first
-    draw that fails raises, and a draw whose hypothesis fails is never failed
-    by its conclusions. A row rounds as it does alone, whatever its batch
+    in turn, but for the hypothesis value and witness of a batch that
+    certifies the hypothesis (NaN; a scan reports neither). A batch that
+    fails is checked again draw by draw, so the first draw that fails
+    raises, and a draw whose hypothesis fails is never failed by its
+    conclusions. A row rounds as it does alone, whatever its batch
     (_ring_values, _head_tail), so the draws' verdicts are the batch's."""
     def verdicts(block: SeriesBlock) -> _Verdicts:
-        return _verdicts(plan, _Evaluation(block, plan.orders, grid, grid.ring))
+        return _verdicts(plan, _Evaluation(block, plan.orders, grid, grid.ring, plan.certificate))
 
     try:
         return verdicts(draws)

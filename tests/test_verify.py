@@ -367,6 +367,104 @@ def test_scan_draws_need_no_per_sample_zero_scan(monkeypatch):
     assert calls
 
 
+# ------------------------------------------------------ hypothesis certificate
+
+
+def test_hypothesis_margin_has_a_tenfold_margin():
+    # the steps after the certificate's bound rho, against 30-digit values:
+    # math.asin of rho, np.angle of a sample with Re w > 0 and the angle plus
+    # the margin round within a tenth of _HYPOTHESIS_MARGIN together; and rho
+    # (1 + 2u) as _certified rounds it is never below (c_0 - floor)/c_0
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    margin = verify._HYPOTHESIS_MARGIN
+    x = np.r_[rng.uniform(0, 1, 2000), 1 - 10.0 ** rng.uniform(-16, -1, 500), 10.0 ** rng.uniform(-16, -1, 500)]
+    asins = [math.asin(v) for v in x.tolist()]
+    w = np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2, 3000)) * 10.0 ** rng.uniform(-13, 288, 3000)
+    w[:500] = 1.0 + 1j * np.tan(rng.uniform(1.0, np.pi / 2, 500))  # arguments up to pi/2
+    head = 10.0 ** rng.uniform(-12, 288, 3000)
+    floor = head * np.r_[rng.uniform(0, 1, 1000), 1 - 10.0 ** rng.uniform(-16, -1, 1000), 10.0 ** rng.uniform(-16, -1, 1000)]
+    rhos = [rho * (1.0 + 2.0**-51) for rho in ((head - floor) / head).tolist()]
+    with mpmath.workdps(30):
+        asin_err = max(abs(mpmath.mpf(a) - mpmath.asin(v)) for a, v in zip(asins, x.tolist()))
+        angle_err = max(abs(mpmath.mpf(a) - abs(mpmath.atan2(z.imag, z.real)))
+                        for a, z in zip(np.abs(np.angle(w)).tolist(), w.tolist()))
+        sum_err = max(abs(mpmath.mpf(a + margin) - (mpmath.mpf(a) + margin)) for a in asins)
+        assert all(rho >= (mpmath.mpf(h) - f) / h for rho, h, f in zip(rhos, head.tolist(), floor.tolist()))
+    assert asin_err + angle_err + sum_err <= margin / 10
+
+
+# implications with a sup|arg f^(p)| hypothesis: (id, p, alpha1, alpha0, delta, s)
+_CERTIFIABLE = [("T1", 2, 0.3, None, None, None), ("T1", 3, 1.0, None, None, None), ("C1", 2, None, None, None, None),
+                ("C2", 3, None, None, None, None), ("T3", 3, None, 0.5, None, None),
+                ("T4", 3, None, 1.4, None, None), ("T5", 3, None, None, 0.5, 3)]
+
+
+@st.composite
+def _hypothesis_cases(draw):
+    """(plan, block, grid): draws of an implication with a certifiable
+    hypothesis, each given by the row h = f^(p)/p! of its hypothesis on a ring
+    of 8 or 64 angles. Row kinds: c_0 = 1 and a random tail of total T < 1 at
+    r_max; one tail term whose sample at z = r_max is tangent to the sector,
+    with |arg h| there asin(T), and T within 1e-15 of sin(bound) (or within
+    1e-12 of 1 for a bound past pi/2); c_0 complex, negative or zero (a
+    leading zero of f^(p)). Every row scaled by 1, or by 2**950 to 2**962,
+    around where upper crosses 2**_FFT_HEADROOM."""
+    plan = verify._build_plan(*draw(st.sampled_from(_CERTIFIABLE)))
+    p = plan.params.get("s", plan.params.get("p"))
+    r = draw(st.sampled_from([0.5, 0.9, 0.995]))
+    grid = DiskGrid(r_max=r, n_radial=1, n_angular=draw(st.sampled_from([8, 64])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.integers(2, 24))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "near", "complex", "negative", "zero"]))
+        tail = (rng.normal(size=N - 1) + 1j * rng.normal(size=N - 1)) / np.arange(1, N) ** 2
+        tail /= np.abs(tail) @ r ** np.arange(1, N)  # total 1 at r_max
+        if kind == "near":
+            if plan.hypothesis_bound < np.pi / 2:
+                T = math.sin(plan.hypothesis_bound) * (1 + draw(st.floats(-1e-15, 1e-15)))
+            else:
+                T = 1 - 10.0 ** draw(st.floats(-16, -12))
+            j = draw(st.integers(1, N - 1))
+            tail[:] = 0
+            tail[j - 1] = T / r**j * np.exp(1j * (np.pi / 2 + math.asin(T)))
+        else:
+            tail *= draw(st.floats(0.0, 0.99))
+        c0 = {"complex": np.exp(1j * draw(st.floats(1e-9, 3.0))), "negative": -1.0, "zero": 0.0}.get(kind, 1.0)
+        scale = 2.0 ** draw(st.integers(950, 962)) if draw(st.booleans()) else 1.0
+        h = np.r_[c0, tail] * scale
+        rows.append(h / series.falling_factorials(p, N, p, normalized=True))  # f^(p)/p! is h again
+    return plan, series.SeriesBlock(p, np.array(rows)), grid
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_hypothesis_cases())
+def test_certified_hypothesis_is_what_take_gives(case):
+    # wherever a batch certifies its hypothesis, the sampled take holds it
+    # for every draw and raises nothing, and the rows the batch does not
+    # sample are finite; its verdicts are those of the sampled batch, or it
+    # raises what that raises
+    plan, raw_block, grid = case
+    for block in (raw_block, *(series.SeriesBlock(raw_block.order_p, row[None]) for row in raw_block.raw)):
+        def verdicts(hypothesis):
+            v = verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid, grid.ring, hypothesis))
+            return v.hyp_ok, v.value, v.witness, v.margin, v.passed
+
+        assert _outcome(verdicts, plan.certificate) == _outcome(verdicts, None)
+        try:
+            ev = verify._Evaluation(block, plan.orders, grid, grid.ring, plan.certificate)
+        except NonFiniteValue:
+            continue
+        if not ev.certified:
+            continue
+        sampled = verify._Evaluation(block, plan.orders, grid, grid.ring)
+        value, _ = sampled.take(plan.hypothesis)
+        assert (value < plan.hypothesis_bound).all()
+        assert np.isfinite(sampled.rows).all()
+        assert ev.rows.shape[1] == len(plan.orders) - plan.certificate.drop
+
+
 # -------------------------------------------------------------------- sup/min
 
 def test_sup_arg_monomial_is_zero():
@@ -387,6 +485,33 @@ def test_shifted_sample_overflow_raises(functional, coeffs, first):
     with pytest.raises(NonFiniteValue) as raised:
         functional(PowerSeries(0, coeffs), 1, _HALF_RING)
     assert str(raised.value) == f"f^(0)/z^1 is not finite at z = {z} (float64 overflow)"
+
+
+@pytest.mark.filterwarnings("error")
+def test_ratio_overflow_raises():
+    # z f'/f of f = z^2 + (1.7e308/3) z^3 + (1.7e308/6) z^4 is about
+    # 1.66 + 0.07i at sample 6 of the ring, but numpy's complex division of
+    # its operands near the largest float overflows there; a heatmap wrote
+    # the argument 0.0 of that infinite quotient
+    f = PowerSeries(2, [1, 1.7e308 / 3, 1.7e308 / 6])
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    where = re.escape(f"f^(1)/z^1 over f^(0)/z^2 is not finite at z = {complex(grid.ring[6])} (float64 overflow)")
+    with pytest.raises(NonFiniteValue, match=f"^arg-jst: {where}$"):
+        verify.heatmap_values(f, "arg-jst", grid)
+    ev = verify._Evaluation(f, (0, 1), grid, grid.ring)
+    for kind in ("sup_arg", "min_real"):
+        with pytest.raises(NonFiniteValue, match=f"^ratio: {where}$"):
+            ev.take(verify._ratio(kind, 2, 1, "ratio"))
+
+
+def test_scan_quotients_need_no_finiteness_scan(monkeypatch):
+    # the bound pass decides that no quotient of a default scan draw overflows
+    decided = []
+    bounded = verify._Evaluation._bounded
+    monkeypatch.setattr(verify._Evaluation, "_bounded", lambda self, q: decided.append(bounded(self, q)) or decided[-1])
+    for tid, kw in (("T4", {"p": 5, "alpha0": 1.0}), ("C2", {"p": 2}), ("L2", {"p": 3}), ("L3", {"p": 3})):
+        counterexample_scan(tid, 40, 1, grid=DiskGrid(n_radial=1), **kw)
+    assert decided and all(decided)
 
 
 def test_sup_arg_linear_tail():
@@ -1575,6 +1700,84 @@ def test_scan_raises_first_failing_draw(monkeypatch, first):
     with pytest.raises(type(alone.value)) as scanned:
         counterexample_scan("L2", trials=10, seed=3, p=2, grid=grid)
     assert str(scanned.value) == str(alone.value)
+
+
+def _scan_outcome(*args, **kwargs):
+    """repr of counterexample_scan's report, or the type and message it raises."""
+    try:
+        return repr(counterexample_scan(*args, **kwargs))
+    except Exception as exc:  # the first error of a scan is part of its outcome
+        return type(exc), str(exc)
+
+
+def _count_certificates(monkeypatch) -> list:
+    """Record the certificate's decision on every batch that has one."""
+    decisions, real = [], verify._Evaluation._certified
+
+    def certified(*args):
+        decisions.append(real(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(verify._Evaluation, "_certified", certified)
+    return decisions
+
+
+# C1 at p = 171 certifies every batch and raises on a conclusion past 170!
+@pytest.mark.parametrize("budget", [None, 1], ids=["one-batch", "one-draw"])
+@pytest.mark.parametrize("tid,params", SCAN_CASES + [("C1", {"p": 171})],
+                         ids=[c[0] for c in SCAN_CASES] + ["C1-p171"])
+def test_scan_reports_do_not_depend_on_the_certificate(monkeypatch, tid, params, budget):
+    # every batch of a sup|arg f^(p)| hypothesis certifies it here, and L2
+    # and L3 have no certificate; the reports are those of sampled hypotheses
+    if budget is not None:
+        monkeypatch.setattr(verify, "_BATCH_VALUES", budget)
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    seeds = (1, 2, 904)
+    decisions = _count_certificates(monkeypatch)
+    on = [_scan_outcome(tid, 12, seed, grid=grid, **params) for seed in seeds]
+    assert (decisions and all(decisions)) if tid not in ("L2", "L3") else decisions == []
+    monkeypatch.setattr(verify._Evaluation, "_certified", lambda *args: False)
+    assert [_scan_outcome(tid, 12, seed, grid=grid, **params) for seed in seeds] == on
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["one-batch", "one-draw"])
+@pytest.mark.parametrize("kinds", [("root",), ("root", "overflow"), ("overflow", "root")], ids="-".join)
+@pytest.mark.parametrize("tid,params", [("T1", {"p": 2, "alpha1": 0.5}), ("C1", {"p": 3}),
+                                        ("T4", {"p": 5, "alpha0": 1.0}), ("L2", {"p": 2})], ids=["T1", "C1", "T4", "L2"])
+def test_scan_faults_do_not_depend_on_the_certificate(monkeypatch, tid, params, kinds, budget):
+    # faulty sampler rows at attempts 2 and 5, as in
+    # test_scan_raises_first_failing_draw: a batch with one does not certify,
+    # and is checked again draw by draw, where its other draws do. f^(p)/p! of
+    # the "root" row is 1 - 1.5z, whose hypothesis fails, so a scan with only
+    # that row completes; the "overflow" row overflows float64 on the ring
+    if budget is not None:
+        monkeypatch.setattr(verify, "_BATCH_VALUES", budget)
+    p = params["p"]
+    faults = {"root": np.array([1.0, -1.5 / (p + 1)] + [0.0] * 14),
+              "overflow": np.array([1.0, 1.7e308 / 3, 1.7e308 / 6] + [0.0] * 13)}
+    injected = {attempt: faults[kind] for attempt, kind in zip((2, 5), kinds)}
+    real_uniforms, real_sampler = verify._scan_uniforms, verify._sample_block
+    attempts = []  # the attempts of the batch being sampled
+
+    def uniforms(seed, first_attempt, size, count):
+        attempts[:] = range(first_attempt, first_attempt + size)
+        return real_uniforms(seed, first_attempt, size, count)
+
+    def sampler(u, *args, **kw):
+        block = real_sampler(u, *args, **kw)
+        for b, attempt in enumerate(attempts):
+            if attempt in injected:
+                block.raw[b] = injected[attempt]
+        return block
+
+    monkeypatch.setattr(verify, "_scan_uniforms", uniforms)
+    monkeypatch.setattr(verify, "_sample_block", sampler)
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    decisions = _count_certificates(monkeypatch)
+    on = _scan_outcome(tid, 10, 3, grid=grid, **params)
+    assert any(decisions) == (tid != "L2")
+    monkeypatch.setattr(verify._Evaluation, "_certified", lambda *args: False)
+    assert _scan_outcome(tid, 10, 3, grid=grid, **params) == on
 
 
 @pytest.mark.parametrize("budget", [None, 1], ids=["one-batch", "one-draw"])
