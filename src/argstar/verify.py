@@ -430,7 +430,8 @@ class _Evaluation:
     ratio it bounds (_bounded) skips the finiteness scan of its quotients.
     A scan hands over its plan's hypothesis, and a batch for whose every draw
     the same pass proves it (_certified) is certified: the hypothesis is not
-    taken, and its highest order is not evaluated where only it reads that.
+    taken, and its highest order, where only the hypothesis reads it, is not
+    evaluated.
 
     take gives each functional as arrays over the batch, one value and one
     witness per draw, and _verdicts turns them into the batch's verdicts.
@@ -451,7 +452,7 @@ class _Evaluation:
             self.floor, upper = _row_bounds(head, tail, self.coeffs.shape[-1], grid.n_angular)
             # per draw and row, a pre-filter: _smallest_root_in_disk decides every row it leaves
             self.dominant = _dominant(head, tail)
-            self.top = float(upper.max())  # the largest upper bound, NaN where one is
+            self.top = float(upper.max())  # the largest upper bound, NaN if any is
             self.certified = hypothesis is not None and self._certified(hypothesis, head)
             kept = len(orders) - (self.certified and hypothesis.drop)  # the highest order is the last row
             radii = grid.radii if points.ndim == 2 else grid.radii[-1:]  # grid.points, else grid.ring
