@@ -185,8 +185,8 @@ _SOLVER = {"abs_tol": ABS_TOL, "max_iter": MAX_ITER}
 
 def _envelope(argv, result, grid: Optional[DiskGrid] = None, solver: Optional[dict] = None) -> dict:
     env = {"tool": "argstar", "version": __version__, "command": _strip_out_flag(argv)}
-    if grid is not None:
-        env["grid"] = _payload(grid)
+    if grid is not None:  # the checks' ring: r_max and its points
+        env["grid"] = {"r_max": grid.r_max, "n_angular": grid.n_angular}
     if solver is not None:
         env["solver"] = solver
     env["result"] = _payload(result)
@@ -255,9 +255,9 @@ def emit_heatmap(f: PowerSeries, quantity: str, grid: DiskGrid, path) -> None:
 
 # ------------------------------------------------------------------ handlers
 
-def _grid_from(args) -> DiskGrid:
-    nr, na = args.grid
-    return DiskGrid(r_max=args.rmax, n_radial=nr, n_angular=na)
+def _ring_from(args) -> DiskGrid:
+    """The ring |z| = r_max of --points angles, all that verify, scan and lemma1 read of a grid."""
+    return DiskGrid(r_max=args.rmax, n_radial=1, n_angular=args.points)
 
 
 def _cmd_gamma0(args, argv) -> int:
@@ -306,7 +306,7 @@ def _cmd_alpha(args, argv) -> int:
 
 def _cmd_verify(args, argv) -> int:
     f, meta = parse_function_file(args.function)
-    grid = _grid_from(args)
+    grid = _ring_from(args)
     theorem = THEOREMS.get(args.theorem.upper())  # a gap-series theorem takes s from the file by default
     s = meta.get("gap_index") if args.s is None and theorem is not None and "s" in theorem.params else args.s
     rep = check_theorem(args.theorem, f, grid, alpha1=args.alpha1, alpha0=args.alpha0, delta=args.delta, s=s)
@@ -316,7 +316,7 @@ def _cmd_verify(args, argv) -> int:
 
 def _cmd_lemma1(args, argv) -> int:
     q, _ = parse_function_file(args.function)
-    grid = _grid_from(args)
+    grid = _ring_from(args)
     try:
         rep = lemma1_probe(q, args.gamma, grid)
     except NotAttained as e:
@@ -335,7 +335,7 @@ def _cmd_lemma1(args, argv) -> int:
 
 
 def _cmd_scan(args, argv) -> int:
-    grid = _grid_from(args)
+    grid = _ring_from(args)
     rep = counterexample_scan(
         args.theorem,
         trials=args.trials,
@@ -354,8 +354,8 @@ def _cmd_scan(args, argv) -> int:
 
 def _cmd_heatmap(args, argv) -> int:
     f, _ = parse_function_file(args.function)
-    grid = _grid_from(args)
-    emit_heatmap(f, args.quantity, grid, args.out)
+    nr, na = args.grid
+    emit_heatmap(f, args.quantity, DiskGrid(r_max=args.rmax, n_radial=nr, n_angular=na), args.out)
     return EXIT_PASS
 
 
@@ -373,9 +373,9 @@ def _add_output_flags(sub):
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
-def _add_grid_flags(sub):
+def _add_ring_flags(sub):
     sub.add_argument("--rmax", type=float, default=0.995)
-    sub.add_argument("--grid", type=_grid_spec, default=(64, 512), help="<n_radial>x<n_angular>")
+    sub.add_argument("--points", type=int, default=512, help="angles on the ring |z| = r_max")
 
 
 def _add_alpha(sub):
@@ -391,14 +391,14 @@ def _add_verify(sub):
     sub.add_argument("--alpha0", type=float, default=None)
     sub.add_argument("--delta", type=float, default=None)
     sub.add_argument("--s", type=int, default=None, help="gap index (default: file gap_index)")
-    _add_grid_flags(sub)
+    _add_ring_flags(sub)
     _add_output_flags(sub)
 
 
 def _add_lemma1(sub):
     sub.add_argument("--function", required=True, help="function spec JSON file with p=0")
     sub.add_argument("--gamma", type=float, required=True)
-    _add_grid_flags(sub)
+    _add_ring_flags(sub)
     _add_output_flags(sub)
 
 
@@ -412,7 +412,7 @@ def _add_scan(sub):
     sub.add_argument("--delta", type=float, default=None)
     sub.add_argument("--s", type=int, default=None)
     sub.add_argument("--ncoeffs", type=int, default=16, help="truncation of sampled functions")
-    _add_grid_flags(sub)
+    _add_ring_flags(sub)
     _add_output_flags(sub)
 
 
@@ -420,7 +420,8 @@ def _add_heatmap(sub):
     sub.add_argument("--function", required=True)
     sub.add_argument("--quantity", required=True, choices=HEATMAP_QUANTITIES)
     sub.add_argument("--out", required=True)
-    _add_grid_flags(sub)
+    sub.add_argument("--rmax", type=float, default=0.995)
+    sub.add_argument("--grid", type=_grid_spec, default=(64, 512), help="<n_radial>x<n_angular>")
 
 
 # subcommand -> (help, handler, function adding its arguments), in help order

@@ -7,26 +7,26 @@ are strict inequalities, so a violation is declared only beyond a small slack
 that separates genuine counterexamples from floating-point noise at the closed
 boundary.
 
-The functionals are sampled on the outer ring |z| = r_max of the grid only.
-Re g is harmonic for analytic g, and so is arg g where g has no zero, so both
-take their extremes over the closed disk on that circle. Every polynomial
-whose argument is taken, and every denominator of a real-part ratio, is first
-certified zero-free on the closed disk: a root makes sup|arg| exactly pi with
-the root as witness, and a root of a real-part denominator is a pole
+The functionals are sampled on the ring |z| = r_max only, the n_angular points
+of a DiskGrid; heatmap_values alone takes them at every point of the grid, each
+radius one ring. Re g is harmonic for analytic g, and so is arg g where g has
+no zero, so both take their extremes over the closed disk on that circle. Every
+polynomial whose argument is taken, and every denominator of a real-part ratio,
+is first certified zero-free on the closed disk: a root makes sup|arg| exactly
+pi with the root as witness, and a root of a real-part denominator is a pole
 (ZeroOnGrid). Each check differentiates f once per derivative order it needs
 and evaluates all of them in one call of the ring kernel, _ring_values: on n
 uniform angles the samples of a polynomial are the inverse DFT of c_j r^j. A
 scan samples a batch of draws as one coefficient block and does the same for
-the whole block in one call, and heatmap_values takes the same quantities at
-every point of the grid, each radius one ring. One pass over the coefficients
-(_row_bounds) bounds every sample of each polynomial from below and above; the
-per-sample overflow and ZERO_TOL scans run only where those bounds do not
-already decide them, with the same outcome. The same pass decides a scan
-batch's sup|arg f^(p)| hypothesis where it can (_Evaluation._certified): the
-bounds then prove it on the whole closed disk, the hypothesis is not sampled,
-and _Verdicts.hyp_value is NaN, which no report shows; check_theorem always
-samples it. An evaluation raises the first failure it meets, and a scan batch
-that fails is checked again draw by draw.
+the whole block in one call. One pass over the coefficients (_row_bounds)
+bounds every sample of each polynomial from below and above; the per-sample
+overflow and ZERO_TOL scans run only where those bounds do not already decide
+them, with the same outcome. The same pass decides a scan batch's
+sup|arg f^(p)| hypothesis where it can (_Evaluation._certified): the bounds
+then prove it on the whole closed disk, the hypothesis is not sampled, and
+_Verdicts.hyp_value is NaN, which no report shows; check_theorem always samples
+it. An evaluation raises the first failure it meets, and a scan batch that
+fails is checked again draw by draw.
 
 Ratios such as z f'(z)/f(z) are always evaluated with the z-power divided out
 of numerator and denominator separately (f^(k)(z)/z^max(p-k,0) is a
@@ -93,7 +93,7 @@ class NotAttained(RuntimeError):
         self.best_point = best_point
         super().__init__(
             f"max|arg q| = {best_sup!r} stays below the level {level!r} "
-            f"(gamma = {gamma!r}) on the whole grid"
+            f"(gamma = {gamma!r}) on |z| <= r_max"
         )
 
 
@@ -149,8 +149,8 @@ class DiskGrid:
 
     @cached_property
     def ring(self) -> np.ndarray:
-        """The outer circle |z| = r_max, bit-identical to the last row of points."""
-        z = self.radii[-1] * np.exp(1j * self.angles)
+        """The outer circle |z| = r_max, bit-identical to the last row of points (radii[-1] is r_max)."""
+        z = self.r_max * np.exp(1j * self.angles)
         z.flags.writeable = False
         return z
 
@@ -326,26 +326,26 @@ def _smallest_root_in_disk(coeffs: np.ndarray, r_max: float) -> Optional[complex
     out, so a monomial has none, and a rest with a dominant constant term
     (_dominant) has none, with no companion matrix formed. A leading
     coefficient so small that the companion row overflows is dropped if
-    |c_d| r^d <= _DOMINANCE_RTOL * sum |c_j| r^j, a finite sum; else
-    NonFiniteValue."""
-    nonzero = np.flatnonzero(coeffs)
-    if nonzero.size == 0:
-        return 0j  # the zero polynomial vanishes everywhere
-    coeffs = coeffs[nonzero[0]:]
-    d = int(nonzero[-1] - nonzero[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing tail sum just fails _dominant
-        if d == 0 or _dominant(*_head_tail(coeffs, r_max)):  # c z^j vanishes only at z = 0
-            return None
-        row = -coeffs[d - 1::-1] / coeffs[d]
-        weights = np.abs(coeffs[: d + 1]) * r_max ** np.arange(d + 1)
-        total = weights.sum()  # can overflow though each weight is finite
-    if not np.isfinite(row).all():
-        if np.isfinite(total) and weights[d] <= _DOMINANCE_RTOL * total:
-            return _smallest_root_in_disk(coeffs[:d], r_max)
-        raise NonFiniteValue(
-            f"companion row -c_j/c_{d} of a degree-{d} polynomial is not finite "
-            f"(c_{d} = {complex(coeffs[d])}, float64 overflow)"
-        )
+    |c_d| r^d <= _DOMINANCE_RTOL * sum |c_j| r^j, a finite sum, and the rest
+    taken in its place, as many times as that holds; else NonFiniteValue."""
+    while True:
+        nonzero = np.flatnonzero(coeffs)
+        if nonzero.size == 0:
+            return 0j  # the zero polynomial vanishes everywhere
+        coeffs = coeffs[nonzero[0]:]
+        d = int(nonzero[-1] - nonzero[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing tail sum just fails _dominant
+            if d == 0 or _dominant(*_head_tail(coeffs, r_max)):  # c z^j vanishes only at z = 0
+                return None
+            row = -coeffs[d - 1::-1] / coeffs[d]
+            weights = np.abs(coeffs[: d + 1]) * r_max ** np.arange(d + 1)
+            total = weights.sum()  # can overflow though each weight is finite
+        if np.isfinite(row).all():
+            break
+        if not (np.isfinite(total) and weights[d] <= _DOMINANCE_RTOL * total):
+            raise NonFiniteValue(f"companion row -c_j/c_{d} of a degree-{d} polynomial is not finite "
+                                 f"(c_{d} = {complex(coeffs[d])}, float64 overflow)")
+        coeffs = coeffs[:d]
     companion = np.zeros((d, d), dtype=np.complex128)
     companion[0, :] = row
     companion[np.arange(1, d), np.arange(d - 1)] = 1.0
@@ -411,11 +411,11 @@ _HYPOTHESIS_MARGIN = 32 * 2.0**-52
 
 class _Evaluation:
     """The derivatives f^(k) of the given orders of a batch of draws, each
-    evaluated once at the sample points (grid.ring for the checks and the
-    lemma1 probe, grid.points for heatmap, each row of it one ring) in one
-    _ring_values call, and the quantities taken from them for the whole batch
-    at once. The draws are one PowerSeries or the rows of one SeriesBlock; see
-    series.derivative_block.
+    evaluated once at the sample points in one _ring_values call, and the
+    quantities taken from them for the whole batch at once. The draws are one
+    PowerSeries or the rows of one SeriesBlock; see series.derivative_block.
+    The points are an array (rings, n), each ring n uniform angles from angle
+    0, the last |z| = r_max: grid.ring[None] for the checks, grid.points for heatmap.
 
     Each f^(k) is kept divided by its leading falling factorial and starts
     at z**max(p - k, 0), p = f.order_p, leading zeros included (see
@@ -439,31 +439,28 @@ class _Evaluation:
     a certificate's error; _scan_verdicts finds the batch's first failing draw.
     """
 
-    def __init__(self, f, orders, grid: DiskGrid, points: np.ndarray, hypothesis: Optional[_Hypothesis] = None):
-        self.grid = grid
+    def __init__(self, f, orders, points: np.ndarray, hypothesis: Optional[_Hypothesis] = None):
         self.points = points
+        radii, n = points[:, 0].real, points.shape[1]  # each ring starts at angle 0, so at its radius exactly
+        self.r_max = r_max = float(radii[-1])
         self.order = f.order_p
         self.row = {k: i for i, k in enumerate(orders)}
         # an overflow is found by the bounds or the finiteness check below, not by a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             self.coeffs = derivative_block(f, orders)
             self.size = size = self.coeffs.shape[0]
-            head, tail = _head_tail(self.coeffs, grid.r_max)
-            self.floor, upper = _row_bounds(head, tail, self.coeffs.shape[-1], grid.n_angular)
+            head, tail = _head_tail(self.coeffs, r_max)
+            self.floor, upper = _row_bounds(head, tail, self.coeffs.shape[-1], n)
             # per draw and row, a pre-filter: _smallest_root_in_disk decides every row it leaves
             self.dominant = _dominant(head, tail)
             self.top = float(upper.max())  # the largest upper bound, NaN if any is
             self.certified = hypothesis is not None and self._certified(hypothesis, head)
             kept = len(orders) - (self.certified and hypothesis.drop)  # the highest order is the last row
-            radii = grid.radii if points.ndim == 2 else grid.radii[-1:]  # grid.points, else grid.ring
             evaluated = self.coeffs[:, :kept].reshape(size * kept, self.coeffs.shape[-1])
-            rows = _ring_values(evaluated, radii, grid.n_angular)
+            rows = _ring_values(evaluated, radii, n)
         if not self.top < 2.0**_FFT_HEADROOM:  # else no sample can overflow
-            finite = np.isfinite(rows)
-            if not finite.all():
-                i, j = divmod(int(np.argmin(finite)), points.size)  # first such row, its first sample
-                z = complex(points.flat[j])
-                raise NonFiniteValue(f"f^({orders[i % kept]}) is not finite at z = {z} (float64 overflow)")
+            i = int(np.argmin(np.isfinite(rows).all(axis=(1, 2))))  # the first row with a sample that is not, else 0
+            self._finite(rows[i], f"f^({orders[i % kept]})")
         self.rows = rows.reshape((size, kept) + points.shape)
 
     def _certified(self, hypothesis: _Hypothesis, head: np.ndarray) -> bool:
@@ -504,6 +501,17 @@ class _Evaluation:
         k, m = term
         return self.row[k], leading_power(self.order, k) - m
 
+    def _point(self, j: int) -> complex:
+        """The sample point of flat index j of an array over draws or rows, then the points."""
+        return complex(self.points.flat[j % self.points.size])
+
+    def _finite(self, vals: np.ndarray, what: str) -> None:
+        """Raise NonFiniteValue naming what at the first sample of vals, in flat order, that is not finite."""
+        finite = np.isfinite(vals)
+        if not finite.all():
+            z = self._point(int(np.argmin(finite)))
+            raise NonFiniteValue(f"{what} is not finite at z = {z} (float64 overflow)")
+
     def _values(self, term) -> np.ndarray:
         i, shift = self._term(term)
         vals = self.rows[:, i]
@@ -511,9 +519,8 @@ class _Evaluation:
             return vals
         with np.errstate(over="ignore", invalid="ignore"):
             vals = vals * self.points**shift
-        if shift < 0 and not np.isfinite(vals).all():  # only a negative shift can grow a value
-            z = complex(self.points.flat[int(np.argmin(np.isfinite(vals))) % self.points.size])
-            raise NonFiniteValue(f"f^({term[0]})/z^{term[1]} is not finite at z = {z} (float64 overflow)")
+        if shift < 0:  # only a negative shift can grow a value
+            self._finite(vals, f"f^({term[0]})/z^{term[1]}")
         return vals
 
     @cached_property
@@ -526,10 +533,11 @@ class _Evaluation:
         """Every value of the term, for every draw, has modulus above
         ZERO_TOL by its row's floor times the smallest |z|**shift over the
         sample points (compared as floor > ZERO_TOL/|z|**shift, which cannot
-        overflow): its _below_tol pass would find nothing."""
+        overflow; a |z|**shift that underflows to 0 clears nothing): its
+        _below_tol pass would find nothing."""
         i, shift = self._term(term)
         scale = min(m**shift for m in self._moduli) if shift else 1.0
-        return bool((self.floor[:, i] > ZERO_TOL / scale).all())
+        return scale > 0.0 and bool((self.floor[:, i] > ZERO_TOL / scale).all())
 
     def _bounded(self, q: _Quantity) -> bool:
         """No quotient N/D of any draw can overflow, in numpy's complex
@@ -547,7 +555,7 @@ class _Evaluation:
         low = mag < ZERO_TOL
         if low.any():
             j = int(np.argmax(low))
-            raise ZeroOnGrid(complex(self.points.flat[j % self.points.size]), float(mag[j]), context)
+            raise ZeroOnGrid(self._point(j), float(mag[j]), context)
 
     def _lead_ratio(self, q: _Quantity) -> float:
         """The positive factor by which the true N/D exceeds the normalized one,
@@ -573,16 +581,11 @@ class _Evaluation:
             return vals / den
         with np.errstate(over="ignore", invalid="ignore"):  # found by the check below
             vals = vals / den
-        finite = np.isfinite(vals)
-        if not finite.all():
-            z = complex(self.points.flat[int(np.argmin(finite)) % self.points.size])
-            raise NonFiniteValue(f"{q.context}: f^({q.num[0]})/z^{q.num[1]} over f^({q.den[0]})/z^{q.den[1]} "
-                                 f"is not finite at z = {z} (float64 overflow)")
+        self._finite(vals, f"{q.context}: f^({q.num[0]})/z^{q.num[1]} over f^({q.den[0]})/z^{q.den[1]}")
         return vals
 
     def take(self, q: _Quantity) -> tuple[np.ndarray, np.ndarray]:
         """Value and witness of one functional on the ring, one of each per draw."""
-        points = self.points.reshape(-1)
         sup = q.kind == "sup_arg"
         vals = self.values(q)
         if q.den is None and not self._clears(q.num):
@@ -594,13 +597,9 @@ class _Evaluation:
                 reduced = self._lead_ratio(q) * vals.real.reshape(self.size, -1)
             if q.add:
                 reduced += q.add
-            finite = np.isfinite(reduced)
-            if not finite.all():
-                z = complex(points[int(np.argmin(finite)) % points.size])
-                raise NonFiniteValue(f"{q.context}: f^({q.num[0]}) with its leading falling factorial "
-                                     f"multiplied back is not finite at z = {z} (float64 overflow)")
+            self._finite(reduced, f"{q.context}: f^({q.num[0]}) with its leading falling factorial multiplied back")
         idx = reduced.argmax(axis=1) if sup else reduced.argmin(axis=1)
-        value, witness = reduced[np.arange(self.size), idx], points[idx]
+        value, witness = reduced[np.arange(self.size), idx], self.points.reshape(-1)[idx]
 
         # the smallest root or pole in the closed disk that the functional must not have
         num, shift = self._term(q.num)
@@ -612,7 +611,7 @@ class _Evaluation:
             net = net - den_shift - self.zeros[:, den]
         poles = net != 0 if sup else net < 0  # a zero of an argument, or a pole
         for b in np.flatnonzero(poles | ~self.dominant[:, certified].all(axis=1)).tolist():
-            found = [_smallest_root_in_disk(self.coeffs[b, i], self.grid.r_max) for i in certified]
+            found = [_smallest_root_in_disk(self.coeffs[b, i], self.r_max) for i in certified]
             root = min([r for r in found if r is not None] + ([0j] if poles[b] else []), key=abs, default=None)
             if root is None:
                 continue
@@ -625,7 +624,7 @@ class _Evaluation:
 def _take_one(s: PowerSeries, kind: str, divisor_power: int, grid: DiskGrid):
     if divisor_power < 0:
         raise ValueError("divisor_power must be >= 0")
-    value, witness = _Evaluation(s, (0,), grid, grid.ring).take(_plain(kind, 0, divisor_power, kind))
+    value, witness = _Evaluation(s, (0,), grid.ring[None]).take(_plain(kind, 0, divisor_power, kind))
     return float(value[0]), complex(witness[0])
 
 
@@ -662,7 +661,7 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
         "arg-jst": _ratio("sup_arg", p, 1, quantity),
         "re-ratio": _ratio("min_real", p, p, quantity),
     }[quantity]
-    ev = _Evaluation(f, _orders(q), grid, grid.points)
+    ev = _Evaluation(f, _orders(q), grid.points)
     vals = ev.values(q)
     if q.kind == "min_real":  # a real value, -pi among them, as it is
         return ev._lead_ratio(q) * vals[0].real
@@ -844,9 +843,8 @@ def check_theorem(
     delta: Optional[float] = None,
     s: Optional[int] = None,
 ) -> VerificationReport:
-    """Verify one hypothesis -> conclusions implication on the grid, for
-    p = f.order_p, with every quantity sampled on the outer ring of the grid
-    (see the module docstring).
+    """Verify one hypothesis -> conclusions implication for p = f.order_p,
+    with every quantity sampled on the ring |z| = r_max (see the module docstring).
 
     README's table of theorem ids states each implication; THEOREMS gives
     the parameters each id takes. A gap series must have a zero coefficient
@@ -861,7 +859,7 @@ def check_theorem(
             raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
         if coeff.get(s, 0) == 0:
             raise ParamOutOfRange(f"coefficient of z^{s} must be nonzero")
-    v = _verdicts(plan, _Evaluation(f, plan.orders, grid, grid.ring))
+    v = _verdicts(plan, _Evaluation(f, plan.orders, grid.ring[None]))
     hyp_ok = bool(v.hyp_ok[0])
     row = zip(plan.conclusions, v.value[0].tolist(), v.witness[0].tolist())
     conclusions = tuple(
@@ -932,7 +930,7 @@ def _scan_verdicts(plan: _Plan, draws: SeriesBlock, grid: DiskGrid) -> _Verdicts
     conclusions. A row rounds as it does alone, whatever its batch
     (_ring_values, _head_tail), so the draws' verdicts are the batch's."""
     def verdicts(block: SeriesBlock) -> _Verdicts:
-        return _verdicts(plan, _Evaluation(block, plan.orders, grid, grid.ring, plan.certificate))
+        return _verdicts(plan, _Evaluation(block, plan.orders, grid.ring[None], plan.certificate))
 
     try:
         return verdicts(draws)
@@ -1308,11 +1306,11 @@ def counterexample_scan(
     SeedSequence((seed, a)), and seed must be an integer >= 0: a batch takes
     the uniforms of all its draws from one _scan_uniforms call. The draws are
     evaluated in batches of at most _BATCH_VALUES ring values, each batch in
-    one _ring_values call. The verdicts and margins of
-    a batch are arrays (see _scan_verdicts), with the verdicts, margins and first
-    error that check_theorem gives on each draw in turn; no report object is
-    built per draw, and only the worst draw becomes a PowerSeries. Draws that fail the
-    hypothesis on the grid are discarded and redrawn (only L3 can produce them;
+    one _ring_values call. The verdicts and margins of a batch are arrays (see
+    _scan_verdicts), with the verdicts, margins and first error that
+    check_theorem gives on each draw in turn; no report object is built per
+    draw, and only the worst draw becomes a PowerSeries. Draws that fail the
+    hypothesis on the ring are discarded and redrawn (only L3 can produce them;
     the other samplers guarantee the hypothesis), capped at 10x the requested
     trials; a scan that reaches the cap raises DrawsExhausted. FAIL counts are
     expected to be 0: the implications are proved, so any FAIL is an artifact

@@ -246,9 +246,38 @@ def test_exit_2_usage(argv, capsys):
     assert run(argv) == 2
 
 
-def test_exit_2_bad_grid_spec(mono2):
-    assert run(["verify", "--theorem", "t1", "--function", mono2, "--alpha1", "1.0", "--grid", "64"]) == 2
-    assert run(["verify", "--theorem", "t1", "--function", mono2, "--alpha1", "1.0", "--grid", "0x8"]) == 2
+def test_exit_2_bad_grid_spec(mono2, tmp_path):
+    out = str(tmp_path / "hm.csv")
+    for spec in ("64", "0x8"):
+        assert run(["heatmap", "--function", mono2, "--quantity", "arg-fp", "--grid", spec, "--out", out]) == 2
+    assert run(["verify", "--theorem", "t1", "--function", mono2, "--alpha1", "1.0", "--points", "0"]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "scan", "lemma1"])
+def test_checks_read_one_ring(command, mono2, probe, capsys):
+    # verify, scan and lemma1 take --points; the report's grid is the ring
+    # (r_max, n_angular), and the report that of any grid with that ring
+    argv = {
+        "verify": ["verify", "--theorem", "t1", "--function", mono2, "--alpha1", "0.5"],
+        "scan": ["scan", "--theorem", "t4", "--p", "3", "--alpha0", "1.0", "--trials", "20", "--seed", "1"],
+        "lemma1": ["lemma1", "--function", probe, "--gamma", "0.3"],
+    }[command]
+    assert run([*argv, "--rmax", "0.9", "--points", "64"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["grid"] == {"r_max": 0.9, "n_angular": 64}
+    grid = DiskGrid(r_max=0.9, n_radial=7, n_angular=64)
+    want = {
+        "verify": lambda: check_theorem("T1", make_series(2, []), grid, alpha1=0.5),
+        "scan": lambda: counterexample_scan("T4", 20, 1, p=3, grid=grid, alpha0=1.0),
+        "lemma1": lambda: lemma1_probe(PowerSeries(0, [1.0, 1.0]), 0.3, grid),
+    }[command]()
+    assert payload["result"] == json.loads(json.dumps(cli._payload(want)))
+    assert run([*argv, "--points", "64", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("grid.")] == ["grid.r_max,0.995", "grid.n_angular,64"]
+    # the old disk-grid flag is an unknown argument, as argparse reports it
+    assert run([*argv, "--grid", "8x16"]) == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --grid 8x16\n")
 
 
 def test_exit_2_t5_gap_violation(lin, capsys):
@@ -510,6 +539,18 @@ def test_exit_4_lemma1_zero_inside_crossing_radius(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_exit_4_zero_on_a_tiny_ring(tmp_path, capsys):
+    # at r_max = 1e-200 the z-power of the T5 conclusion's numerator
+    # underflows: no coefficient bound clears it, and its samples are zeros
+    path = write_spec(tmp_path, "gap4.json", {"p": 1, "coefficients": [[0, 0], [0, 0], [0.2, 0]], "gap_index": 4})
+    assert run(["verify", "--theorem", "t5", "--delta", "0.5", "--function", path, "--rmax", "1e-200"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("argstar: numeric failure: |value| = 0.000e+00 below tolerance 1e-13 "
+                            "at z = (1e-200+0j) in T5 conclusion\n")
+
+
+@pytest.mark.filterwarnings("error")
 def test_exit_4_companion_overflow(tmp_path, capsys):
     # f' = 1 + 4z + 3e-310 z^2 and q = 1 + 2z + 1e-310 z^2 are not dominant on
     # their disks, and dividing by the tiny leading coefficient overflows; the
@@ -641,10 +682,10 @@ def test_alpha_csv_table(capsys):
 
 
 def test_verify_report_envelope(mono2, capsys):
-    run(["verify", "--theorem", "t1", "--function", mono2, "--alpha1", "0.5", "--grid", "8x16"])
+    run(["verify", "--theorem", "t1", "--function", mono2, "--alpha1", "0.5", "--points", "16"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["tool"] == "argstar"
-    assert payload["grid"] == {"r_max": 0.995, "n_radial": 8, "n_angular": 16}
+    assert payload["grid"] == {"r_max": 0.995, "n_angular": 16}
     assert payload["command"][0] == "verify"
     res = payload["result"]
     assert res["params"] == {"p": 2, "alpha1": 0.5}
@@ -682,7 +723,7 @@ def test_lemma1_report(probe, capsys):
 
 def test_scan_report_payload(capsys):
     code = run(["scan", "--theorem", "c2", "--trials", "4", "--seed", "301", "--p", "2",
-                "--grid", "8x32", "--ncoeffs", "6"])
+                "--points", "32", "--ncoeffs", "6"])
     assert code == 0
     res = json.loads(capsys.readouterr().out)["result"]
     assert res["counts"]["FAIL"] == 0
@@ -1048,14 +1089,14 @@ def _full_parser() -> argparse.ArgumentParser:
     sub.add_argument("--alpha0", type=float, default=None)
     sub.add_argument("--delta", type=float, default=None)
     sub.add_argument("--s", type=int, default=None, help="gap index (default: file gap_index)")
-    cli._add_grid_flags(sub)
+    cli._add_ring_flags(sub)
     cli._add_output_flags(sub)
     sub.set_defaults(handler=cli._cmd_verify)
 
     sub = subs.add_parser("lemma1", help="first-crossing boundary probe for q with q(0)=1")
     sub.add_argument("--function", required=True, help="function spec JSON file with p=0")
     sub.add_argument("--gamma", type=float, required=True)
-    cli._add_grid_flags(sub)
+    cli._add_ring_flags(sub)
     cli._add_output_flags(sub)
     sub.set_defaults(handler=cli._cmd_lemma1)
 
@@ -1069,7 +1110,7 @@ def _full_parser() -> argparse.ArgumentParser:
     sub.add_argument("--delta", type=float, default=None)
     sub.add_argument("--s", type=int, default=None)
     sub.add_argument("--ncoeffs", type=int, default=16, help="truncation of sampled functions")
-    cli._add_grid_flags(sub)
+    cli._add_ring_flags(sub)
     cli._add_output_flags(sub)
     sub.set_defaults(handler=cli._cmd_scan)
 
@@ -1077,7 +1118,8 @@ def _full_parser() -> argparse.ArgumentParser:
     sub.add_argument("--function", required=True)
     sub.add_argument("--quantity", required=True, choices=cli.HEATMAP_QUANTITIES)
     sub.add_argument("--out", required=True)
-    cli._add_grid_flags(sub)
+    sub.add_argument("--rmax", type=float, default=0.995)
+    sub.add_argument("--grid", type=cli._grid_spec, default=(64, 512), help="<n_radial>x<n_angular>")
     sub.set_defaults(handler=cli._cmd_heatmap)
 
     return parser
@@ -1092,6 +1134,8 @@ _ARGV_CORPUS = [
     ["deltamax", "-h"], ["alpha", "-h"], ["lemma1", "-h"], ["scan", "-h"], ["heatmap", "-h"],
     ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--grid", "64"],
     ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--grid", "0x8"],
+    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--points", "0"],
+    ["heatmap", "--function", "{mono2}", "--quantity", "arg-fp", "--grid", "64", "--out", "{out}"],
     ["gamma0"], ["deltamax"],
     ["alpha", "--alpha0", "1.5", "--count", "5"], ["alpha", "--alpha0", "1.0", "--count", "5"],
     ["alpha", "--alpha0", "1.5", "--count", "2", "--format", "csv"],
@@ -1100,7 +1144,7 @@ _ARGV_CORPUS = [
     ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0"],
     ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--out", "{out}"],
     ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--format", "csv"],
-    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "0.5", "--grid", "8x16"],
+    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "0.5", "--points", "16"],
     ["verify", "--theorem", "c2", "--function", "{wide}"],
     ["verify", "--theorem", "t5", "--function", "{lin}", "--delta", "0.3", "--s", "2"],
     ["verify", "--theorem", "t5", "--function", "{gap}", "--delta", "0.3"],
@@ -1116,7 +1160,7 @@ _ARGV_CORPUS = [
     ["scan", "--theorem", "t1", "--trials", "2", "--seed", "1", "--p", "2"],
     ["scan", "--theorem", "t1", "--trials", "0", "--seed", "1", "--p", "2", "--alpha1", "0.5"],
     ["scan", "--theorem", "t5", "--s", "2", "--delta", "0.3", "--p", "7", "--seed", "1"],
-    ["scan", "--theorem", "c2", "--trials", "4", "--seed", "301", "--p", "2", "--grid", "8x32", "--ncoeffs", "6"],
+    ["scan", "--theorem", "c2", "--trials", "4", "--seed", "301", "--p", "2", "--points", "32", "--ncoeffs", "6"],
     ["scan", "--theorem", "t1", "--p", "170", "--alpha1", "0.5", "--trials", "1", "--seed", "1"],
     ["scan", "--theorem", "t1", "--p", "171", "--alpha1", "0.5", "--trials", "1", "--seed", "1"],
     ["scan", "--theorem", "l3", "--p", "1", "--trials", "1", "--seed", "4"],

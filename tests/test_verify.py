@@ -95,6 +95,17 @@ def test_ring_is_last_row_of_points():
         assert not g.ring.flags.writeable
 
 
+@pytest.mark.parametrize("r_max", [0.995, 0.5, 1e-3, 1e-100, 1e-200])
+def test_rings_start_at_their_radius(r_max):
+    # every ring starts at angle 0, so an evaluation reads each radius off its
+    # first point, bit for bit, and the outermost one is r_max exactly
+    for n_radial in range(1, 101):
+        g = DiskGrid(r_max=r_max, n_radial=n_radial, n_angular=8)
+        assert g.points[:, 0].real.tobytes() == g.radii.tobytes()
+        assert g.radii[-1] == r_max
+        assert g.ring.tobytes() == g.points[-1].tobytes()
+
+
 def test_angular_doubling_is_nested():
     # same radii, every coarse angle present in the doubled grid
     coarse, fine = DiskGrid(n_angular=64), DiskGrid(n_angular=128)
@@ -258,7 +269,7 @@ def _bound_cases(draw):
     n = draw(st.sampled_from([8, 16]))
     on_points = draw(st.booleans())
     grid = DiskGrid(r_max=draw(st.sampled_from([0.5, 0.9, 0.995])), n_radial=3 if on_points else 1, n_angular=n)
-    points = grid.points if on_points else grid.ring
+    points = grid.points if on_points else grid.ring[None]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     N = draw(st.integers(2, 41))  # degrees 1-40
     r, weights = grid.r_max, grid.r_max ** np.arange(N)
@@ -304,12 +315,12 @@ _HALF_RING = DiskGrid(r_max=0.5, n_radial=1, n_angular=8)
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(case=_bound_cases())
 # a floor near the largest float over |z| = 0.5 clears a z-shift of -1 without overflowing
-@example(case=(np.array([[1.7e308, 1e307]], dtype=complex), _HALF_RING, _HALF_RING.ring))
+@example(case=(np.array([[1.7e308, 1e307]], dtype=complex), _HALF_RING, _HALF_RING.ring[None]))
 def test_row_bounds_never_clear_a_term_with_a_bad_sample(case):
     raw, grid, points = case
     for block in _batch_and_draws(raw):
         def evaluated(use, *args):
-            return use(verify._Evaluation(block, (0,), grid, points), *args)
+            return use(verify._Evaluation(block, (0,), points), *args)
 
         def outcomes():
             return [_outcome(evaluated, lambda ev: (ev.rows, ev.coeffs))] + [
@@ -320,7 +331,7 @@ def test_row_bounds_never_clear_a_term_with_a_bad_sample(case):
             mp.setattr(verify, "_row_bounds", _never_clears)
             assert outcomes() == got
         try:
-            ev = verify._Evaluation(block, (0,), grid, points)
+            ev = verify._Evaluation(block, (0,), points)
         except NonFiniteValue:  # a batch with a sample that overflows raises
             continue
         assert np.isfinite(ev.rows).all()
@@ -341,7 +352,7 @@ def test_row_bounds_leave_verdicts_and_heatmaps_alone(case):
         f = PowerSeries(1, block.raw[0])
 
         def verdicts(plan):
-            return verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid, points))
+            return verify._verdicts(plan, verify._Evaluation(block, plan.orders, points))
 
         def outcomes():
             return ([_outcome(verdicts, plan) for plan in plans]
@@ -449,17 +460,17 @@ def test_certified_hypothesis_is_what_take_gives(case):
     plan, raw_block, grid = case
     for block in (raw_block, *(series.SeriesBlock(raw_block.order_p, row[None]) for row in raw_block.raw)):
         def verdicts(hypothesis):
-            v = verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid, grid.ring, hypothesis))
+            v = verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid.ring[None], hypothesis))
             return v.hyp_ok, v.value, v.witness, v.margin, v.passed
 
         assert _outcome(verdicts, plan.certificate) == _outcome(verdicts, None)
         try:
-            ev = verify._Evaluation(block, plan.orders, grid, grid.ring, plan.certificate)
+            ev = verify._Evaluation(block, plan.orders, grid.ring[None], plan.certificate)
         except NonFiniteValue:
             continue
         if not ev.certified:
             continue
-        sampled = verify._Evaluation(block, plan.orders, grid, grid.ring)
+        sampled = verify._Evaluation(block, plan.orders, grid.ring[None])
         value, _ = sampled.take(plan.hypothesis)
         assert (value < plan.hypothesis_bound).all()
         assert np.isfinite(sampled.rows).all()
@@ -489,6 +500,21 @@ def test_shifted_sample_overflow_raises(functional, coeffs, first):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row,m,error,first", [
+    ([0.0, 1.5e308, 1.5e308j], 1, NonFiniteValue, 5),  # s/z overflows first at ring point 5
+    ([1.0, 2.0j, 0.0], 0, ZeroOnGrid, 2),  # 1 + 2iz vanishes at z = 0.5i, ring point 2
+])
+def test_batch_failure_names_its_ring_point(row, m, error, first):
+    # the first failing sample of a batch lies in its second draw: its flat
+    # index counts the first draw's samples too, and the point named is the
+    # ring's own
+    block = series.SeriesBlock(0, np.array([[1.0, 0.0, 0.0], row]))
+    ev = verify._Evaluation(block, (0,), _HALF_RING.ring[None])
+    with pytest.raises(error, match=re.escape(f"at z = {complex(_HALF_RING.ring[first])} ")):
+        ev.take(verify._plain("min_real", 0, m, "batch"))
+
+
+@pytest.mark.filterwarnings("error")
 def test_ratio_overflow_raises():
     # z f'/f of f = z^2 + (1.7e308/3) z^3 + (1.7e308/6) z^4 is about
     # 1.66 + 0.07i at sample 6 of the ring, but numpy's complex division of
@@ -499,10 +525,19 @@ def test_ratio_overflow_raises():
     where = re.escape(f"f^(1)/z^1 over f^(0)/z^2 is not finite at z = {complex(grid.ring[6])} (float64 overflow)")
     with pytest.raises(NonFiniteValue, match=f"^arg-jst: {where}$"):
         verify.heatmap_values(f, "arg-jst", grid)
-    ev = verify._Evaluation(f, (0, 1), grid, grid.ring)
+    ev = verify._Evaluation(f, (0, 1), grid.ring[None])
     for kind in ("sup_arg", "min_real"):
         with pytest.raises(NonFiniteValue, match=f"^ratio: {where}$"):
             ev.take(verify._ratio(kind, 2, 1, "ratio"))
+
+
+def test_underflowing_scale_clears_nothing():
+    # on |z| = 1e-200 the z-power |z|**2 of z^2 (1 + 0.1z) underflows to 0:
+    # the bound pass clears nothing there, and the per-sample scan finds the
+    # samples below ZERO_TOL
+    where = re.escape("|value| = 0.000e+00 below tolerance 1e-13 at z = (1e-200+0j) in sup_arg")
+    with pytest.raises(ZeroOnGrid, match=f"^{where}$"):
+        sup_arg(make_series(2, [0.1]), 0, DiskGrid(r_max=1e-200, n_radial=1, n_angular=8))
 
 
 def test_scan_quotients_need_no_finiteness_scan(monkeypatch):
@@ -937,6 +972,16 @@ def test_rows_with_leading_zeros_match_polynomial_reference(tid, p, s):
     assert all(c.margin > 0.1 for c in rep.conclusions)
 
 
+def test_negligible_leading_coefficients_drop_one_by_one():
+    # f' = 1 + 4z + 3e-320 z^2 + ..., 1,998 coefficients past the interpreter's
+    # recursion limit, each negligible on the disk and each overflowing the
+    # companion row when it leads: all are dropped and the root of 1 + 4z found
+    f = PowerSeries(1, [1.0, 2.0] + [1e-320] * 1998)
+    rep = check_theorem("T1", f, alpha1=0.5)
+    assert (rep.verdict, rep.hypothesis_sup, rep.witnesses) == (verify.VERDICT_HYP, math.pi, (-0.25 + 0j,))
+    assert verify._smallest_root_in_disk(differentiate(f, 1).coeffs, 0.995) == -0.25 + 0j
+
+
 def test_rows_dominant_after_their_zeros_need_no_companion_roots(monkeypatch):
     # f^(3)/3! = 0.8z + 0.1z^2 starts with a zero, so its constant term does
     # not dominate, but the row after that zero does: no eigvals call, and
@@ -1086,6 +1131,28 @@ def test_probe_not_attained_carries_best():
         lemma1_probe(PowerSeries(0, np.array([1.0, 0.1])), 0.5)
     assert exc.value.best_sup < exc.value.level
     assert exc.value.best_sup > 0
+
+
+def test_probe_sign_rule_on_random_q():
+    # Lemma 1 at the first touching point: z0 q'(z0)/q(z0) = i k gamma with
+    # k >= (a + 1/a)/2 where arg q(z0) = pi gamma/2 and k <= -(a + 1/a)/2
+    # where it is -pi gamma/2; k_est takes both sides in modulus, so the sign
+    # is checked here, on seeded q = 1 + six complex coefficients
+    rng = np.random.default_rng(1)
+    attained = 0
+    for _ in range(300):
+        c = rng.normal(size=6) + 1j * rng.normal(size=6)
+        q = PowerSeries(0, np.r_[1.0, c * rng.uniform(0.2, 3.0) / np.abs(c).sum()])
+        try:
+            rep = lemma1_probe(q, rng.uniform(0.1, 1.0))
+        except NotAttained:
+            continue
+        attained += 1
+        arg_q = cmath.phase(np.polynomial.polynomial.polyval(rep.z0, q.coeffs))
+        assert rep.ratio.imag * arg_q > 0
+        assert rep.k_est >= (rep.a_est + 1.0 / rep.a_est) / 2.0
+        assert rep.imag_purity <= 1e-6 * abs(rep.ratio)
+    assert attained >= 200
 
 
 @pytest.mark.parametrize("n_radial", [1, 2, 64])
@@ -1654,7 +1721,7 @@ def test_batch_reports_match_check_theorem(tid):
         sample_hypothesis_function(np.random.SeedSequence((80, k)), p=3, bound=0.9, N=16) for k in range(3)
     ]
     plan = verify._build_plan(tid, 3, None, None, None, None)
-    v = verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid, grid.ring))
+    v = verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid.ring[None]))
     assert v.hyp_ok[1]
     assert v.hyp_ok[-1] == (tid != "C2")
     for b, f in enumerate(fs):  # every batch row is check_theorem on its draw, bit for bit
