@@ -466,7 +466,8 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
     for name in _COMMANDS if only is None else (only,):
         help_text, handler, add_arguments = _COMMANDS[name]
-        sub = subs.add_parser(name, help=help_text)
+        # one spelling per flag: argparse would read a prefix, such as verify's --p, as the flag it begins
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         add_arguments(sub)
         sub.set_defaults(handler=handler)
     return parser

@@ -121,8 +121,9 @@ class DiskGrid:
     def __post_init__(self):
         if not 0.0 < self.r_max < 1.0:
             raise ValueError("r_max must lie in (0, 1)")
-        if self.n_radial < 1 or self.n_angular < 1:
-            raise ValueError("grid must have at least one radius and one angle")
+        for count in ("n_radial", "n_angular"):
+            if getattr(self, count) < 1:
+                raise ValueError(f"{count} must be >= 1")
 
     @cached_property
     def radii(self) -> np.ndarray:
@@ -691,14 +692,6 @@ class _Plan:
         return _orders(self.hypothesis, *(q for _, q, _ in self.conclusions))
 
     @cached_property
-    def first_equal(self) -> tuple[int, ...]:
-        """Per conclusion, the index in (hypothesis, *conclusions) of the
-        first quantity equal to it, whose take serves both (T4's starlike
-        conclusion is its s = p one, L2's hypothesis its k = p one)."""
-        quantities = [self.hypothesis, *(q for _, q, _ in self.conclusions)]
-        return tuple(quantities.index(q) for q in quantities[1:])
-
-    @cached_property
     def certificate(self) -> Optional[_Hypothesis]:
         """The hypothesis for a scan batch to certify from coefficients: a
         plain sup|arg| that no conclusion equals. L3's real part offset by p
@@ -850,6 +843,7 @@ def check_theorem(
     the parameters each id takes. A gap series must have a zero coefficient
     of z^(s-1) and a nonzero one of z^s.
     """
+    _theorem(theorem_id)  # an unknown id is named before the order of f
     if f.order_p < 1:
         raise ParamOutOfRange("f must have order_p >= 1")
     plan = _build_plan(theorem_id, f.order_p, alpha1, alpha0, delta, s)
@@ -910,10 +904,10 @@ def _verdicts(plan: _Plan, ev: _Evaluation) -> _Verdicts:
     shape = (ev.size, len(plan.conclusions))
     value, witness = np.zeros(shape), np.zeros(shape, dtype=np.complex128)
     if hyp_ok.any():
-        taken = [(hyp_value, hyp_witness)]  # per quantity of (hypothesis, *conclusions) in turn
-        for j, ((_, q, _), first) in enumerate(zip(plan.conclusions, plan.first_equal)):
-            taken.append(taken[first] if first <= j else ev.take(q))
-            value[:, j], witness[:, j] = taken[-1]
+        taken = {} if ev.certified else {plan.hypothesis: (hyp_value, hyp_witness)}  # per distinct quantity
+        for j, (_, q, _) in enumerate(plan.conclusions):
+            taken[q] = taken[q] if q in taken else ev.take(q)
+            value[:, j], witness[:, j] = taken[q]
     bounds = np.array([c_bound for _, _, c_bound in plan.conclusions])
     sup = np.array([q.kind == "sup_arg" for _, q, _ in plan.conclusions], dtype=bool)
     margin = np.where(sup, bounds - value, value - bounds)
@@ -1226,23 +1220,9 @@ def _scan_uniforms(seed: int, first: int, size: int, count: int) -> np.ndarray:
     return (raw >> 11) * 2.0**-53
 
 
-def _sampler_order(p: int, bound: float, N: int, s_gap: Optional[int]) -> int:
-    """Check the sampler's arguments; the order of its draws, s_gap if given, else p."""
-    if not 0.0 < bound < math.pi / 2.0:
-        raise ValueError("bound must lie in (0, pi/2)")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    order = int(s_gap) if s_gap is not None else int(p)
-    if s_gap is not None and order < 2:
-        raise ValueError("s_gap must be >= 2")
-    if s_gap is None and order < 1:
-        raise ValueError("p must be >= 1")
-    return order
-
-
 def _sample_block(uniforms: np.ndarray, order: int, bound: float) -> SeriesBlock:
     """One draw of sample_hypothesis_function per row of uniforms, as the rows
-    of a block of series of the given order; arguments as checked by _sampler_order.
+    of a block of series of the given order; arguments as sample_hypothesis_function checks them.
 
     Row b holds its draw's 2N-1 uniforms, u, the N-1 weights and the N-1
     phases: default_rng(seed).random(2N-1) for sample_hypothesis_function,
@@ -1276,7 +1256,15 @@ def sample_hypothesis_function(
     of z^(s-1) is 0 and that of z^s is 1. The 2N-1 uniforms come from
     default_rng(seed), any seed numpy takes.
     """
-    order = _sampler_order(p, bound, N, s_gap)
+    if not 0.0 < bound < math.pi / 2.0:
+        raise ValueError("bound must lie in (0, pi/2)")
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    order = int(s_gap) if s_gap is not None else int(p)
+    if s_gap is not None and order < 2:
+        raise ValueError("s_gap must be >= 2")
+    if s_gap is None and order < 1:
+        raise ValueError("p must be >= 1")
     block = _sample_block(np.random.default_rng(seed).random((1, 2 * N - 1)), order, bound)
     return PowerSeries(block.order_p, block.raw[0])
 
@@ -1316,17 +1304,20 @@ def counterexample_scan(
     expected to be 0: the implications are proved, so any FAIL is an artifact
     bug or a genuinely interesting sample worth inspecting via worst_function.
     """
+    theorem_id, theorem = _theorem(theorem_id)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    theorem_id, theorem = _theorem(theorem_id)
     gap = "s" in theorem.params  # its draws are gap series of order s
     if gap and p is not None:
         raise ParamOutOfRange(f"{theorem_id} does not take parameter p")
     if not gap and (p is None or p < 1):
         raise ParamOutOfRange(f"{theorem_id} scan requires p >= 1")
     plan = _build_plan(theorem_id, s if gap else p, alpha1, alpha0, delta, s)
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    # sample_hypothesis_function's bound, s and p checks hold here by THEOREMS, _PARAMS and the p rule above
     bound = min(plan.hypothesis_bound, _SAMPLER_CAP) if theorem.sampler_bound is None else theorem.sampler_bound
-    order = _sampler_order(p, bound, N, s if gap else None)
+    order = int(s if gap else p)
 
     counts = {VERDICT_PASS: 0, VERDICT_FAIL: 0, VERDICT_HYP: 0}
     verdicts: list[str] = []

@@ -354,6 +354,59 @@ def test_exit_2_id_and_parameter_errors(command, theorem, flags, message, mono2,
     assert (captured.out, captured.err) == ("", f"argstar: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "lemma1", "gamma0"])
+def test_exit_2_flag_prefix(command, tmp_path, probe, capsys):
+    # each subcommand flag has one spelling: a prefix, which argparse would
+    # otherwise read as the flag it begins (--p as --points, --o as --out),
+    # is an unrecognized argument, and no report is written
+    f = write_spec(tmp_path, "f.json", {"p": 2, "coefficients": [[0.3, 0.0]]})
+    out = tmp_path / "F"
+    argv, prefix = {
+        "verify": (["verify", "--theorem", "t1", "--alpha1", "0.5", "--function", f], ["--p", "3"]),
+        "lemma1": (["lemma1", "--function", probe, "--gamma", "0.3"], ["--p", "3"]),
+        "gamma0": (["gamma0"], ["--o", str(out)]),
+    }[command]
+    assert run([*argv, *prefix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(prefix)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", [["--out", "{out}"], ["--out={out}"]], ids=["separate", "joined"])
+def test_out_is_left_out_of_the_echo(spelling, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["gamma0", *(a.format(out=out) for a in spelling)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["command"] == ["gamma0"]
+
+
+@pytest.mark.parametrize("command,flags,known,message", [
+    ("verify", ["--function", "{q}"], ["--alpha1", "0.5"], "f must have order_p >= 1"),  # a file of p = 0
+    ("scan", ["--seed", "1", "--trials", "0"], ["--alpha1", "0.5", "--p", "2"], "trials must be >= 1"),
+    ("scan", ["--seed", "1", "--ncoeffs", "1"], ["--alpha1", "0.5", "--p", "2"], "N must be >= 2"),
+], ids=["verify-p0", "scan-trials0", "scan-ncoeffs1"])
+def test_exit_2_unknown_id_first(command, flags, known, message, probe, capsys):
+    # an unknown id is named before the other error, which a known id still reports
+    argv = [a.format(q=probe) for a in flags]
+    assert run([command, "--theorem", "q7", *argv]) == 2
+    assert capsys.readouterr() == ("", "argstar: unknown theorem id 'Q7'\n")
+    assert run([command, "--theorem", "t1", *argv, *known]) == 2
+    assert capsys.readouterr() == ("", f"argstar: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "scan", "lemma1"])
+def test_exit_2_points_below_one_names_n_angular(command, mono2, probe, capsys):
+    argv = {
+        "verify": ["verify", "--theorem", "t1", "--function", mono2, "--alpha1", "0.5"],
+        "scan": ["scan", "--theorem", "t4", "--p", "3", "--alpha0", "1.0", "--trials", "2", "--seed", "1"],
+        "lemma1": ["lemma1", "--function", probe, "--gamma", "0.3"],
+    }[command]
+    for points in ("0", "-3"):
+        assert run([*argv, "--points", points]) == 2
+        assert capsys.readouterr() == ("", "argstar: n_angular must be >= 1\n")
+
+
 @pytest.mark.parametrize("where", ["missing", "directory"])
 @pytest.mark.parametrize("command", ["gamma0", "verify", "heatmap"])
 def test_exit_2_unwritable_out(command, where, mono2, tmp_path, capsys):

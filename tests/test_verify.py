@@ -82,6 +82,14 @@ def test_grid_rejects_bad_params(kw):
         DiskGrid(**kw)
 
 
+@pytest.mark.parametrize("count", ["n_radial", "n_angular"])
+def test_grid_names_the_count_below_one(count):
+    # --points sets n_angular alone, so the message names the count that is below 1
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=rf"^{count} must be >= 1$"):
+            DiskGrid(**{count: n})
+
+
 def test_grid_arrays_deterministic_and_readonly():
     a, b = DiskGrid(), DiskGrid()
     assert a.points.tobytes() == b.points.tobytes()
@@ -1427,6 +1435,20 @@ def test_sampler_rejects_bad_bound():
         sample_hypothesis_function(1, p=2, bound=1.0, N=1)
 
 
+@pytest.mark.parametrize("kw,message", [
+    ({"p": 0, "bound": 1.0}, "p must be >= 1"),
+    ({"p": 2, "bound": 1.0, "s_gap": 1}, "s_gap must be >= 2"),
+    ({"p": 2, "bound": 0.0}, "bound must lie in (0, pi/2)"),
+    ({"p": 2, "bound": math.pi / 2}, "bound must lie in (0, pi/2)"),
+    ({"p": 2, "bound": 1.0, "N": 1}, "N must be >= 2"),
+    ({"p": 0, "bound": 0.0, "N": 1}, "bound must lie in (0, pi/2)"),  # bound, N, then the order
+    ({"p": 0, "bound": 1.0, "N": 1}, "N must be >= 2"),
+], ids=["p0", "s_gap1", "bound0", "bound-half-pi", "N1", "bound-first", "N-before-p"])
+def test_sampler_names_each_bad_argument(kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_hypothesis_function(1, **kw)
+
+
 def test_sampler_is_deterministic():
     a = sample_hypothesis_function(np.random.SeedSequence((9, 4)), p=2, bound=1.0)
     b = sample_hypothesis_function(np.random.SeedSequence((9, 4)), p=2, bound=1.0)
@@ -1931,6 +1953,58 @@ def test_scan_rejects_bad_args():
         counterexample_scan("T5", trials=2, seed=1, p=7, s=2, delta=0.3)  # draws have order s
     with pytest.raises(ParamOutOfRange, match="unknown theorem id 'Q7'"):
         counterexample_scan("Q7", trials=2, seed=1)  # the id is named before the missing p
+
+
+def test_unknown_id_is_named_first():
+    # before the order of f (check_theorem) and before trials or N (counterexample_scan)
+    unknown = "^unknown theorem id 'Q7'$"
+    with pytest.raises(ParamOutOfRange, match=unknown):
+        check_theorem("q7", PowerSeries(0, [1.0, 0.3]))
+    with pytest.raises(ParamOutOfRange, match=unknown):
+        counterexample_scan("q7", trials=0, seed=1)
+    with pytest.raises(ParamOutOfRange, match=unknown):
+        counterexample_scan("q7", trials=2, seed=1, N=1)
+    # a known id keeps each message
+    with pytest.raises(ParamOutOfRange, match=r"^f must have order_p >= 1$"):
+        check_theorem("t1", PowerSeries(0, [1.0, 0.3]), alpha1=0.5)
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        counterexample_scan("t1", trials=0, seed=1, p=2, alpha1=0.5)
+    with pytest.raises(ValueError, match=r"^N must be >= 2$"):
+        counterexample_scan("t1", trials=2, seed=1, p=2, alpha1=0.5, N=1)
+
+
+@pytest.mark.parametrize("tid,params,scan_takes,check_takes", [
+    # T4 at p = 5: conclusions s = 1..5 and the starlike one, which is its s = 5
+    # one; a scan batch certifies the hypothesis, check_theorem takes it
+    ("T4", {"p": 5, "alpha0": 1.0}, 5, 6),
+    # L2 at p = 3: the hypothesis is its k = 3 conclusion, beside k = 1 and 2
+    ("L2", {"p": 3}, 3, 3),
+], ids=["T4", "L2"])
+def test_scan_takes_each_distinct_quantity_once(monkeypatch, tid, params, scan_takes, check_takes):
+    monkeypatch.setattr(verify, "_BATCH_VALUES", 8 * 6 * 64)  # batches of 8 (T4) and 12 (L2) draws
+    taken, batches = [], []
+    real_take, real_verdicts = verify._Evaluation.take, verify._verdicts
+
+    def take(self, q):
+        taken.append(q)
+        return real_take(self, q)
+
+    def verdicts(plan, ev):
+        taken.clear()
+        v = real_verdicts(plan, ev)
+        batches.append((ev.certified, len(taken), len(set(taken))))
+        return v
+
+    monkeypatch.setattr(verify._Evaluation, "take", take)
+    monkeypatch.setattr(verify, "_verdicts", verdicts)
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    rep = counterexample_scan(tid, trials=30, seed=1, grid=grid, **params)
+    assert rep.counts["PASS"] == 30
+    certified = tid == "T4"
+    assert len(batches) > 1 and batches == [(certified, scan_takes, scan_takes)] * len(batches)
+    batches.clear()
+    check_theorem(tid, rep.worst_function, grid, **{k: v for k, v in params.items() if k != "p"})
+    assert batches == [(False, check_takes, check_takes)]
 
 
 def test_readme_theorem_table_matches_theorems():
