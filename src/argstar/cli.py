@@ -260,24 +260,16 @@ def _ring_from(args) -> DiskGrid:
     return DiskGrid(r_max=args.rmax, n_radial=1, n_angular=args.points)
 
 
-def _cmd_gamma0(args, argv) -> int:
-    root, composite = solve_gamma0()
-    result = {
-        "gamma0": root,
-        "composite": composite,
-        "residual": abs(2 * root + (2 / math.pi) * math.atan(root) - 1.0),
-    }
-    _write(_render(_envelope(argv, result, solver=_SOLVER), args.format), args.out)
-    return EXIT_PASS
+# subcommand -> (solver, c of its equation 2x + (2/pi)atan(x) = c, report keys of the root and the bound)
+_CONSTANTS = {"gamma0": (solve_gamma0, 1.0, "gamma0", "composite"),
+              "deltamax": (solve_delta_max, 2.0, "delta_max", "bound")}
 
 
-def _cmd_deltamax(args, argv) -> int:
-    root, bound = solve_delta_max()
-    result = {
-        "delta_max": root,
-        "bound": bound,
-        "residual": abs(2 * root + (2 / math.pi) * math.atan(root) - 2.0),
-    }
+def _cmd_constant(args, argv) -> int:
+    solve, c, root_key, bound_key = _CONSTANTS[args.subcommand]
+    root, bound = solve()
+    residual = abs(2 * root + (2 / math.pi) * math.atan(root) - c)
+    result = {root_key: root, bound_key: bound, "residual": residual}
     _write(_render(_envelope(argv, result, solver=_SOLVER), args.format), args.out)
     return EXIT_PASS
 
@@ -426,8 +418,8 @@ def _add_heatmap(sub):
 
 # subcommand -> (help, handler, function adding its arguments), in help order
 _COMMANDS = {
-    "gamma0": ("root of 2g + (2/pi)atan(g) = 1 and the composite bound", _cmd_gamma0, _add_output_flags),
-    "deltamax": ("root of 2d + (2/pi)atan(d) = 2 and the gap-series bound", _cmd_deltamax, _add_output_flags),
+    "gamma0": ("root of 2g + (2/pi)atan(g) = 1 and the composite bound", _cmd_constant, _add_output_flags),
+    "deltamax": ("root of 2d + (2/pi)atan(d) = 2 and the gap-series bound", _cmd_constant, _add_output_flags),
     "alpha": ("implicit alpha chain with majorant column", _cmd_alpha, _add_alpha),
     "verify": ("check one implication for a function file", _cmd_verify, _add_verify),
     "lemma1": ("first-crossing boundary probe for q with q(0)=1", _cmd_lemma1, _add_lemma1),

@@ -148,13 +148,6 @@ class DiskGrid:
         z.flags.writeable = False
         return z
 
-    @cached_property
-    def ring(self) -> np.ndarray:
-        """The outer circle |z| = r_max, bit-identical to the last row of points (radii[-1] is r_max)."""
-        z = self.r_max * np.exp(1j * self.angles)
-        z.flags.writeable = False
-        return z
-
     @property
     def size(self) -> int:
         return self.n_radial * self.n_angular
@@ -416,7 +409,7 @@ class _Evaluation:
     quantities taken from them for the whole batch at once. The draws are one
     PowerSeries or the rows of one SeriesBlock; see series.derivative_block.
     The points are an array (rings, n), each ring n uniform angles from angle
-    0, the last |z| = r_max: grid.ring[None] for the checks, grid.points for heatmap.
+    0, the last |z| = r_max: grid.points[-1:] for the checks, grid.points for heatmap.
 
     Each f^(k) is kept divided by its leading falling factorial and starts
     at z**max(p - k, 0), p = f.order_p, leading zeros included (see
@@ -625,7 +618,7 @@ class _Evaluation:
 def _take_one(s: PowerSeries, kind: str, divisor_power: int, grid: DiskGrid):
     if divisor_power < 0:
         raise ValueError("divisor_power must be >= 0")
-    value, witness = _Evaluation(s, (0,), grid.ring[None]).take(_plain(kind, 0, divisor_power, kind))
+    value, witness = _Evaluation(s, (0,), grid.points[-1:]).take(_plain(kind, 0, divisor_power, kind))
     return float(value[0]), complex(witness[0])
 
 
@@ -853,7 +846,7 @@ def check_theorem(
             raise ParamOutOfRange(f"coefficient of z^{s - 1} must be 0")
         if coeff.get(s, 0) == 0:
             raise ParamOutOfRange(f"coefficient of z^{s} must be nonzero")
-    v = _verdicts(plan, _Evaluation(f, plan.orders, grid.ring[None]))
+    v = _verdicts(plan, _Evaluation(f, plan.orders, grid.points[-1:]))
     hyp_ok = bool(v.hyp_ok[0])
     row = zip(plan.conclusions, v.value[0].tolist(), v.witness[0].tolist())
     conclusions = tuple(
@@ -924,7 +917,7 @@ def _scan_verdicts(plan: _Plan, draws: SeriesBlock, grid: DiskGrid) -> _Verdicts
     conclusions. A row rounds as it does alone, whatever its batch
     (_ring_values, _head_tail), so the draws' verdicts are the batch's."""
     def verdicts(block: SeriesBlock) -> _Verdicts:
-        return _verdicts(plan, _Evaluation(block, plan.orders, grid.ring[None], plan.certificate))
+        return _verdicts(plan, _Evaluation(block, plan.orders, grid.points[-1:], plan.certificate))
 
     try:
         return verdicts(draws)
@@ -1270,7 +1263,7 @@ def sample_hypothesis_function(
 
 
 _SAMPLER_CAP = math.pi / 2.0 - 1e-9
-# A scan batch holds at most this many ring values (4 MB of complex128).
+# A scan batch holds at most this many ring samples, or coefficients where N is larger, per derivative order.
 _BATCH_VALUES = 2**18
 
 
@@ -1293,8 +1286,8 @@ def counterexample_scan(
     draw. Attempt a draws f as sample_hypothesis_function does from
     SeedSequence((seed, a)), and seed must be an integer >= 0: a batch takes
     the uniforms of all its draws from one _scan_uniforms call. The draws are
-    evaluated in batches of at most _BATCH_VALUES ring values, each batch in
-    one _ring_values call. The verdicts and margins of a batch are arrays (see
+    evaluated in batches sized by _BATCH_VALUES, each batch in one
+    _ring_values call. The verdicts and margins of a batch are arrays (see
     _scan_verdicts), with the verdicts, margins and first error that
     check_theorem gives on each draw in turn; no report object is built per
     draw, and only the worst draw becomes a PowerSeries. Draws that fail the
@@ -1319,11 +1312,10 @@ def counterexample_scan(
     bound = min(plan.hypothesis_bound, _SAMPLER_CAP) if theorem.sampler_bound is None else theorem.sampler_bound
     order = int(s if gap else p)
 
-    counts = {VERDICT_PASS: 0, VERDICT_FAIL: 0, VERDICT_HYP: 0}
     verdicts: list[str] = []
     worst = (math.inf, None, None, None)  # (margin, label, attempt, sampler row)
     attempts = 0
-    batch = max(1, _BATCH_VALUES // (len(plan.orders) * grid.n_angular))
+    batch = max(1, _BATCH_VALUES // (len(plan.orders) * max(N, grid.n_angular)))
     while len(verdicts) < trials and attempts < 10 * trials:
         # every draw of a batch is needed: each one adds at most one verdict
         size = min(trials - len(verdicts), 10 * trials - attempts, batch)
@@ -1331,11 +1323,8 @@ def counterexample_scan(
         v = _scan_verdicts(plan, draws, grid)
         held = v.passed[v.hyp_ok].tolist()
         verdicts.extend(VERDICT_PASS if ok else VERDICT_FAIL for ok in held)
-        counts[VERDICT_PASS] += sum(held)
-        counts[VERDICT_FAIL] += len(held) - sum(held)
-        counts[VERDICT_HYP] += size - len(held)
-        # the first smallest margin in (attempt, conclusion) order; a NaN one is never the worst
-        margin = np.where(v.hyp_ok[:, None] & ~np.isnan(v.margin), v.margin, np.inf)
+        # the first smallest margin in (attempt, conclusion) order
+        margin = np.where(v.hyp_ok[:, None], v.margin, np.inf)
         if margin.size:
             b, j = divmod(int(margin.argmin()), margin.shape[1])
             if margin[b, j] < worst[0]:
@@ -1354,7 +1343,8 @@ def counterexample_scan(
         seed=seed,
         sampler_N=N,
         attempts=attempts,
-        counts=counts,
+        counts={VERDICT_PASS: verdicts.count(VERDICT_PASS), VERDICT_FAIL: verdicts.count(VERDICT_FAIL),
+                VERDICT_HYP: attempts - len(verdicts)},
         verdicts=tuple(verdicts),
         worst_margin=None if worst[3] is None else worst[0],
         worst_label=worst[1],

@@ -161,6 +161,13 @@ def test_spec_round_trip_is_identity(tmp_path):
     assert series_to_spec(parse_function_file(path)[0]) == payload
 
 
+def test_spec_round_trip_keeps_the_gap_index(tmp_path):
+    # the gap index comes back from the file's meta; the zeroed coefficient is in the list
+    payload = {"p": 1, "coefficients": [[0.0, 0.0], [0.2, 0.0]], "gap_index": 3}
+    f, meta = parse_function_file(write_spec(tmp_path, "gap.json", payload))
+    assert series_to_spec(f, gap_index=meta["gap_index"]) == payload
+
+
 def test_spec_serialization_requires_unit_leading():
     with pytest.raises(ValueError):
         series_to_spec(PowerSeries(1, np.array([2.0, 0.5])))
@@ -491,6 +498,15 @@ def test_exit_3_parse_errors(tmp_path):
     assert run(["verify", "--theorem", "t1", "--function", str(mismatch), "--alpha1", "1.0"]) == 3
 
 
+def test_exit_3_top_level_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[2, [[0.3, 0.0]]]")
+    assert run(["verify", "--theorem", "t1", "--function", str(path), "--alpha1", "1.0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"argstar: {path}: top level must be an object\n"
+
+
 def test_exit_4_zero_on_grid(tmp_path, capsys):
     # f/z = 1 - 2z vanishes exactly on the r_max = 0.5 grid
     path = write_spec(tmp_path, "z.json", {"p": 1, "coefficients": [[-2.0, 0]]})
@@ -537,7 +553,7 @@ def test_exit_4_overflowing_derivative(tmp_path, capsys):
     out = tmp_path / "hm.csv"
     # the message names the first non-finite sample: on the outer ring for
     # verify and lemma1, the first point of the whole grid for heatmap
-    ring, disk = complex(DiskGrid().ring[0]), complex(DiskGrid().points[0, 0])
+    ring, disk = complex(DiskGrid().points[-1][0]), complex(DiskGrid().points[0, 0])
     for argv, where in (
         (["verify", "--theorem", "t1", "--function", path, "--alpha1", "1.0"], f"f^(2) is not finite at z = {ring}"),
         (["verify", "--theorem", "t1", "--function", wide, "--alpha1", "1.0"], f"f^(1) is not finite at z = {ring}"),
@@ -1123,11 +1139,11 @@ def _full_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gamma0", help="root of 2g + (2/pi)atan(g) = 1 and the composite bound")
     cli._add_output_flags(sub)
-    sub.set_defaults(handler=cli._cmd_gamma0)
+    sub.set_defaults(handler=cli._cmd_constant)
 
     sub = subs.add_parser("deltamax", help="root of 2d + (2/pi)atan(d) = 2 and the gap-series bound")
     cli._add_output_flags(sub)
-    sub.set_defaults(handler=cli._cmd_deltamax)
+    sub.set_defaults(handler=cli._cmd_constant)
 
     sub = subs.add_parser("alpha", help="implicit alpha chain with majorant column")
     sub.add_argument("--alpha0", type=float, required=True)

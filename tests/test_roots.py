@@ -63,6 +63,17 @@ def test_bisect_stops_once_bracket_is_abs_tol_wide():
     assert abs(x - 1.0 / 3.0) <= 0.5 * 2.0 ** -40
 
 
+def test_solvers_stop_on_an_exhausted_float_bracket():
+    # floats near 1e16 are 2 apart: once the bracket is two neighbours wide its
+    # midpoint rounds onto an end, though the bracket is far wider than ABS_TOL
+    def g(x):
+        return x - 1e16 - 1
+
+    lo, hi = 1e16, 1e16 + 4
+    assert bisect_increasing(g, lo, hi) == 1e16
+    assert itp_increasing(g, lo, hi, g(lo), g(hi)) == (1e16, 1e16 + 2)
+
+
 def test_bisect_no_convergence_reports_bracket():
     # 200 halvings of a bracket 1e100 wide leave it about 6e39 wide
     with pytest.raises(NoConvergence) as exc:
@@ -248,6 +259,12 @@ def test_divergence_surrogate_checkpoints():
     for n, s in zip((100, 1000, 10000), sums):
         # log x > (x-1)/x termwise makes the log-product dominate the sum
         assert log_majorant_product(n) > s - 1e-9
+
+
+@pytest.mark.parametrize("table", [majorant_sequence, harmonic_lower_bound])
+def test_majorant_tables_reject_negative_n(table):
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        table(-1)
 
 
 def test_alpha_sequence_is_frozen():

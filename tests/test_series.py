@@ -51,6 +51,31 @@ def test_make_series_rejects_nonfinite(bad):
         make_series(1, [bad])
 
 
+@pytest.mark.parametrize("coeffs", [[[1.0, 0.5]], []], ids=["2-d", "empty"])
+def test_series_rejects_coefficients_that_are_not_a_nonempty_row(coeffs):
+    with pytest.raises(ValueError, match=r"^coefficients must be a non-empty 1-d sequence$"):
+        PowerSeries(0, coeffs)
+
+
+@pytest.mark.parametrize("order_p,message", [
+    (1.5, "order_p must be an integer"),
+    (True, "order_p must be an integer"),
+    (-1, "order_p must be >= 0"),
+])
+def test_series_rejects_bad_order(order_p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PowerSeries(order_p, [1.0])
+
+
+def test_series_equality_and_hash():
+    s, t = PowerSeries(1, [1.0, 0.5j]), PowerSeries(1, np.array([1.0, 0.5j]))
+    assert s == t and hash(s) == hash(t) and len({s, t}) == 1
+    assert s != PowerSeries(2, [1.0, 0.5j]) and s != PowerSeries(1, [1.0, 0.25j])
+    # another type is left to the other operand, so == falls back to identity
+    assert s.__eq__((1, [1.0, 0.5j])) is NotImplemented
+    assert s != (1, [1.0, 0.5j])
+
+
 def test_series_is_immutable():
     s = make_series(2, [0.5])
     with pytest.raises(AttributeError):
@@ -91,6 +116,12 @@ def test_differentiate_overflow_raises_non_finite_value():
         differentiate(make_series(1, [1e308]), 1)
     with pytest.raises(NonFiniteValue, match="overflows float64"):
         differentiate(make_series(171, []), 171)
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, True])
+def test_differentiate_rejects_bad_k(k):
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 0$"):
+        differentiate(make_series(2, [0.5]), k)
 
 
 def test_integrate_examples():

@@ -27,6 +27,7 @@ from argstar import (
     make_series,
     min_real,
     sample_hypothesis_function,
+    sigma_index,
     sup_arg,
 )
 from argstar import cli, series, verify
@@ -95,12 +96,8 @@ def test_grid_arrays_deterministic_and_readonly():
     assert a.points.tobytes() == b.points.tobytes()
     with pytest.raises(ValueError):
         a.radii[0] = 9.0
-
-
-def test_ring_is_last_row_of_points():
-    for g in (DiskGrid(), DiskGrid(r_max=0.5, n_radial=1, n_angular=4), DiskGrid(n_radial=16, n_angular=64)):
-        assert g.ring.tobytes() == g.points[-1].tobytes()
-        assert not g.ring.flags.writeable
+    with pytest.raises(ValueError):  # the checks' ring is its last row
+        a.points[-1, 0] = 0j
 
 
 @pytest.mark.parametrize("r_max", [0.995, 0.5, 1e-3, 1e-100, 1e-200])
@@ -111,7 +108,6 @@ def test_rings_start_at_their_radius(r_max):
         g = DiskGrid(r_max=r_max, n_radial=n_radial, n_angular=8)
         assert g.points[:, 0].real.tobytes() == g.radii.tobytes()
         assert g.radii[-1] == r_max
-        assert g.ring.tobytes() == g.points[-1].tobytes()
 
 
 def test_angular_doubling_is_nested():
@@ -277,7 +273,7 @@ def _bound_cases(draw):
     n = draw(st.sampled_from([8, 16]))
     on_points = draw(st.booleans())
     grid = DiskGrid(r_max=draw(st.sampled_from([0.5, 0.9, 0.995])), n_radial=3 if on_points else 1, n_angular=n)
-    points = grid.points if on_points else grid.ring[None]
+    points = grid.points if on_points else grid.points[-1][None]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     N = draw(st.integers(2, 41))  # degrees 1-40
     r, weights = grid.r_max, grid.r_max ** np.arange(N)
@@ -323,7 +319,7 @@ _HALF_RING = DiskGrid(r_max=0.5, n_radial=1, n_angular=8)
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(case=_bound_cases())
 # a floor near the largest float over |z| = 0.5 clears a z-shift of -1 without overflowing
-@example(case=(np.array([[1.7e308, 1e307]], dtype=complex), _HALF_RING, _HALF_RING.ring[None]))
+@example(case=(np.array([[1.7e308, 1e307]], dtype=complex), _HALF_RING, _HALF_RING.points[-1][None]))
 def test_row_bounds_never_clear_a_term_with_a_bad_sample(case):
     raw, grid, points = case
     for block in _batch_and_draws(raw):
@@ -468,17 +464,17 @@ def test_certified_hypothesis_is_what_take_gives(case):
     plan, raw_block, grid = case
     for block in (raw_block, *(series.SeriesBlock(raw_block.order_p, row[None]) for row in raw_block.raw)):
         def verdicts(hypothesis):
-            v = verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid.ring[None], hypothesis))
+            v = verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid.points[-1][None], hypothesis))
             return v.hyp_ok, v.value, v.witness, v.margin, v.passed
 
         assert _outcome(verdicts, plan.certificate) == _outcome(verdicts, None)
         try:
-            ev = verify._Evaluation(block, plan.orders, grid.ring[None], plan.certificate)
+            ev = verify._Evaluation(block, plan.orders, grid.points[-1][None], plan.certificate)
         except NonFiniteValue:
             continue
         if not ev.certified:
             continue
-        sampled = verify._Evaluation(block, plan.orders, grid.ring[None])
+        sampled = verify._Evaluation(block, plan.orders, grid.points[-1][None])
         value, _ = sampled.take(plan.hypothesis)
         assert (value < plan.hypothesis_bound).all()
         assert np.isfinite(sampled.rows).all()
@@ -491,7 +487,7 @@ def test_sup_arg_monomial_is_zero():
     g = DiskGrid()
     r = sup_arg(make_series(3, []), 3, g)
     assert r.sup_abs_arg == 0.0
-    assert r.witness == complex(g.ring[0])  # every ring sample ties: the first one
+    assert r.witness == complex(g.points[-1][0])  # every ring sample ties: the first one
 
 
 @pytest.mark.filterwarnings("error")
@@ -501,7 +497,7 @@ def test_shifted_sample_overflow_raises(functional, coeffs, first):
     # s/z doubles s on |z| = 0.5, past the largest float64 first at ring point
     # `first`: 1.5e308 (1 + iz) is finite on the ring (sup|arg| = asin(0.5)),
     # its doubled samples are not, and no warning or value may come of them
-    z = complex(_HALF_RING.ring[first])
+    z = complex(_HALF_RING.points[-1][first])
     with pytest.raises(NonFiniteValue) as raised:
         functional(PowerSeries(0, coeffs), 1, _HALF_RING)
     assert str(raised.value) == f"f^(0)/z^1 is not finite at z = {z} (float64 overflow)"
@@ -517,8 +513,8 @@ def test_batch_failure_names_its_ring_point(row, m, error, first):
     # index counts the first draw's samples too, and the point named is the
     # ring's own
     block = series.SeriesBlock(0, np.array([[1.0, 0.0, 0.0], row]))
-    ev = verify._Evaluation(block, (0,), _HALF_RING.ring[None])
-    with pytest.raises(error, match=re.escape(f"at z = {complex(_HALF_RING.ring[first])} ")):
+    ev = verify._Evaluation(block, (0,), _HALF_RING.points[-1][None])
+    with pytest.raises(error, match=re.escape(f"at z = {complex(_HALF_RING.points[-1][first])} ")):
         ev.take(verify._plain("min_real", 0, m, "batch"))
 
 
@@ -530,10 +526,10 @@ def test_ratio_overflow_raises():
     # the argument 0.0 of that infinite quotient
     f = PowerSeries(2, [1, 1.7e308 / 3, 1.7e308 / 6])
     grid = DiskGrid(n_radial=1, n_angular=64)
-    where = re.escape(f"f^(1)/z^1 over f^(0)/z^2 is not finite at z = {complex(grid.ring[6])} (float64 overflow)")
+    where = re.escape(f"f^(1)/z^1 over f^(0)/z^2 is not finite at z = {complex(grid.points[-1][6])} (float64 overflow)")
     with pytest.raises(NonFiniteValue, match=f"^arg-jst: {where}$"):
         verify.heatmap_values(f, "arg-jst", grid)
-    ev = verify._Evaluation(f, (0, 1), grid.ring[None])
+    ev = verify._Evaluation(f, (0, 1), grid.points[-1][None])
     for kind in ("sup_arg", "min_real"):
         with pytest.raises(NonFiniteValue, match=f"^ratio: {where}$"):
             ev.take(verify._ratio(kind, 2, 1, "ratio"))
@@ -584,7 +580,7 @@ def test_min_real_linear_tail():
 def test_min_real_constant():
     v, w = min_real(PowerSeries(0, np.array([6.0])), 0)
     assert v == 6.0
-    assert w == complex(DiskGrid().ring[0]) == 0.995
+    assert w == complex(DiskGrid().points[-1][0]) == 0.995
 
 
 def test_zero_on_grid_reports_first_point():
@@ -622,7 +618,7 @@ def test_zero_leading_coefficient_counts_as_a_zero_at_the_origin():
     # f = z^2 + 0.3 z^3 stored from z^1 with a zero first coefficient: f/z^2 = 1 + 0.3z
     # has no zero or pole at z = 0, and neither has z f'/f = (2 + 0.9z)/(1 + 0.3z)
     f = PowerSeries(1, [0.0, 1.0, 0.3])
-    z = DiskGrid().ring
+    z = DiskGrid().points[-1]
     v, w = min_real(f, 2)
     assert v == pytest.approx((1 + 0.3 * z).real.min(), abs=1e-12) and v == pytest.approx(0.7015, abs=1e-12)
     assert w == pytest.approx(-0.995, abs=1e-12)
@@ -810,6 +806,17 @@ def test_t4_starlike_entry_needs_sigma():
     assert any("sigma" in n for n in rep2.notes)
 
 
+def test_t4_sigma_one_is_noted():
+    # alpha0 = 0.5 gives alpha1 = 0.309, so the first pair sum, 0.809, is already <= 1
+    rep = check_theorem("T4", integrated(3, [0.1]), alpha0=0.5)
+    assert sigma_index(alpha_sequence(0.5, 3).values) == 1
+    assert rep.verdict == "PASS"
+    assert rep.conclusions[-1].label == "starlike: |arg(z f'/f)|"
+    assert rep.notes == (
+        "pair-sum condition first holds at sigma=1, below the usual range {2..p}; the starlike bound is reported anyway",
+    )
+
+
 def test_t5_worked_example_bounds():
     # f = z^2 + 0.4 z^3 with delta = sqrt(3)/3: hypothesis bound pi(1+sqrt3)/6,
     # conclusion bound pi(2+sqrt3)/6; f'' = 2 + 2.4z vanishes inside the disk,
@@ -964,7 +971,7 @@ def test_rows_with_leading_zeros_match_polynomial_reference(tid, p, s):
     # every value against np.polynomial on the full coefficient list, z^0 .. z^(p-1) included
     f, kw = _leading_zero_spec(tid, p, s)
     grid = DiskGrid()
-    z = grid.ring
+    z = grid.points[-1]
     full = np.concatenate((np.zeros(p), f.coeffs))
     d = [np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(full, k)) for k in range(p + 5)]
     if tid == "T5":
@@ -988,6 +995,10 @@ def test_negligible_leading_coefficients_drop_one_by_one():
     rep = check_theorem("T1", f, alpha1=0.5)
     assert (rep.verdict, rep.hypothesis_sup, rep.witnesses) == (verify.VERDICT_HYP, math.pi, (-0.25 + 0j,))
     assert verify._smallest_root_in_disk(differentiate(f, 1).coeffs, 0.995) == -0.25 + 0j
+
+
+def test_zero_polynomial_has_its_root_at_the_origin():
+    assert verify._smallest_root_in_disk(np.zeros(3, dtype=np.complex128), 0.995) == 0j
 
 
 def test_rows_dominant_after_their_zeros_need_no_companion_roots(monkeypatch):
@@ -1045,6 +1056,17 @@ def test_heatmap_jst_examples():
     ring = DiskGrid(r_max=0.5, n_radial=1, n_angular=8)
     assert ring.points[0, 0] == 0.5
     assert abs(verify.heatmap_values(geometric, "re-ratio", ring)[0, 0] - 2.0) <= 1e-13
+
+
+def test_heatmap_values_reject_unknown_quantity_and_order_zero():
+    grid = DiskGrid(n_radial=2, n_angular=8)
+    with pytest.raises(ParamOutOfRange, match=r"^unknown quantity 'arg-q'; choose from \("):
+        verify.heatmap_values(make_series(1, []), "arg-q", grid)
+    q = PowerSeries(0, [1.0, 0.5])  # arg-fp reads f^(0) itself; the others need f^(p-1) or a ratio
+    assert verify.heatmap_values(q, "arg-fp", grid).shape == (2, 8)
+    for quantity in verify.HEATMAP_QUANTITIES[1:]:
+        with pytest.raises(ParamOutOfRange, match=f"^{quantity} requires p >= 1$"):
+            verify.heatmap_values(q, quantity, grid)
 
 
 def test_heatmap_arg_jst_monomial_is_zero():
@@ -1727,6 +1749,27 @@ def test_scan_worst_tie_goes_to_the_first_attempt(monkeypatch, budget):
     assert rep.worst_attempt == 0
 
 
+def test_scan_batches_count_coefficients_past_the_ring(monkeypatch):
+    # at N = 2,000 on 512 points a draw's rows hold more coefficients than ring
+    # samples, so a T4 p = 5 batch (6 orders) holds 2**18 // (6 * 2000) = 21
+    # draws, not the 85 that the ring alone would allow; the report is the
+    # one that batches of a single draw give
+    sizes = []
+    real = verify._scan_uniforms
+
+    def recorded(seed, first, size, count):
+        sizes.append(size)
+        return real(seed, first, size, count)
+
+    monkeypatch.setattr(verify, "_scan_uniforms", recorded)
+    args = dict(trials=50, seed=1, p=5, alpha0=1.0, grid=DiskGrid(n_radial=1, n_angular=512), N=2000)
+    rep = counterexample_scan("T4", **args)
+    assert sizes == [21, 21, 8]
+    monkeypatch.setattr(verify, "_BATCH_VALUES", 1)
+    assert counterexample_scan("T4", **args) == rep
+    assert rep.counts["PASS"] == 50
+
+
 @pytest.mark.parametrize("tid", ["L2", "L3", "C2"])
 def test_batch_reports_match_check_theorem(tid):
     # row 1 is f = z^3 + 0.01 z^5, whose f^(4) = 1.2 z starts with a zero where
@@ -1743,7 +1786,7 @@ def test_batch_reports_match_check_theorem(tid):
         sample_hypothesis_function(np.random.SeedSequence((80, k)), p=3, bound=0.9, N=16) for k in range(3)
     ]
     plan = verify._build_plan(tid, 3, None, None, None, None)
-    v = verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid.ring[None]))
+    v = verify._verdicts(plan, verify._Evaluation(block, plan.orders, grid.points[-1][None]))
     assert v.hyp_ok[1]
     assert v.hyp_ok[-1] == (tid != "C2")
     for b, f in enumerate(fs):  # every batch row is check_theorem on its draw, bit for bit
