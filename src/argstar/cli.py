@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -429,21 +430,24 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads the terminal width once, on first use.
-    argparse builds a formatter, which reads the width, for every
-    add_argument; only help and error output use it. Sub-parsers are of the
-    same class."""
+    """An ArgumentParser that reads the terminal width once per run, on first
+    use. argparse builds a formatter, which reads the width, for every
+    add_argument; only help and error output use it. Every parser, sub-parsers
+    included, shares the class's width, which run clears, so a cached parser
+    formats at the width of its run."""
 
     _width: Optional[int] = None
 
     def _get_formatter(self):
-        if self._width is None:
-            self._width = shutil.get_terminal_size().columns - 2  # HelpFormatter's own default
-        return self.formatter_class(prog=self.prog, width=self._width)
+        if _Parser._width is None:
+            _Parser._width = shutil.get_terminal_size().columns - 2  # HelpFormatter's own default
+        return self.formatter_class(prog=self.prog, width=_Parser._width)
 
 
+@functools.cache
 def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argstar parser with every subcommand, or with just `only`.
+    """The argstar parser with every subcommand, or with just `only`, built
+    once per process: parsing reads the tree and changes none of it.
 
     A parser built for one subcommand prints the same usage line as the full
     one: the metavar spells out every choice. The full tree keeps argparse's
@@ -468,9 +472,11 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Execute one CLI invocation; returns the exit code without exiting.
 
-    Only the invoked subcommand's arguments are built; -h, --version and
-    anything that does not start with a subcommand get the full parser."""
+    Only the invoked subcommand's parser is used, built on its first run;
+    -h, --version and anything that does not start with a subcommand get the
+    full parser."""
     argv = list(argv)
+    _Parser._width = None  # read again, if help or an error is printed
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)

@@ -671,7 +671,7 @@ def heatmap_values(f: PowerSeries, quantity: str, grid: DiskGrid) -> np.ndarray:
 @dataclass(frozen=True)
 class _Plan:
     """One implication for series of order p: everything that does not depend
-    on the coefficients of f, so a scan builds it once."""
+    on the coefficients of f, built once per configuration (_build_plan)."""
 
     theorem_id: str
     params: dict
@@ -744,10 +744,14 @@ def _theorem(theorem_id: str) -> tuple[str, _Theorem]:
     return theorem_id, THEOREMS[theorem_id]
 
 
+@lru_cache(maxsize=256, typed=True)
 def _build_plan(theorem_id, p, alpha1, alpha0, delta, s) -> _Plan:
     """Check the theorem id and parameters (THEOREMS, _PARAMS) and plan the
     implication for series of order p. Each branch lists the hypothesis,
-    bounds, conclusions and notes of its theorem."""
+    bounds, conclusions and notes of its theorem.
+
+    A plan is cached per argument, typed: alpha0=1 and alpha0=1.0 echo their
+    own params. Callers share it, so a report copies its params."""
     theorem_id, theorem = _theorem(theorem_id)
     given = {"alpha1": alpha1, "alpha0": alpha0, "delta": delta, "s": s}
     for name, value in given.items():  # each one given exactly when taken, before any range
@@ -854,7 +858,7 @@ def check_theorem(
     ) if hyp_ok else ()
     return VerificationReport(
         theorem_id=plan.theorem_id,
-        params=plan.params,
+        params=dict(plan.params),
         hypothesis_sup=float(v.hyp_value[0]),
         hypothesis_bound=plan.hypothesis_bound,
         hypothesis_satisfied=hyp_ok,

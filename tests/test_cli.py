@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import argstar.cli as cli
-from argstar import PowerSeries, check_theorem, make_series, sample_hypothesis_function
+from argstar import PowerSeries, check_theorem, make_series, sample_hypothesis_function, verify
 from argstar.cli import (
     FunctionFileError,
     emit_heatmap,
@@ -1294,7 +1294,7 @@ def test_run_matches_full_parser(template, columns, corpus_files, monkeypatch, c
     assert got == want
 
 
-def test_run_reads_the_terminal_width_once_per_parser(monkeypatch, capsys, mono2):
+def test_run_reads_the_terminal_width_once_per_run(monkeypatch, capsys, mono2):
     reads = []
     size = cli.shutil.get_terminal_size
 
@@ -1302,22 +1302,29 @@ def test_run_reads_the_terminal_width_once_per_parser(monkeypatch, capsys, mono2
         reads.append(args)
         return size(*args, **kwargs)
 
-    parsers = []
-    init = cli._Parser.__init__
-
-    def recorded(self, *args, **kwargs):
-        parsers.append(self)
-        init(self, *args, **kwargs)
-
     monkeypatch.setattr(cli.shutil, "get_terminal_size", counted)
-    monkeypatch.setattr(cli._Parser, "__init__", recorded)
-    assert run(["verify", "--theorem", "t1", "--alpha1", "0.5", "--function", mono2]) == 0
-    assert len(parsers) == 2  # argstar and its verify sub-parser
-    assert len(reads) <= len(parsers)
+    cli._build_parser.cache_clear()
+    verify_argv = ["verify", "--theorem", "t1", "--alpha1", "0.5", "--function", mono2]
+    for argv in (verify_argv, verify_argv):  # a cold run builds argstar and its verify sub-parser, a warm one not
+        reads.clear()
+        assert run(argv) == 0
+        assert len(reads) <= 1
+    capsys.readouterr()
     reads.clear()
     assert run(["verify", "--theorem"]) == 2  # usage error: the message is formatted
     assert "expected one argument" in capsys.readouterr().err
-    assert len(reads) <= len(parsers) - 2
+    assert len(reads) == 1
+    # a cached parser formats help at the width of each run
+    helps = {}
+    for columns in ("60", "100", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            _full_parser().parse_args(["verify", "-h"])
+        want = capsys.readouterr().out
+        assert run(["verify", "-h"]) == 0
+        helps[columns] = capsys.readouterr().out
+        assert helps[columns] == want
+    assert helps["60"] != helps["100"]
 
 
 def test_run_builds_only_the_invoked_subcommand(monkeypatch, capsys):
@@ -1329,8 +1336,47 @@ def test_run_builds_only_the_invoked_subcommand(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    cli._build_parser.cache_clear()
     assert run(["gamma0"]) == 0
     assert built == ["gamma0"]
     built.clear()
+    assert run(["gamma0"]) == 0  # the same parser again
+    assert built == []
     assert run(["--version"]) == 0
     assert built == ["gamma0", "deltamax", "alpha", "verify", "lemma1", "scan", "heatmap"]
+    built.clear()
+    assert run(["-h"]) == 0
+    assert built == []
+
+
+def test_runs_in_one_process_do_not_leak(monkeypatch, capsys, corpus_files):
+    # several runs through the cached parsers and plans, from cold, give what
+    # each run gives through the full parser and a plan built afresh
+    scan = ["scan", "--theorem", "t4", "--p", "3", "--alpha0", "1.0", "--trials", "5", "--seed", "1"]
+    calls = [
+        ("80", ["verify", "--theorem"]),
+        ("80", ["verify", "--theorem", "t1", "--function", corpus_files["mono2"], "--alpha1", "0.5"]),
+        ("60", ["verify", "-h"]),
+        ("100", ["verify", "-h"]),
+        ("80", ["verify", "--theorem", "t1", "--function", corpus_files["badjson"], "--alpha1", "0.5"]),
+        ("80", scan),
+        ("80", scan),
+    ]
+
+    def outcomes():
+        got = []
+        for columns, argv in calls:
+            monkeypatch.setenv("COLUMNS", columns)
+            code = run(argv)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    cli._build_parser.cache_clear()
+    verify._build_plan.cache_clear()
+    got = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", lambda only=None: _full_parser())
+        m.setattr(verify, "_build_plan", verify._build_plan.__wrapped__)
+        want = outcomes()
+    assert [code for code, _, _ in got] == [2, 0, 0, 0, 3, 0, 0]
+    assert got == want

@@ -1120,6 +1120,28 @@ def test_verdict_slack_window(monkeypatch, excess, verdict):
     assert rep.verdict == verdict
 
 
+def test_reports_of_one_plan_do_not_share_params():
+    # the plan is cached per configuration; each report gets its own params
+    f, grid = make_series(2, [0.1]), DiskGrid(n_radial=1, n_angular=64)
+    first = check_theorem("T1", f, grid, alpha1=0.5)
+    first.params["alpha1"] = 0.25
+    del first.params["p"]
+    assert check_theorem("T1", f, grid, alpha1=0.5).params == {"p": 2, "alpha1": 0.5}
+    scan = counterexample_scan("T1", trials=2, seed=1, p=2, alpha1=0.5, grid=grid)
+    scan.params["alpha1"] = 0.25
+    assert counterexample_scan("T1", trials=2, seed=1, p=2, alpha1=0.5, grid=grid).params == {"alpha1": 0.5}
+
+
+@pytest.mark.parametrize("values", [(1, 1.0), (1.0, 1)])
+def test_equal_parameters_of_two_types_echo_their_own(values):
+    # 1 == 1.0 and they hash alike, but a report echoes the value it was given
+    f, grid = make_series(3, [0.1]), DiskGrid(n_radial=1, n_angular=64)
+    for alpha0 in values:
+        params = check_theorem("T4", f, grid, alpha0=alpha0).params
+        assert type(params["alpha0"]) is type(alpha0)
+        assert json.dumps(params) == f'{{"p": 3, "alpha0": {alpha0!r}}}'
+
+
 # ------------------------------------------------------------- boundary probe
 
 def test_probe_one_plus_z_boundary_relation():
@@ -1652,9 +1674,13 @@ def test_scan_solves_constants_once(monkeypatch, tid, solver, kwargs):
         return real(*args, **kw)
 
     monkeypatch.setattr(verify, solver, counted)
-    rep = counterexample_scan(tid, trials=200, seed=501, N=16, grid=DiskGrid(n_radial=1, n_angular=64), **kwargs)
+    verify._build_plan.cache_clear()  # a cold plan: its constants are solved once for all the draws
+    grid = DiskGrid(n_radial=1, n_angular=64)
+    rep = counterexample_scan(tid, trials=200, seed=501, N=16, grid=grid, **kwargs)
     assert len(rep.verdicts) == 200
     assert len(calls) == 1
+    assert counterexample_scan(tid, trials=200, seed=501, N=16, grid=grid, **kwargs) == rep
+    assert len(calls) == 1  # a repeat scan reuses the plan
 
 
 SCAN_CASES = [
