@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -148,14 +149,39 @@ def _derive(order: int, raw: np.ndarray, k: int, normalized: bool) -> np.ndarray
     return raw[:, e0 - order:] * falling_factorials(e0, width, k, normalized)
 
 
+@functools.lru_cache(maxsize=256)
+def _factor_table(order: int, size: int, ks: tuple[int, ...]) -> Optional[np.ndarray]:
+    """falling_factorials(order, size, k, normalized=True) for each k in ks,
+    one row each: shape (len(ks), size), read-only. None where some k >
+    order: that f^(k) loses terms and starts later (_derive)."""
+    if max(ks) > order:
+        return None
+    table = np.array([falling_factorials(order, size, k, normalized=True) for k in ks])
+    table.flags.writeable = False
+    return table
+
+
 def derivative_block(f, ks) -> np.ndarray:
     """The derivatives f^(k)/leading_factorial(order_p, k), k in ks, of every draw
     of f (a PowerSeries is one draw, a SeriesBlock one draw per row), as one
     (B, len(ks), n) block: row k of every draw starts at
     z**leading_power(order_p, k) and keeps its leading zeros, zero-padded on
     the right to the longest, n.
+
+    Where every k <= order_p, every row keeps all n coefficients, and the
+    block is one product with a cached table of the rows' factors
+    (_factor_table); each entry rounds as in _derive. Row k = 0 is f
+    verbatim, as _derive gives it: a product with 1 + 0j would turn a -0.0
+    imaginary part into +0.0.
     """
     g = f if isinstance(f, SeriesBlock) else SeriesBlock(f.order_p, f.coeffs[None, :])
+    table = _factor_table(g.order_p, g.raw.shape[1], tuple(ks))
+    if table is not None:
+        coeffs = g.raw[:, None, :] * table
+        for i, k in enumerate(ks):
+            if not k:
+                coeffs[:, i] = g.raw
+        return coeffs
     rows = [_derive(g.order_p, g.raw, k, normalized=True) for k in ks]
     coeffs = np.zeros((len(g.raw), len(ks), max(r.shape[1] for r in rows)), dtype=np.complex128)
     for i, r in enumerate(rows):

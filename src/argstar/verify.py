@@ -230,7 +230,16 @@ class ScanReport:
 _FFT_HEADROOM = 960
 
 
-def _ring_values(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _powers(radii: tuple[float, ...], start: int, stop: int) -> np.ndarray:
+    """r**j for every r in radii and start <= j < stop, shape (len(radii),
+    stop - start), read-only: computed once per argument."""
+    powers = np.array(radii)[:, None] ** np.arange(start, stop)
+    powers.flags.writeable = False
+    return powers
+
+
+def _ring_values(coeffs: np.ndarray, radii: np.ndarray, n: int, *, bound: float = math.inf) -> np.ndarray:
     """Each polynomial along the last axis of coeffs (ascending powers) at the
     n points r exp(2 pi i k/n), k = 0..n-1, of every radius r in radii, shape
     coeffs.shape[:-1] + (radii.size, n).
@@ -240,23 +249,34 @@ def _ring_values(coeffs: np.ndarray, radii: np.ndarray, n: int) -> np.ndarray:
     c_j r^j with the powers folded onto n bins. A row rounds as it does
     alone, whatever else is in the batch. A one-coefficient row is its
     coefficient exactly, signed zeros included.
+
+    bound is the caller's bound on S = sum_j |c_j| r^j of every row at the
+    largest radius (_row_bounds). Below 2**(_FFT_HEADROOM - 1), no term
+    component can exceed 2**_FFT_HEADROOM, so the scan for such rows is
+    skipped, with the same values: a computed component is within 3u of
+    |c_j| r^j <= S (u = 2**-52: the power, the product and a smaller radius's
+    power each round once), and the computed bound within (N + 2)u of S
+    (the moduli and the tail sum), so it is at most bound (1 + 3u)/(1 -
+    (N + 2)u), below twice bound for any N < 2**50.
     """
     N = coeffs.shape[-1]
     shape = coeffs.shape[:-1] + (radii.size, n)
     if N == 1:
         return np.broadcast_to(coeffs[..., None, :], shape).copy()
-    terms = coeffs[..., None, :] * radii[:, None] ** np.arange(N)
-    top = np.abs(terms.view(np.float64)).max(axis=-1)
-    big = (top > 2.0**_FFT_HEADROOM) & (top < np.inf)
-    if big.any():
-        shift = np.frexp(top[big])[1] - _FFT_HEADROOM  # each such row exactly below the headroom
-        terms.view(np.float64)[big] *= np.ldexp(1.0, -shift)[:, None]
+    terms = coeffs[..., None, :] * _powers(tuple(radii.tolist()), 0, N)
+    scaled = False
+    if not bound < 2.0 ** (_FFT_HEADROOM - 1):
+        top = np.abs(terms.view(np.float64)).max(axis=-1)
+        big = (top > 2.0**_FFT_HEADROOM) & (top < np.inf)
+        if scaled := bool(big.any()):
+            shift = np.frexp(top[big])[1] - _FFT_HEADROOM  # each such row exactly below the headroom
+            terms.view(np.float64)[big] *= np.ldexp(1.0, -shift)[:, None]
     if N > n:
         folded = np.zeros(terms.shape[:-1] + (-(-N // n) * n,), dtype=np.complex128)
         folded[..., :N] = terms
         terms = folded.reshape(shape[:-1] + (-1, n)).sum(axis=-2)
     values = np.fft.ifft(terms, n=n, axis=-1, norm="forward")
-    if big.any():
+    if scaled:
         values.view(np.float64)[big] *= np.ldexp(1.0, shift)[:, None]
     return values
 
@@ -271,7 +291,7 @@ def _head_tail(coeffs: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Per polynomial along the last axis: |c_0| and the tail sum sum_{j>=1} |c_j| r^j."""
     mag = np.abs(coeffs)
     # a stacked matmul makes one product per draw, rounded as for that draw alone
-    return mag[..., 0], mag[..., 1:] @ (r ** np.arange(1, mag.shape[-1]))
+    return mag[..., 0], mag[..., 1:] @ _powers((r,), 1, mag.shape[-1])[0]
 
 
 def _dominant(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -418,14 +438,24 @@ class _Evaluation:
     value, and counts each row's zeros at z = 0 where it certifies.
 
     One bound pass (_head_tail, _row_bounds) gives each row's lower bound on
-    |sample| (floor) and whether its constant term dominates (dominant): a
-    batch whose upper bounds all lie below 2**_FFT_HEADROOM skips the
-    finiteness scan, a term it clears (_clears) skips its ZERO_TOL scan, and a
-    ratio it bounds (_bounded) skips the finiteness scan of its quotients.
-    A scan hands over its plan's hypothesis, and a batch for whose every draw
-    the same pass proves it (_certified) is certified: the hypothesis is not
-    taken, and its highest order, where only the hypothesis reads it, is not
-    evaluated.
+    |sample| (floor) and whether its constant term dominates (dominant), and
+    decides these checks once for the whole batch:
+    - upper bounds all below 2**(_FFT_HEADROOM - 1): the ring kernel skips
+      its headroom scan; below 2**_FFT_HEADROOM: the finiteness scan of the
+      samples is skipped;
+    - a row whose floor exceeds ZERO_TOL in every draw (cleared): the
+      ZERO_TOL scan of its terms without z-shift (_clears);
+    - rows dominant in every draw (dominant_rows): the root certificate of
+      a functional that reads them (_root_free), where the plan's z-shifts
+      leave it no pole at z = 0;
+    - a ratio it bounds (_bounded): the finiteness scan of its quotients.
+    What a condition leaves undecided runs per draw or per sample: the
+    ZERO_TOL scan of a term that the floors do not clear, and the
+    certificate loop over the draws with a pole at z = 0 or a certified row
+    that is not dominant. A scan hands over its plan's
+    hypothesis, and a batch for whose every draw the same pass proves it
+    (_certified) is certified: the hypothesis is not taken, and its highest
+    order, where only the hypothesis reads it, is not evaluated.
 
     take gives each functional as arrays over the batch, one value and one
     witness per draw, and _verdicts turns them into the batch's verdicts.
@@ -451,7 +481,7 @@ class _Evaluation:
             self.certified = hypothesis is not None and self._certified(hypothesis, head)
             kept = len(orders) - (self.certified and hypothesis.drop)  # the highest order is the last row
             evaluated = self.coeffs[:, :kept].reshape(size * kept, self.coeffs.shape[-1])
-            rows = _ring_values(evaluated, radii, n)
+            rows = _ring_values(evaluated, radii, n, bound=self.top)
         if not self.top < 2.0**_FFT_HEADROOM:  # else no sample can overflow
             i = int(np.argmin(np.isfinite(rows).all(axis=(1, 2))))  # the first row with a sample that is not, else 0
             self._finite(rows[i], f"f^({orders[i % kept]})")
@@ -477,13 +507,24 @@ class _Evaluation:
         dominant row with c_0 != 0 needs no root certificate.
         """
         i, shift = self._term(hypothesis.quantity.num)
-        if shift or not self.top < 2.0**_FFT_HEADROOM or not self.dominant[:, i].all():
+        if shift or not self.top < 2.0**_FFT_HEADROOM or not (self.dominant_rows[i] and self.cleared[i]):
             return False
         h, floor = head[:, i], self.floor[:, i]
-        if not (floor.min() > ZERO_TOL and (self.coeffs[:, i, 0] == h).all()):  # c_0 = |c_0| > 0
+        if not (self.coeffs[:, i, 0] == h).all():  # c_0 = |c_0| > 0
             return False
         rho = float(((h - floor) / h).max())
         return math.asin(min(rho * (1.0 + 2.0**-51), 1.0)) + _HYPOTHESIS_MARGIN < hypothesis.bound
+
+    @cached_property
+    def dominant_rows(self) -> list[bool]:
+        """Per row: whether its constant term dominates (dominant) in every
+        draw; such a row has c_0 != 0 in every draw, so no zero at z = 0."""
+        return self.dominant.all(axis=0).tolist()
+
+    @cached_property
+    def cleared(self) -> list[bool]:
+        """Per row: whether its floor exceeds ZERO_TOL in every draw (_clears, shift 0)."""
+        return (self.floor > ZERO_TOL).all(axis=0).tolist()
 
     @cached_property
     def zeros(self) -> np.ndarray:
@@ -528,9 +569,13 @@ class _Evaluation:
         ZERO_TOL by its row's floor times the smallest |z|**shift over the
         sample points (compared as floor > ZERO_TOL/|z|**shift, which cannot
         overflow; a |z|**shift that underflows to 0 clears nothing): its
-        _below_tol pass would find nothing."""
+        _below_tol pass would find nothing. A term of shift 0 (scale 1) is
+        decided once per batch for its row (cleared); another is compared
+        per call, as its scale depends on the shift."""
         i, shift = self._term(term)
-        scale = min(m**shift for m in self._moduli) if shift else 1.0
+        if not shift:
+            return self.cleared[i]
+        scale = min(m**shift for m in self._moduli)
         return scale > 0.0 and bool((self.floor[:, i] > ZERO_TOL / scale).all())
 
     def _bounded(self, q: _Quantity) -> bool:
@@ -578,8 +623,24 @@ class _Evaluation:
         self._finite(vals, f"{q.context}: f^({q.num[0]})/z^{q.num[1]} over f^({q.den[0]})/z^{q.den[1]}")
         return vals
 
+    def _root_free(self, certified: list[int], pole: bool) -> bool:
+        """Whether the bound pass alone shows, for every draw, that the
+        certified rows have no root in the closed disk and the functional no
+        pole at z = 0: each certified row is dominant in every draw, so it
+        has c_0 != 0 and no zero at z = 0 either, and pole, the test of the
+        per-draw loop on the rows' net z-power, fails on the plan's shifts
+        alone. A real part certifies no numerator row, whose zeros at z = 0
+        only raise its power."""
+        return not pole and all(self.dominant_rows[i] for i in certified)
+
     def take(self, q: _Quantity) -> tuple[np.ndarray, np.ndarray]:
-        """Value and witness of one functional on the ring, one of each per draw."""
+        """Value and witness of one functional on the ring, one of each per draw.
+
+        The ZERO_TOL scan of the values runs only where _clears does not
+        decide it. The root certificate is decided once per batch where
+        _root_free holds; else each draw that has a pole at z = 0 or a
+        certified row that is not dominant gets its smallest root in the
+        disk from _smallest_root_in_disk."""
         sup = q.kind == "sup_arg"
         vals = self.values(q)
         if q.den is None and not self._clears(q.num):
@@ -597,12 +658,16 @@ class _Evaluation:
 
         # the smallest root or pole in the closed disk that the functional must not have
         num, shift = self._term(q.num)
-        net = shift + self.zeros[:, num]  # the z-power of N/D at z = 0, per draw
-        certified = [num] if sup else []
+        certified = [num] if sup else []  # the rows whose roots in the disk count
         if q.den is not None:
             den, den_shift = self._term(q.den)
             certified.append(den)
-            net = net - den_shift - self.zeros[:, den]
+            shift -= den_shift
+        if self._root_free(certified, shift != 0 if sup else shift < 0):
+            return value, witness
+        net = shift + self.zeros[:, num]  # the z-power of N/D at z = 0, per draw
+        if q.den is not None:
+            net = net - self.zeros[:, den]
         poles = net != 0 if sup else net < 0  # a zero of an argument, or a pole
         for b in np.flatnonzero(poles | ~self.dominant[:, certified].all(axis=1)).tolist():
             found = [_smallest_root_in_disk(self.coeffs[b, i], self.r_max) for i in certified]
@@ -683,6 +748,15 @@ class _Plan:
     @cached_property
     def orders(self) -> tuple[int, ...]:
         return _orders(self.hypothesis, *(q for _, q, _ in self.conclusions))
+
+    @cached_property
+    def limits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bounds, sup) over the conclusions in order: each bound, and
+        whether it bounds a sup|arg| from above (else a min Re from below)."""
+        bounds = np.array([c_bound for _, _, c_bound in self.conclusions])
+        sup = np.array([q.kind == "sup_arg" for _, q, _ in self.conclusions], dtype=bool)
+        bounds.flags.writeable = sup.flags.writeable = False  # shared by every evaluation of the plan
+        return bounds, sup
 
     @cached_property
     def certificate(self) -> Optional[_Hypothesis]:
@@ -905,8 +979,7 @@ def _verdicts(plan: _Plan, ev: _Evaluation) -> _Verdicts:
         for j, (_, q, _) in enumerate(plan.conclusions):
             taken[q] = taken[q] if q in taken else ev.take(q)
             value[:, j], witness[:, j] = taken[q]
-    bounds = np.array([c_bound for _, _, c_bound in plan.conclusions])
-    sup = np.array([q.kind == "sup_arg" for _, q, _ in plan.conclusions], dtype=bool)
+    bounds, sup = plan.limits
     margin = np.where(sup, bounds - value, value - bounds)
     passed = hyp_ok & (margin >= -SLACK).all(axis=1)
     return _Verdicts(hyp_value, hyp_witness, hyp_ok, value, witness, margin, passed)

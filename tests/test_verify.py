@@ -1080,9 +1080,9 @@ def test_t4_check_runs_kernel_once(monkeypatch):
     calls = []
     kernel = verify._ring_values
 
-    def counted(coeffs, radii, n):
+    def counted(coeffs, radii, n, **bound):  # an evaluation passes its bound on the rows
         calls.append((coeffs.shape, radii.shape, n))
-        return kernel(coeffs, radii, n)
+        return kernel(coeffs, radii, n, **bound)
 
     monkeypatch.setattr(verify, "_ring_values", counted)
     grid = DiskGrid(n_radial=16, n_angular=64)
@@ -1999,9 +1999,9 @@ def test_scan_runs_kernel_once(monkeypatch):
     calls = []
     kernel = verify._ring_values
 
-    def counted(coeffs, radii, n):
+    def counted(coeffs, radii, n, **bound):  # an evaluation passes its bound on the rows
         calls.append((coeffs.shape, radii.shape, n))
-        return kernel(coeffs, radii, n)
+        return kernel(coeffs, radii, n, **bound)
 
     monkeypatch.setattr(verify, "_ring_values", counted)
     grid = DiskGrid(n_radial=1, n_angular=64)
@@ -2086,3 +2086,194 @@ def test_readme_theorem_table_matches_theorems():
         (tid, list(theorem.params)) for tid, theorem in verify.THEOREMS.items()
     ]
     assert [row[-1].rstrip(" |") == "none" for row in rows] == [not t.params for t in verify.THEOREMS.values()]
+
+
+# ------------------------------------------------------------ batch shortcuts
+# An evaluation decides four things once per batch where its bound pass or
+# its orders allow: the root certificate of a functional (_root_free), the
+# ZERO_TOL scan of a term without z-shift (cleared), the headroom scan of the
+# ring kernel (its bound) and the derivative block as one product
+# (series._factor_table). Where a condition fails, the per-draw code runs.
+
+
+def _clears_per_call(self, term):
+    """_Evaluation._clears with every term compared per call, scale 1 at shift 0."""
+    i, shift = self._term(term)
+    scale = min(m**shift for m in self._moduli) if shift else 1.0
+    return scale > 0.0 and bool((self.floor[:, i] > series.ZERO_TOL / scale).all())
+
+
+def _force(monkeypatch, mode):
+    """Every shortcut off ("off"), or one condition forced true."""
+    kernel = verify._ring_values
+    if mode in ("off", "root"):
+        monkeypatch.setattr(verify._Evaluation, "_root_free", lambda self, certified, pole: mode == "root")
+    if mode == "off":
+        monkeypatch.setattr(verify._Evaluation, "_clears", _clears_per_call)
+        monkeypatch.setattr(verify, "_ring_values", lambda coeffs, radii, n, **bound: kernel(coeffs, radii, n))
+        monkeypatch.setattr(series, "_factor_table", lambda order, size, ks: None)
+    elif mode == "clear":
+        monkeypatch.setattr(verify._Evaluation, "cleared", property(lambda self: [True] * self.floor.shape[1]))
+    elif mode == "headroom":
+        monkeypatch.setattr(verify, "_ring_values",
+                            lambda coeffs, radii, n, **bound: kernel(coeffs, radii, n, bound=0.0))
+    elif mode == "table":
+        monkeypatch.setattr(series, "_factor_table", lambda order, size, ks: np.array(
+            [series.falling_factorials(order, size, k, normalized=True) for k in ks]))
+
+
+def _sector_map(beta, p, N=16):
+    """The row of f with f^(p)/p! = h = ((1+w)/(1-w))**beta, w = 0.7z, up
+    to z^(N-1): |arg h| < beta pi/2 on the disk, and no coefficient bound
+    decides it, as |h_1| = 1.4 beta."""
+    up, down = np.ones(N), np.ones(N)  # (1+w)**beta and (1-w)**-beta
+    for j in range(1, N):
+        up[j] = up[j - 1] * (beta - j + 1) / j
+        down[j] = down[j - 1] * (beta + j - 1) / j
+    h = np.convolve(up, down)[:N] * 0.7 ** np.arange(N)
+    return h / series.falling_factorials(p, N, p, normalized=True)
+
+
+def _scan_batch(tid, params, size, seed=1):
+    """(plan, block): the first batch of size draws of a scan of the config."""
+    theorem = verify.THEOREMS[tid]
+    order = params.get("s", params.get("p"))
+    plan = verify._build_plan(tid, order, params.get("alpha1"), params.get("alpha0"), params.get("delta"),
+                              params.get("s"))
+    bound = min(plan.hypothesis_bound, verify._SAMPLER_CAP) if theorem.sampler_bound is None else theorem.sampler_bound
+    return plan, verify._sample_block(verify._scan_uniforms(seed, 0, size, 31), order, bound)
+
+
+def _replaced(block, b, row):
+    raw = block.raw.copy()
+    raw[b] = row
+    return series.SeriesBlock(block.order_p, raw)
+
+
+def _edge_batches():
+    """(id, plan, block, grid) of batches where some shortcut must not fire."""
+    ring = DiskGrid(n_radial=1)
+    plan, block = _scan_batch("T4", {"p": 5, "alpha0": 1.0}, 4)
+    yield "T4-one-not-dominant", plan, _replaced(block, 2, _sector_map(0.9, 5)), ring
+    plan, block = _scan_batch("T1", {"p": 3, "alpha1": 0.5}, 4)
+    yield "T1-leading-zero", plan, _replaced(block, 1, np.r_[0.0, block.raw[1, 1:]]), ring
+    # f^(3)/3! = 1 - z/0.995: a zero on the ring at z = r_max, which the ZERO_TOL scan finds
+    yield "T1-zero-on-ring", plan, _replaced(block, 3, np.r_[1.0, -0.25 / 0.995, np.zeros(14)]), ring
+    # f^(3)/3! = 1 + 2z: a root at -0.5, inside the disk
+    yield "T1-root-inside", plan, _replaced(block, 0, np.r_[1.0, 0.5, np.zeros(14)]), ring
+    # z + 0 z^2 + z^3 (1 + ...): a T5 gap series at s = 3 of order 1, so f^(2) starts with a zero
+    _, gap = _scan_batch("T5", {"s": 3, "delta": 0.5}, 4)
+    raw = np.hstack([np.ones((4, 1)), np.zeros((4, 1)), gap.raw])
+    yield "T5-gap", verify._build_plan("T5", 1, None, None, 0.5, 3), series.SeriesBlock(1, raw), ring
+    plan, block = _scan_batch("L3", {"p": 3}, 4)
+    yield "L3-hypothesis-not-dominant", plan, _replaced(block, 1, _sector_map(0.5, 3)), ring
+    # f''/2 = 1 + 2z, the denominator of the L3 hypothesis at p = 2: a pole at -0.5
+    plan, block = _scan_batch("L3", {"p": 2}, 4)
+    yield "L3-pole-inside", plan, _replaced(block, 2, np.r_[1.0, 2 / 3, np.zeros(14)]), ring
+    # the largest upper bound just under 2**_FFT_HEADROOM: the finiteness scan is
+    # skipped, the headroom scan is not
+    plan, block = _scan_batch("T1", {"p": 2, "alpha1": 0.5}, 4)
+    top = verify._Evaluation(block, plan.orders, ring.points[-1:]).top
+    yield "T1-under-headroom", plan, series.SeriesBlock(2, block.raw * 2.0 ** (960 - math.frexp(top)[1])), ring
+    # every sample of f' finite, but its transform overflows unless scaled (test_ring_values_flag_only_true_overflow)
+    big = np.array([1.8613731354141504e307 - 3.9960794789262974e307j, -1.2960001139415074e308 + 6.622631824434946e307j])
+    yield ("T1-over-headroom", verify._build_plan("T1", 1, 0.5, None, None, None),
+           series.SeriesBlock(1, np.array([big / [1, 2]])), DiskGrid(n_radial=1, n_angular=8))
+
+
+def _shortcut_batches():
+    for tid, params in SCAN_CASES:
+        for size in (1, 4, 40):
+            yield (f"{tid}-{size}", *_scan_batch(tid, params, size), DiskGrid(n_radial=1))
+    yield from _edge_batches()
+
+
+def _batch_outcome(plan, block, grid):
+    """_scan_verdicts' arrays, or the type and message of what it raises."""
+    try:
+        return tuple(verify._scan_verdicts(plan, block, grid))
+    except Exception as exc:  # the first error of a batch is part of its outcome
+        return type(exc), str(exc)
+
+
+def _identical(a, b) -> bool:
+    """Equal arrays, NaN where NaN and every sign bit alike, or equal errors."""
+    raised = [not isinstance(outcome[0], np.ndarray) for outcome in (a, b)]
+    if any(raised):
+        return all(raised) and a == b
+
+    def signs(v):
+        return v if v.dtype == bool else np.signbit(np.ascontiguousarray(v).view(np.float64))
+
+    return all(x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True) and np.array_equal(signs(x), signs(y))
+               for x, y in zip(a, b))
+
+
+def _differing(monkeypatch, mode) -> list[str]:
+    """The batches whose outcome with the mode forced differs from the default one."""
+    batches = list(_shortcut_batches())
+    default = [_batch_outcome(plan, block, grid) for _, plan, block, grid in batches]
+    with monkeypatch.context() as mp:
+        _force(mp, mode)
+        forced = [_batch_outcome(plan, block, grid) for _, plan, block, grid in batches]
+    return [name for (name, *_), a, b in zip(batches, default, forced) if not _identical(a, b)]
+
+
+def test_batch_shortcuts_change_no_verdict_bit(monkeypatch):
+    # the 8 bench configs at 1, 4 and 40 draws, and batches where some
+    # shortcut must not fire, with every shortcut on and off
+    assert _differing(monkeypatch, "off") == []
+
+
+@pytest.mark.parametrize("mode,cases", [
+    ("root", ["T1-leading-zero", "T1-root-inside", "L3-pole-inside"]),
+    ("clear", ["T1-zero-on-ring"]),
+    ("headroom", ["T1-over-headroom"]),
+    ("table", ["L3-4", "T5-gap", "L3-hypothesis-not-dominant"]),
+])
+def test_batch_shortcut_conditions_matter(monkeypatch, mode, cases):
+    # with its condition forced true, each shortcut changes these batches
+    assert set(cases) <= set(_differing(monkeypatch, mode))
+
+
+def test_derivative_block_keeps_signed_zeros():
+    # 1 - 0j: the one product would turn every -0.0 imaginary part of f^(0) into +0.0
+    raw = np.full((3, 5), complex(1.0, -0.0))
+    raw[1] = complex(-0.0, -0.0)
+    block = series.SeriesBlock(2, raw)
+    got = series.derivative_block(block, (0, 1, 2))
+    want = [series._derive(2, raw, k, normalized=True) for k in (0, 1, 2)]
+    for i in range(3):
+        assert _bits(got[:, i]) == _bits(want[i])
+    assert np.signbit(got[:, 0].imag).all()
+    product = raw * series._factor_table(2, 5, (0, 1, 2))[0]  # 1 - 0j times 1 + 0j is 1 + 0j
+    assert np.signbit(product.imag).tolist() == [[False] * 5, [True] * 5, [False] * 5]
+
+
+def test_dominant_scan_makes_no_root_solve(monkeypatch):
+    # a 4-draw T4 scan at p = 5 of sampler draws decides every certificate per
+    # batch; with a sector-map draw, whose high derivatives are not dominant,
+    # the per-draw loop runs for that draw alone, on the rows it ran on before
+    calls = []
+    solve, sampler = verify._smallest_root_in_disk, verify._sample_block
+    monkeypatch.setattr(verify, "_smallest_root_in_disk",
+                        lambda coeffs, r: calls.append(coeffs.copy()) or solve(coeffs, r))
+    rep = counterexample_scan("T4", 4, 7, p=5, alpha0=1.0)
+    assert (rep.counts["PASS"], calls) == (4, [])
+
+    sector = _sector_map(0.9, 5)
+    monkeypatch.setattr(verify, "_sample_block", lambda *args: _replaced(sampler(*args), 2, sector))
+    plan = verify._build_plan("T4", 5, None, 1.0, None, None)
+    rows = series.derivative_block(series.SeriesBlock(5, sector[None].astype(complex)), plan.orders)[0]
+
+    def solved():
+        calls.clear()
+        scanned = counterexample_scan("T4", 4, 7, p=5, alpha0=1.0)
+        assert scanned.counts["PASS"] == 4
+        return [[k for k, row in zip(plan.orders, rows) if _bits(row) == _bits(c)] for c in calls]
+
+    # f^(5) and f^(4) of that draw are not dominant: the hypothesis solves
+    # f^(5), then z f^(5)/f^(4) and z f^(4)/f^(3) each solve both of their rows
+    assert solved() == [[5], [5], [4], [4], [3]]
+    monkeypatch.setattr(verify._Evaluation, "_root_free", lambda self, certified, pole: False)
+    assert solved() == [[5], [5], [4], [4], [3]]
