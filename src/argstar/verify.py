@@ -1070,12 +1070,13 @@ def _horner(cs: list, z: complex) -> complex:
     return acc
 
 
-def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray) -> tuple[float, float]:
+def _ring_sup(coeffs: np.ndarray, r: float, angles: np.ndarray, *, bound: float = math.inf) -> tuple[float, float]:
     """(theta*, sup) of |arg q| on the circle of radius r: coarse scan at the
     n uniform angles of a grid (2 pi k/n), then Brent's refine from the coarse
-    argmax. A sample of q that is not finite raises NonFiniteValue."""
+    argmax. bound, if given, bounds sum_j |c_j| r^j, as _ring_values takes it.
+    A sample of q that is not finite raises NonFiniteValue."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is found by the check below
-        vals = _ring_values(coeffs, np.array([r]), angles.size)[0]
+        vals = _ring_values(coeffs, np.array([r]), angles.size, bound=bound)[0]
     finite = np.isfinite(vals)
     if not finite.all():
         z = complex(r * np.exp(1j * angles[np.argmin(finite)]))
@@ -1129,12 +1130,16 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
     level = math.pi * gamma / 2.0
 
     coeffs, angles, r_max = q.coeffs, grid.angles, grid.r_max
-    theta, top = _ring_sup(coeffs, r_max, angles)
+    # sum_j |c_j| r_max^j bounds that sum on every ring r <= r_max; an infinite one keeps the kernel's headroom scan
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(sum(_head_tail(coeffs, r_max)))
+    theta, top = _ring_sup(coeffs, r_max, angles, bound=bound)
     if top < level:
         raise NotAttained(gamma, level, top, complex(r_max * cmath.exp(1j * theta)))
 
     # g(0) = -level because q(0) = 1; a ring that touches the level reaches it
-    lo, hi = itp_increasing(lambda r: _ring_sup(coeffs, r, angles)[1] - level, 0.0, r_max, -level, top - level)
+    lo, hi = itp_increasing(lambda r: _ring_sup(coeffs, r, angles, bound=bound)[1] - level,
+                            0.0, r_max, -level, top - level)
     if hi - lo >= lo:
         raise CrossingUnresolved(
             f"lemma1 probe: the crossing radius lies in ({lo!r}, {hi!r}], a bracket wider than "
@@ -1146,7 +1151,7 @@ def lemma1_probe(q: PowerSeries, gamma: float, grid: DiskGrid = DEFAULT_GRID) ->
     root = _smallest_root_in_disk(coeffs, hi)
     if root is not None:
         raise ZeroOnGrid(root, None, "lemma1 probe", f"q has a root in |z| <= r0 = {hi!r}")
-    theta0, _ = _ring_sup(coeffs, r0, angles)
+    theta0, _ = _ring_sup(coeffs, r0, angles, bound=bound)
 
     z0 = r0 * cmath.exp(1j * theta0)
     qz = _horner(coeffs.tolist(), z0)

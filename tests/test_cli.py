@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import errno
+import functools
 import io
 import json
 import math
@@ -31,6 +32,8 @@ from argstar.verify import (
     counterexample_scan,
     lemma1_probe,
 )
+
+import cli_corpus  # tests/cli_corpus.py, the golden corpus
 
 
 def _reject_constant(name):
@@ -185,16 +188,31 @@ WORST_FUNCTION_SCANS = [
 ]
 
 
-@pytest.mark.parametrize("seed", [1, 11])
-@pytest.mark.parametrize("tid,params", WORST_FUNCTION_SCANS, ids=[c[0] for c in WORST_FUNCTION_SCANS])
-def test_worst_function_spec_reproduces_worst_margin(tmp_path, tid, params, seed):
-    # the scan's worst draw, written as a spec file and verified on its own,
-    # gives back the scan's worst margin bit for bit
-    rep = counterexample_scan(tid, trials=200, seed=seed, **params)
-    path = write_spec(tmp_path, "worst.json", series_to_spec(rep.worst_function))
-    f, _ = parse_function_file(path)
-    checked = check_theorem(tid, f, **{k: v for k, v in params.items() if k != "p"})
-    assert min(c.margin for c in checked.conclusions) == rep.worst_margin
+# each scan above at 200 draws and seeds 1 and 11, and seven at p = 3, 50 draws and seed 1
+_ROUND_TRIPS = [pytest.param(tid, params, 200, seed, id=f"{tid}-{seed}")
+                for seed in (1, 11) for tid, params in WORST_FUNCTION_SCANS]
+_ROUND_TRIPS += [pytest.param(tid, {"p": 3, **params}, 50, 1, id=f"{tid}-1-p3-50")
+                 for tid, params in [("T1", {"alpha1": 0.5}), ("C1", {}), ("C2", {}), ("T3", {"alpha0": 1.0}),
+                                     ("T4", {"alpha0": 1.0}), ("L2", {}), ("L3", {})]]
+
+
+def _flags(params):
+    return [a for k, v in params.items() for a in (f"--{k}", str(v))]
+
+
+@pytest.mark.parametrize("tid,params,trials,seed", _ROUND_TRIPS)
+def test_worst_function_spec_reproduces_worst_margin(tmp_path, capsys, tid, params, trials, seed):
+    # the scan's worst draw, as its JSON report gives it, written as a spec file
+    # and verified on its own, gives back the scan's worst margin bit for bit,
+    # in its worst_label conclusion, the least of its margins
+    assert run(["scan", "--theorem", tid, "--trials", str(trials), "--seed", str(seed), *_flags(params)]) == 0
+    scan = json.loads(capsys.readouterr().out)["result"]
+    path = write_spec(tmp_path, "worst.json", scan["worst_function"])
+    flags = _flags({k: v for k, v in params.items() if k != "p"})
+    assert run(["verify", "--theorem", tid, "--function", path, *flags]) == 0
+    margins = [(c["label"], c["margin"]) for c in json.loads(capsys.readouterr().out)["result"]["conclusions"]]
+    assert [repr(m) for label, m in margins if label == scan["worst_label"]] == [repr(scan["worst_margin"])]
+    assert min(m for _, m in margins) == scan["worst_margin"]
 
 
 # ----------------------------------------------------------------- exit codes
@@ -1129,13 +1147,15 @@ def test_exit_4_scan_out_of_draws(capsys):
 
 def _full_parser() -> argparse.ArgumentParser:
     """cli._build_parser as it was when every call built all subcommands,
-    verbatim but for the cli. prefixes: the reference for what run prints."""
+    verbatim but for the cli. prefixes and the one spelling per flag of its
+    sub-parsers (allow_abbrev=False): the reference for what run prints."""
     parser = argparse.ArgumentParser(
         prog="argstar",
         description="Numerical checks of argument-bound starlikeness conditions on the unit disk.",
     )
     parser.add_argument("--version", action="version", version=f"argstar {cli.__version__}")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+    subs = parser.add_subparsers(dest="subcommand", required=True,
+                                 parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     sub = subs.add_parser("gamma0", help="root of 2g + (2/pi)atan(g) = 1 and the composite bound")
     cli._add_output_flags(sub)
@@ -1194,91 +1214,21 @@ def _full_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Every argv the CLI tests and the acceptance suite pass to run, and the
-# parser's own paths: help, version, unknown, missing and stray arguments.
-# {name} stands for a spec file of the fixtures below, {out} for an output path.
-_ARGV_CORPUS = [
-    [], ["-h"], ["--help"], ["--version"], ["--vers"], ["nope"], ["--", "gamma0"], ["-h", "verify"],
-    ["verify", "-h"], ["verify", "--bogus"], ["gamma0", "extra"], ["gamma0", "--version"], ["gamma0", "-h"],
-    ["deltamax", "-h"], ["alpha", "-h"], ["lemma1", "-h"], ["scan", "-h"], ["heatmap", "-h"],
-    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--grid", "64"],
-    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--grid", "0x8"],
-    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--points", "0"],
-    ["heatmap", "--function", "{mono2}", "--quantity", "arg-fp", "--grid", "64", "--out", "{out}"],
-    ["gamma0"], ["deltamax"],
-    ["alpha", "--alpha0", "1.5", "--count", "5"], ["alpha", "--alpha0", "1.0", "--count", "5"],
-    ["alpha", "--alpha0", "1.5", "--count", "2", "--format", "csv"],
-    ["verify", "--theorem", "t1"], ["alpha", "--alpha0", "1.0"],
-    ["alpha", "--alpha0", "2.5", "--count", "3"], ["alpha", "--alpha0", "1.0", "--count", "-1"],
-    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0"],
-    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--out", "{out}"],
-    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "1.0", "--format", "csv"],
-    ["verify", "--theorem", "t1", "--function", "{mono2}", "--alpha1", "0.5", "--points", "16"],
-    ["verify", "--theorem", "c2", "--function", "{wide}"],
-    ["verify", "--theorem", "t5", "--function", "{lin}", "--delta", "0.3", "--s", "2"],
-    ["verify", "--theorem", "t5", "--function", "{gap}", "--delta", "0.3"],
-    ["verify", "--theorem", "l2", "--function", "{pole}"],
-    ["verify", "--theorem", "t1", "--function", "{missing}", "--alpha1", "1.0"],
-    ["verify", "--theorem", "t1", "--function", "{badjson}", "--alpha1", "1.0"],
-    ["verify", "--theorem", "t1", "--function", "{mismatch}", "--alpha1", "1.0"],
-    ["verify", "--theorem", "t1", "--function", "{big}", "--alpha1", "1.0"],
-    ["lemma1", "--function", "{probe}", "--gamma", repr(2 * math.asin(0.6) / math.pi)],
-    ["lemma1", "--function", "{probe}", "--gamma", "1.9"],
-    ["lemma1", "--function", "{q}", "--gamma", "1.5"],
-    ["scan", "--theorem", "t1", "--trials", "1", "--seed", "1", "--p", "1", "--alpha1", "0.5"],
-    ["scan", "--theorem", "t1", "--trials", "2", "--seed", "1", "--p", "2"],
-    ["scan", "--theorem", "t1", "--trials", "0", "--seed", "1", "--p", "2", "--alpha1", "0.5"],
-    ["scan", "--theorem", "t5", "--s", "2", "--delta", "0.3", "--p", "7", "--seed", "1"],
-    ["scan", "--theorem", "c2", "--trials", "4", "--seed", "301", "--p", "2", "--points", "32", "--ncoeffs", "6"],
-    ["scan", "--theorem", "t1", "--p", "170", "--alpha1", "0.5", "--trials", "1", "--seed", "1"],
-    ["scan", "--theorem", "t1", "--p", "171", "--alpha1", "0.5", "--trials", "1", "--seed", "1"],
-    ["scan", "--theorem", "l3", "--p", "1", "--trials", "1", "--seed", "4"],
-    ["heatmap", "--function", "{pole}", "--quantity", "arg-jst", "--rmax", "0.5", "--out", "{out}"],
-    ["heatmap", "--function", "{pole}", "--quantity", "arg-fp", "--rmax", "0.5", "--grid", "2x8", "--out", "{out}"],
-    ["heatmap", "--function", "{pole}", "--quantity", "arg-fp1-over-z", "--rmax", "0.5", "--grid", "2x8",
-     "--out", "{out}"],
-    ["heatmap", "--function", "{pole}", "--quantity", "arg-jst", "--rmax", "0.25", "--grid", "1x8", "--out", "{out}"],
-    ["heatmap", "--function", "{big}", "--quantity", "re-ratio", "--out", "{out}"],
-    ["heatmap", "--function", "{huge}", "--quantity", "arg-jst", "--out", "{out}"],
-    ["heatmap", "--function", "{lin}", "--quantity", "arg-fp", "--rmax", "0.9", "--grid", "16x64", "--out", "{out}"],
-    ["heatmap", "--function", "{lin}", "--quantity", "arg-fp", "--rmax", "0.9", "--out", "{out}"],
-    ["heatmap", "--function", "{mono2}", "--quantity", "arg-fp", "--grid", "4x8", "--out", "{out}"],
-    ["heatmap", "--function", "{lin}", "--quantity", "arg-jst", "--grid", "8x16", "--out", "{out}"],
-    ["heatmap", "--function", "{lin}", "--quantity", "arg-fp1-over-z", "--grid", "4x8", "--out", "{out}"],
-    ["heatmap", "--function", "{lin}", "--quantity", "re-ratio", "--grid", "4x8", "--out", "{out}"],
-    ["heatmap", "--function", "{lin}", "--quantity", "curvature", "--out", "{out}"],
-]
-
-
 @pytest.fixture
-def corpus_files(tmp_path, mono2, lin, probe):
-    bad = tmp_path / "badjson.json"
-    bad.write_text("{not json")
-    return {
-        "mono2": mono2,
-        "lin": lin,
-        "probe": probe,
-        "wide": write_spec(tmp_path, "wide.json", {"p": 2, "coefficients": [[0.95, 0]]}),
-        "gap": write_spec(tmp_path, "gap.json", {"p": 2, "coefficients": [[0.05, 0]], "gap_index": 2}),
-        "pole": write_spec(tmp_path, "pole.json", {"p": 1, "coefficients": [[-2.0, 0]]}),
-        "missing": str(tmp_path / "nope.json"),
-        "badjson": str(bad),
-        "mismatch": write_spec(tmp_path, "m.json", {"p": 1, "coefficients": [[0.5, 0]], "truncation": 5}),
-        "big": write_spec(tmp_path, "big.json", {"p": 2, "coefficients": [[1e308, 0.0]]}),
-        "huge": write_spec(tmp_path, "huge.json", {"p": 1, "coefficients": [[1e308, 0.0]]}),
-        "q": write_spec(tmp_path, "q.json", {"p": 0, "coefficients": [[2.0, 0.0]]}),
-        "out": str(tmp_path / "out.file"),
-    }
+def corpus_dir(tmp_path, monkeypatch):
+    """A working directory holding the corpus's spec files, as each of its rows runs in."""
+    cli_corpus.write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
 @pytest.mark.parametrize("columns", ["60", "100"])
-@pytest.mark.parametrize("template", _ARGV_CORPUS, ids=" ".join)
-def test_run_matches_full_parser(template, columns, corpus_files, monkeypatch, capsys):
+@pytest.mark.parametrize("argv", cli_corpus.ROWS, ids=" ".join)
+def test_run_matches_full_parser(argv, columns, corpus_dir, monkeypatch, capsys):
     # exit code, stdout, stderr and the --out file are byte-identical to a run
     # through the parser with every subcommand, at two terminal widths
     monkeypatch.setenv("COLUMNS", columns)
-    argv = [a.format(**corpus_files) for a in template]
-    out = Path(corpus_files["out"])
+    out = corpus_dir / cli_corpus.OUT
 
     def outcome():
         code = run(argv)
@@ -1292,6 +1242,22 @@ def test_run_matches_full_parser(template, columns, corpus_files, monkeypatch, c
         m.setattr(cli, "_build_parser", lambda only=None: _full_parser())
         want = outcome()
     assert got == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_corpus_rows_in_one_process_match_the_table(monkeypatch, capsys):
+    # every row of the golden corpus through cli.run, one after another in this
+    # process, gives its line of tests/cli_corpus.txt, which fresh processes wrote
+    def in_process(argv, cwd):
+        monkeypatch.chdir(cwd)
+        code = run(argv)
+        out, err = capsys.readouterr()
+        return code, out.encode(), err.encode()
+
+    monkeypatch.setenv("COLUMNS", "80")
+    want = cli_corpus.TABLE.read_text().splitlines()
+    got = [cli_corpus.host_line()] + [cli_corpus.row_line(argv, in_process) for argv in cli_corpus.ROWS]
+    assert got[1:] == want[1:], f"table computed with {want[0][2:]}, this run with {got[0][2:]}"
 
 
 def test_run_reads_the_terminal_width_once_per_run(monkeypatch, capsys, mono2):
@@ -1349,16 +1315,16 @@ def test_run_builds_only_the_invoked_subcommand(monkeypatch, capsys):
     assert built == []
 
 
-def test_runs_in_one_process_do_not_leak(monkeypatch, capsys, corpus_files):
+def test_runs_in_one_process_do_not_leak(monkeypatch, capsys, corpus_dir):
     # several runs through the cached parsers and plans, from cold, give what
     # each run gives through the full parser and a plan built afresh
     scan = ["scan", "--theorem", "t4", "--p", "3", "--alpha0", "1.0", "--trials", "5", "--seed", "1"]
     calls = [
         ("80", ["verify", "--theorem"]),
-        ("80", ["verify", "--theorem", "t1", "--function", corpus_files["mono2"], "--alpha1", "0.5"]),
+        ("80", ["verify", "--theorem", "t1", "--function", "mono2.json", "--alpha1", "0.5"]),
         ("60", ["verify", "-h"]),
         ("100", ["verify", "-h"]),
-        ("80", ["verify", "--theorem", "t1", "--function", corpus_files["badjson"], "--alpha1", "0.5"]),
+        ("80", ["verify", "--theorem", "t1", "--function", "badjson.json", "--alpha1", "0.5"]),
         ("80", scan),
         ("80", scan),
     ]

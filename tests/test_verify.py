@@ -1232,12 +1232,13 @@ def test_probe_work_is_one_itp_solve(monkeypatch):
     # the outer ring, the ITP steps on [0, r_max] down to 1e-12 (the ends are
     # known: g(0) = -level, g(r_max) from the outer ring), and the ring at r0;
     # bisection took 44 rings here and 1,938 Horner evaluations
-    radii, horners = [], []
+    radii, bounds, horners = [], [], []
     ring_sup, horner = verify._ring_sup, verify._horner
 
-    def counted(coeffs, r, angles):
+    def counted(coeffs, r, angles, bound):
         radii.append(r)
-        return ring_sup(coeffs, r, angles)
+        bounds.append(bound)
+        return ring_sup(coeffs, r, angles, bound=bound)
 
     def counted_horner(cs, z):
         horners.append(z)
@@ -1248,6 +1249,8 @@ def test_probe_work_is_one_itp_solve(monkeypatch):
     lemma1_probe(PowerSeries(0, np.array([1.0, 1.0])), 2.0 * math.asin(0.6) / math.pi)
     assert len(radii) <= 12
     assert len(horners) <= 250
+    # each ring is given sum |c_j| r_max^j, which spares its kernel the headroom scan
+    assert bounds == [1.0 + DiskGrid().r_max] * len(radii)
 
     radii.clear()
     with pytest.raises(NotAttained) as exc:
@@ -1264,9 +1267,9 @@ def test_probe_step_takes_at_most_one_ring_beyond_bisection(monkeypatch):
     radii, brackets = [], []
     ring_sup, itp = verify._ring_sup, verify.itp_increasing
 
-    def counted(coeffs, r, angles):
+    def counted(coeffs, r, angles, bound):
         radii.append(r)
-        return ring_sup(coeffs, r, angles)
+        return ring_sup(coeffs, r, angles, bound=bound)
 
     def spy(*args):
         brackets.append(itp(*args))
@@ -1326,7 +1329,7 @@ def test_probe_nonfinite_estimates_raise(monkeypatch, gamma, field):
     # axis, where q = 1 + 0.9z is 1.81 with arg 0: 1.81^(1/gamma) overflows
     # for gamma = 1e-4, and k_est divides by arg q(z0) = 0
     level = math.pi * gamma / 2.0
-    monkeypatch.setattr(verify, "_ring_sup", lambda coeffs, r, angles: (0.0, level * r / 0.9))
+    monkeypatch.setattr(verify, "_ring_sup", lambda coeffs, r, angles, bound: (0.0, level * r / 0.9))
     with pytest.raises(NonFiniteValue, match=rf"^lemma1 probe: {field} is not finite"):
         lemma1_probe(PowerSeries(0, np.array([1.0, 0.9])), gamma)
 
@@ -1446,7 +1449,7 @@ def test_probe_matches_scalar_refine_field_by_field(monkeypatch):
             gamma = 2.0 * factor * top / math.pi
             got = _probe_outcome(q, gamma)
             with monkeypatch.context() as m:
-                m.setattr(verify, "_ring_sup", _head_ring_sup)
+                m.setattr(verify, "_ring_sup", lambda coeffs, r, angles, bound: _head_ring_sup(coeffs, r, angles))
                 m.setattr(verify, "_horner", lambda cs, z: _head_horner(np.array(cs, dtype=complex), z))
                 want = _probe_outcome(q, gamma)
             assert got == want, (i, factor)
