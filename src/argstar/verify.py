@@ -246,9 +246,12 @@ def _ring_values(coeffs: np.ndarray, radii: np.ndarray, n: int, *, bound: float 
 
     On such a ring z^j = r^j w^(jk) with w = exp(2 pi i/n), and w^(jk) only
     depends on j mod n, so the samples are the unnormalized inverse DFT of
-    c_j r^j with the powers folded onto n bins. A row rounds as it does
-    alone, whatever else is in the batch. A one-coefficient row is its
-    coefficient exactly, signed zeros included.
+    c_j r^j with the powers folded onto n bins. The terms are written into
+    one zero-padded buffer of whole rings of n, summed onto one ring where
+    N > n, and transformed in place: one fresh array per call, the same
+    transform of the same padded input as np.fft.ifft(terms, n=n) makes. A
+    row rounds as it does alone, whatever else is in the batch. A
+    one-coefficient row is its coefficient exactly, signed zeros included.
 
     bound is the caller's bound on S = sum_j |c_j| r^j of every row at the
     largest radius (_row_bounds). Below 2**(_FFT_HEADROOM - 1), no term
@@ -263,7 +266,9 @@ def _ring_values(coeffs: np.ndarray, radii: np.ndarray, n: int, *, bound: float 
     shape = coeffs.shape[:-1] + (radii.size, n)
     if N == 1:
         return np.broadcast_to(coeffs[..., None, :], shape).copy()
-    terms = coeffs[..., None, :] * _powers(tuple(radii.tolist()), 0, N)
+    # the terms, zero-padded to whole rings of n: the transform's own input and output
+    padded = np.zeros(shape[:-1] + (-(-N // n) * n,), dtype=np.complex128)
+    terms = np.multiply(coeffs[..., None, :], _powers(tuple(radii.tolist()), 0, N), out=padded[..., :N])
     scaled = False
     if not bound < 2.0 ** (_FFT_HEADROOM - 1):
         top = np.abs(terms.view(np.float64)).max(axis=-1)
@@ -272,10 +277,8 @@ def _ring_values(coeffs: np.ndarray, radii: np.ndarray, n: int, *, bound: float 
             shift = np.frexp(top[big])[1] - _FFT_HEADROOM  # each such row exactly below the headroom
             terms.view(np.float64)[big] *= np.ldexp(1.0, -shift)[:, None]
     if N > n:
-        folded = np.zeros(terms.shape[:-1] + (-(-N // n) * n,), dtype=np.complex128)
-        folded[..., :N] = terms
-        terms = folded.reshape(shape[:-1] + (-1, n)).sum(axis=-2)
-    values = np.fft.ifft(terms, n=n, axis=-1, norm="forward")
+        padded = padded.reshape(shape[:-1] + (-1, n)).sum(axis=-2)
+    values = np.fft.ifft(padded, axis=-1, norm="forward", out=padded)
     if scaled:
         values.view(np.float64)[big] *= np.ldexp(1.0, shift)[:, None]
     return values
@@ -414,7 +417,8 @@ class _Hypothesis(NamedTuple):
 #   is within 1), 4u;
 # - np.angle's arctan2 of a sample, a value below 2 in modulus on a half
 #   plane Re w > 0, is within 4 ulps (numpy's SIMD versions; the C library's
-#   within 1), 4u;
+#   within 1), 4u; a scan takes |arg w| as arctan2(|Im w|, Re w), the same
+#   arctan2 bit for bit, so this term covers it too;
 # - the angle plus the margin, below 4, rounds within u before it is compared
 #   with the bound.
 #
@@ -469,6 +473,7 @@ class _Evaluation:
         self.r_max = r_max = float(radii[-1])
         self.order = f.order_p
         self.row = {k: i for i, k in enumerate(orders)}
+        self._terms: dict[tuple[int, int], tuple[int, int]] = {}  # _term's pairs, each computed once
         # an overflow is found by the bounds or the finiteness check below, not by a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             self.coeffs = derivative_block(f, orders)
@@ -533,8 +538,11 @@ class _Evaluation:
 
     def _term(self, term) -> tuple[int, int]:
         """(row, shift): f^(k)/z^m is the row's polynomial times z**shift."""
-        k, m = term
-        return self.row[k], leading_power(self.order, k) - m
+        pair = self._terms.get(term)
+        if pair is None:
+            k, m = term
+            pair = self._terms[term] = self.row[k], leading_power(self.order, k) - m
+        return pair
 
     def _point(self, j: int) -> complex:
         """The sample point of flat index j of an array over draws or rows, then the points."""
@@ -646,7 +654,7 @@ class _Evaluation:
         if q.den is None and not self._clears(q.num):
             self._below_tol(vals, q.context)
         if sup:  # the leads are positive and leave every argument alone
-            reduced = np.abs(np.angle(vals)).reshape(self.size, -1)
+            reduced = np.arctan2(np.abs(vals.imag), vals.real).reshape(self.size, -1)  # |np.angle|: arctan2 is odd in y
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 reduced = self._lead_ratio(q) * vals.real.reshape(self.size, -1)

@@ -201,6 +201,71 @@ def test_ring_values_batch_rows_match_single_rows_bitwise(n, N):
             assert _bits(batch[b]) == _bits(alone[b]), (size, b)
 
 
+def _former_ring_values(coeffs, radii, n):
+    """_ring_values as it was before it transformed a zero-padded buffer in
+    place: the terms are a fresh product, and np.fft.ifft pads them to n."""
+    N = coeffs.shape[-1]
+    shape = coeffs.shape[:-1] + (radii.size, n)
+    if N == 1:
+        return np.broadcast_to(coeffs[..., None, :], shape).copy()
+    terms = coeffs[..., None, :] * radii[:, None] ** np.arange(N)
+    top = np.abs(terms.view(np.float64)).max(axis=-1)
+    big = (top > 2.0**verify._FFT_HEADROOM) & (top < np.inf)
+    shift = np.frexp(top[big])[1] - verify._FFT_HEADROOM
+    terms.view(np.float64)[big] *= np.ldexp(1.0, -shift)[:, None]
+    if N > n:
+        folded = np.zeros(terms.shape[:-1] + (-(-N // n) * n,), dtype=np.complex128)
+        folded[..., :N] = terms
+        terms = folded.reshape(shape[:-1] + (-1, n)).sum(axis=-2)
+    values = np.fft.ifft(terms, n=n, axis=-1, norm="forward")
+    values.view(np.float64)[big] *= np.ldexp(1.0, shift)[:, None]
+    return values
+
+
+def _same_bits(got, want):
+    """Equal values with equal sign bits, zeros' included, and NaNs at the
+    same places. A NaN's sign is not compared: it depends on the order of
+    a commutative operation, and a NaN sample fails its check whatever it is."""
+    parts = ((got.real, want.real), (got.imag, want.imag)) if np.iscomplexobj(want) else ((got, want),)
+    for a, b in parts:
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a) & ~np.isnan(a), np.signbit(b) & ~np.isnan(b))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("rings", [1, 64])
+@pytest.mark.parametrize("n,N", [(64, 1), (64, 2), (64, 16), (64, 64), (64, 65), (16, 100), (47, 16), (8, 2000)])
+def test_ring_values_match_the_former_transform_bitwise(n, N, rings):
+    # N < n, N = n, the fold of N > n and N = 1, on one ring and on 64
+    rng = np.random.default_rng(100 * n + N + rings)
+    block = rng.normal(size=(6, N)) + 1j * rng.normal(size=(6, N))
+    block[1] = block[1].real  # -0.0 imaginary parts where the normal draws are negative
+    block[1].imag = np.where(block[1].real < 0, -0.0, 0.0)
+    block[2] = complex(-0.0, -0.0)  # the zero polynomial, all signs negative
+    block[3] *= 2.0 ** (960 - 2 * np.arange(N) % 8)  # terms on both sides of 2**960: the scaled path
+    block[4] *= 1e308  # terms near the largest float and past it: the transform overflows
+    block[5, 1::2] = complex(0.0, -0.0)
+    radii = np.array([0.995]) if rings == 1 else np.linspace(0.995, 0.995 / 64, 64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _same_bits(_ring_values(block, radii, n), _former_ring_values(block, radii, n))
+        _same_bits(_ring_values(block[0], radii, n), _former_ring_values(block[0], radii, n))
+
+
+_SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 2.0**960, -(2.0**960),
+                  2.0**961 * (1 - 2.0**-53), 1.0, -1.0, np.pi, math.inf, -math.inf, math.nan, -math.nan]
+
+
+@given(st.lists(st.tuples(*[st.one_of(st.sampled_from(_SPECIAL_PARTS), st.floats())] * 2), max_size=80))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_folded_arctan2_is_abs_angle_bitwise(parts):
+    # take reduces a sup_arg as arctan2(|Im w|, Re w): arctan2 is odd in its
+    # first argument, so that is |np.angle(w)|, at +-0, +-pi and everywhere
+    # else, with NaNs at the same samples
+    v = np.array([complex(x, y) for x, y in parts], dtype=np.complex128)
+    got, want = np.arctan2(np.abs(v.imag), v.real), np.abs(np.angle(v))
+    _same_bits(got, want)
+
+
 # ------------------------------------------------------------- per-row bounds
 
 
@@ -552,6 +617,24 @@ def test_scan_quotients_need_no_finiteness_scan(monkeypatch):
     for tid, kw in (("T4", {"p": 5, "alpha0": 1.0}), ("C2", {"p": 2}), ("L2", {"p": 3}), ("L3", {"p": 3})):
         counterexample_scan(tid, 40, 1, grid=DiskGrid(n_radial=1), **kw)
     assert decided and all(decided)
+
+
+def test_each_term_is_resolved_once_per_evaluation(monkeypatch):
+    # a plan's (row, shift) pairs are constants of the evaluation: taking its
+    # functionals again looks each one up without a leading_power call
+    calls = []
+    power = verify.leading_power
+    monkeypatch.setattr(verify, "leading_power", lambda order, k: calls.append(k) or power(order, k))
+    plan = verify._build_plan("T4", 5, None, 1.0, None, None)
+    block = verify._sample_block(verify._scan_uniforms(7, 0, 4, 31), 5, 0.9)
+    ev = verify._Evaluation(block, plan.orders, DiskGrid(n_radial=1, n_angular=64).points[-1][None])
+    quantities = [plan.hypothesis] + [q for _, q, _ in plan.conclusions]
+    first = [ev.take(q) for q in quantities]
+    terms = {t for q in quantities for t in (q.num, q.den) if t is not None}
+    assert len(calls) == len(terms)
+    again = [ev.take(q) for q in quantities]
+    assert len(calls) == len(terms)
+    assert all(_bits(a) == _bits(b) for x, y in zip(first, again) for a, b in zip(x, y))
 
 
 def test_sup_arg_linear_tail():
