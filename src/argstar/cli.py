@@ -445,23 +445,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argstar parser with every subcommand, or with just `only`, built
-    once per process: parsing reads the tree and changes none of it.
-
-    A parser built for one subcommand prints the same usage line as the full
-    one: the metavar spells out every choice. The full tree keeps argparse's
-    own metavar, whose error messages name the argument `subcommand`.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The argstar parser with every subcommand, built once per process:
+    parsing reads the tree and changes none of it."""
     parser = _Parser(
         prog="argstar",
         description="Numerical checks of argument-bound starlikeness conditions on the unit disk.",
     )
     parser.add_argument("--version", action="version", version=f"argstar {__version__}")
-    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    subs = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    for name in _COMMANDS if only is None else (only,):
-        help_text, handler, add_arguments = _COMMANDS[name]
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, handler, add_arguments) in _COMMANDS.items():
         # one spelling per flag: argparse would read a prefix, such as verify's --p, as the flag it begins
         sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         add_arguments(sub)
@@ -472,14 +465,11 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Execute one CLI invocation; returns the exit code without exiting.
 
-    Only the invoked subcommand's parser is used, built on its first run;
-    -h, --version and anything that does not start with a subcommand get the
-    full parser."""
+    The parser is built on the first run in a process and reused after."""
     argv = list(argv)
     _Parser._width = None  # read again, if help or an error is printed
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else (0 if code is None else EXIT_USAGE)

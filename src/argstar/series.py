@@ -68,6 +68,11 @@ def falling_factorials(order: int, size: int, k: int, normalized: bool = False) 
     return row
 
 
+def is_integer(x) -> bool:
+    """Whether x is an int or a numpy integer, and not a bool: the test of integer arguments."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _as_coeff_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1 or arr.size < 1:
@@ -91,7 +96,7 @@ class PowerSeries:
     __slots__ = ("order_p", "coeffs")
 
     def __init__(self, order_p: int, coeffs):
-        if not isinstance(order_p, (int, np.integer)) or isinstance(order_p, bool):
+        if not is_integer(order_p):
             raise ValueError("order_p must be an integer")
         if order_p < 0:
             raise ValueError("order_p must be >= 0")
@@ -121,7 +126,7 @@ class PowerSeries:
 
 def make_series(p: int, tail_coeffs) -> PowerSeries:
     """Build z**p + sum tail_coeffs[j] z**(p+1+j): 1 + len(tail_coeffs) stored terms."""
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1:
+    if not is_integer(p) or p < 1:
         raise ValueError("p must be an integer >= 1")
     tail = (complex(*c) if isinstance(c, (tuple, list)) else complex(c) for c in tail_coeffs)
     return PowerSeries(int(p), [1.0 + 0.0j, *tail])
@@ -190,7 +195,7 @@ def derivative_block(f, ks) -> np.ndarray:
 
 
 def _check_k(k) -> None:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
+    if not is_integer(k) or k < 0:
         raise ValueError("k must be an integer >= 0")
 
 

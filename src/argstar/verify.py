@@ -54,6 +54,7 @@ from .series import (
     derivative_block,
     differentiate,
     falling_factorials,
+    is_integer,
     leading_factorial,
     leading_power,
     principal_arg,
@@ -110,6 +111,14 @@ class ParamOutOfRange(ValueError):
     """A theorem parameter lies outside its admissible range."""
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (see is_integer) >= least."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class DiskGrid:
     """Polar sampling of |z| <= r_max: geometric radii, uniform angles."""
@@ -122,8 +131,7 @@ class DiskGrid:
         if not 0.0 < self.r_max < 1.0:
             raise ValueError("r_max must lie in (0, 1)")
         for count in ("n_radial", "n_angular"):
-            if getattr(self, count) < 1:
-                raise ValueError(f"{count} must be >= 1")
+            _check_count(count, getattr(self, count), 1)
 
     @cached_property
     def radii(self) -> np.ndarray:
@@ -814,7 +822,7 @@ _PARAMS = {
     "alpha0": (lambda alpha0: 0 < alpha0 <= 1.5, "alpha0 must lie in (0, 3/2]"),
     "delta": (lambda delta: delta > 0 and 2 * delta + (2 / math.pi) * math.atan(delta) < 2.0,
               "delta must satisfy delta > 0 and 2 delta + (2/pi)atan(delta) < 2"),
-    "s": (lambda s: isinstance(s, (int, np.integer)) and s >= 2, "s must be an integer >= 2"),
+    "s": (lambda s: is_integer(s) and s >= 2, "s must be an integer >= 2"),
 }
 
 
@@ -1341,13 +1349,12 @@ def sample_hypothesis_function(
     """
     if not 0.0 < bound < math.pi / 2.0:
         raise ValueError("bound must lie in (0, pi/2)")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    order = int(s_gap) if s_gap is not None else int(p)
-    if s_gap is not None and order < 2:
-        raise ValueError("s_gap must be >= 2")
-    if s_gap is None and order < 1:
-        raise ValueError("p must be >= 1")
+    _check_count("N", N, 2)
+    if s_gap is not None:
+        _check_count("s_gap", s_gap, 2)
+    else:
+        _check_count("p", p, 1)
+    order = int(s_gap if s_gap is not None else p)
     block = _sample_block(np.random.default_rng(seed).random((1, 2 * N - 1)), order, bound)
     return PowerSeries(block.order_p, block.raw[0])
 
@@ -1388,16 +1395,16 @@ def counterexample_scan(
     bug or a genuinely interesting sample worth inspecting via worst_function.
     """
     theorem_id, theorem = _theorem(theorem_id)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("trials", trials, 1)
     gap = "s" in theorem.params  # its draws are gap series of order s
     if gap and p is not None:
         raise ParamOutOfRange(f"{theorem_id} does not take parameter p")
+    if not gap and p is not None and not is_integer(p):
+        raise ParamOutOfRange(f"{theorem_id} scan requires an integer p")
     if not gap and (p is None or p < 1):
         raise ParamOutOfRange(f"{theorem_id} scan requires p >= 1")
     plan = _build_plan(theorem_id, s if gap else p, alpha1, alpha0, delta, s)
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    _check_count("N", N, 2)
     # sample_hypothesis_function's bound, s and p checks hold here by THEOREMS, _PARAMS and the p rule above
     bound = min(plan.hypothesis_bound, _SAMPLER_CAP) if theorem.sampler_bound is None else theorem.sampler_bound
     order = int(s if gap else p)

@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import errno
-import functools
 import io
 import json
 import math
@@ -1145,75 +1144,6 @@ def test_exit_4_scan_out_of_draws(capsys):
 
 # --------------------------------------------------------------- parser tree
 
-def _full_parser() -> argparse.ArgumentParser:
-    """cli._build_parser as it was when every call built all subcommands,
-    verbatim but for the cli. prefixes and the one spelling per flag of its
-    sub-parsers (allow_abbrev=False): the reference for what run prints."""
-    parser = argparse.ArgumentParser(
-        prog="argstar",
-        description="Numerical checks of argument-bound starlikeness conditions on the unit disk.",
-    )
-    parser.add_argument("--version", action="version", version=f"argstar {cli.__version__}")
-    subs = parser.add_subparsers(dest="subcommand", required=True,
-                                 parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
-
-    sub = subs.add_parser("gamma0", help="root of 2g + (2/pi)atan(g) = 1 and the composite bound")
-    cli._add_output_flags(sub)
-    sub.set_defaults(handler=cli._cmd_constant)
-
-    sub = subs.add_parser("deltamax", help="root of 2d + (2/pi)atan(d) = 2 and the gap-series bound")
-    cli._add_output_flags(sub)
-    sub.set_defaults(handler=cli._cmd_constant)
-
-    sub = subs.add_parser("alpha", help="implicit alpha chain with majorant column")
-    sub.add_argument("--alpha0", type=float, required=True)
-    sub.add_argument("--count", type=int, required=True)
-    cli._add_output_flags(sub)
-    sub.set_defaults(handler=cli._cmd_alpha)
-
-    sub = subs.add_parser("verify", help="check one implication for a function file")
-    sub.add_argument("--theorem", required=True, help="t1|c1|c2|t3|t4|t5|l2|l3")
-    sub.add_argument("--function", required=True, help="function spec JSON file")
-    sub.add_argument("--alpha1", type=float, default=None)
-    sub.add_argument("--alpha0", type=float, default=None)
-    sub.add_argument("--delta", type=float, default=None)
-    sub.add_argument("--s", type=int, default=None, help="gap index (default: file gap_index)")
-    cli._add_ring_flags(sub)
-    cli._add_output_flags(sub)
-    sub.set_defaults(handler=cli._cmd_verify)
-
-    sub = subs.add_parser("lemma1", help="first-crossing boundary probe for q with q(0)=1")
-    sub.add_argument("--function", required=True, help="function spec JSON file with p=0")
-    sub.add_argument("--gamma", type=float, required=True)
-    cli._add_ring_flags(sub)
-    cli._add_output_flags(sub)
-    sub.set_defaults(handler=cli._cmd_lemma1)
-
-    sub = subs.add_parser("scan", help="randomized counterexample scan for one implication")
-    sub.add_argument("--theorem", required=True)
-    sub.add_argument("--trials", type=int, default=200)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--alpha1", type=float, default=None)
-    sub.add_argument("--alpha0", type=float, default=None)
-    sub.add_argument("--delta", type=float, default=None)
-    sub.add_argument("--s", type=int, default=None)
-    sub.add_argument("--ncoeffs", type=int, default=16, help="truncation of sampled functions")
-    cli._add_ring_flags(sub)
-    cli._add_output_flags(sub)
-    sub.set_defaults(handler=cli._cmd_scan)
-
-    sub = subs.add_parser("heatmap", help="sample one quantity over the grid as CSV")
-    sub.add_argument("--function", required=True)
-    sub.add_argument("--quantity", required=True, choices=cli.HEATMAP_QUANTITIES)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--rmax", type=float, default=0.995)
-    sub.add_argument("--grid", type=cli._grid_spec, default=(64, 512), help="<n_radial>x<n_angular>")
-    sub.set_defaults(handler=cli._cmd_heatmap)
-
-    return parser
-
-
 @pytest.fixture
 def corpus_dir(tmp_path, monkeypatch):
     """A working directory holding the corpus's spec files, as each of its rows runs in."""
@@ -1225,8 +1155,9 @@ def corpus_dir(tmp_path, monkeypatch):
 @pytest.mark.parametrize("columns", ["60", "100"])
 @pytest.mark.parametrize("argv", cli_corpus.ROWS, ids=" ".join)
 def test_run_matches_full_parser(argv, columns, corpus_dir, monkeypatch, capsys):
-    # exit code, stdout, stderr and the --out file are byte-identical to a run
-    # through the parser with every subcommand, at two terminal widths
+    # exit code, stdout, stderr and the --out file of a run through the cached
+    # parser, which earlier runs at either width used, are byte-identical to a
+    # run through a full parser built afresh, at two terminal widths
     monkeypatch.setenv("COLUMNS", columns)
     out = corpus_dir / cli_corpus.OUT
 
@@ -1239,7 +1170,7 @@ def test_run_matches_full_parser(argv, columns, corpus_dir, monkeypatch, capsys)
 
     got = outcome()
     with monkeypatch.context() as m:
-        m.setattr(cli, "_build_parser", lambda only=None: _full_parser())
+        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
         want = outcome()
     assert got == want
 
@@ -1271,7 +1202,7 @@ def test_run_reads_the_terminal_width_once_per_run(monkeypatch, capsys, mono2):
     monkeypatch.setattr(cli.shutil, "get_terminal_size", counted)
     cli._build_parser.cache_clear()
     verify_argv = ["verify", "--theorem", "t1", "--alpha1", "0.5", "--function", mono2]
-    for argv in (verify_argv, verify_argv):  # a cold run builds argstar and its verify sub-parser, a warm one not
+    for argv in (verify_argv, verify_argv):  # a cold run builds the parser, a warm one not
         reads.clear()
         assert run(argv) == 0
         assert len(reads) <= 1
@@ -1284,8 +1215,9 @@ def test_run_reads_the_terminal_width_once_per_run(monkeypatch, capsys, mono2):
     helps = {}
     for columns in ("60", "100", "60"):
         monkeypatch.setenv("COLUMNS", columns)
+        monkeypatch.setattr(cli._Parser, "_width", None)  # a fresh tree reads this width
         with pytest.raises(SystemExit):
-            _full_parser().parse_args(["verify", "-h"])
+            cli._build_parser.__wrapped__().parse_args(["verify", "-h"])
         want = capsys.readouterr().out
         assert run(["verify", "-h"]) == 0
         helps[columns] = capsys.readouterr().out
@@ -1293,7 +1225,7 @@ def test_run_reads_the_terminal_width_once_per_run(monkeypatch, capsys, mono2):
     assert helps["60"] != helps["100"]
 
 
-def test_run_builds_only_the_invoked_subcommand(monkeypatch, capsys):
+def test_run_builds_the_parser_once_per_process(monkeypatch, capsys, mono2):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -1303,21 +1235,16 @@ def test_run_builds_only_the_invoked_subcommand(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
     cli._build_parser.cache_clear()
-    assert run(["gamma0"]) == 0
-    assert built == ["gamma0"]
-    built.clear()
-    assert run(["gamma0"]) == 0  # the same parser again
-    assert built == []
-    assert run(["--version"]) == 0
-    assert built == ["gamma0", "deltamax", "alpha", "verify", "lemma1", "scan", "heatmap"]
-    built.clear()
-    assert run(["-h"]) == 0
-    assert built == []
+    verify_argv = ["verify", "--theorem", "t1", "--alpha1", "0.5", "--function", mono2]
+    for argv in (["gamma0"], verify_argv, ["--version"], ["-h"]):
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert built == list(cli._COMMANDS)  # every sub-parser, each built once, on the first run
 
 
 def test_runs_in_one_process_do_not_leak(monkeypatch, capsys, corpus_dir):
-    # several runs through the cached parsers and plans, from cold, give what
-    # each run gives through the full parser and a plan built afresh
+    # several runs through the cached parser and plans, from cold, give what
+    # each run gives through a parser and a plan built afresh
     scan = ["scan", "--theorem", "t4", "--p", "3", "--alpha0", "1.0", "--trials", "5", "--seed", "1"]
     calls = [
         ("80", ["verify", "--theorem"]),
@@ -1341,7 +1268,7 @@ def test_runs_in_one_process_do_not_leak(monkeypatch, capsys, corpus_dir):
     verify._build_plan.cache_clear()
     got = outcomes()
     with monkeypatch.context() as m:
-        m.setattr(cli, "_build_parser", lambda only=None: _full_parser())
+        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
         m.setattr(verify, "_build_plan", verify._build_plan.__wrapped__)
         want = outcomes()
     assert [code for code, _, _ in got] == [2, 0, 0, 0, 3, 0, 0]

@@ -91,6 +91,15 @@ def test_grid_names_the_count_below_one(count):
             DiskGrid(**{count: n})
 
 
+@pytest.mark.parametrize("count", ["n_radial", "n_angular"])
+def test_grid_rejects_non_integer_counts(count):
+    # a count of 2.5 would sample 3 angles and report witnesses at 2 pi k / 2.5
+    for n in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match=rf"^{count} must be an integer$"):
+            DiskGrid(**{count: n})
+    assert DiskGrid(**{count: np.int64(3)}).size == DiskGrid(**{count: 3}).size
+
+
 def test_grid_arrays_deterministic_and_readonly():
     a, b = DiskGrid(), DiskGrid()
     assert a.points.tobytes() == b.points.tobytes()
@@ -1573,7 +1582,12 @@ def test_sampler_rejects_bad_bound():
     ({"p": 2, "bound": 1.0, "N": 1}, "N must be >= 2"),
     ({"p": 0, "bound": 0.0, "N": 1}, "bound must lie in (0, pi/2)"),  # bound, N, then the order
     ({"p": 0, "bound": 1.0, "N": 1}, "N must be >= 2"),
-], ids=["p0", "s_gap1", "bound0", "bound-half-pi", "N1", "bound-first", "N-before-p"])
+    ({"p": 2.5, "bound": 1.0}, "p must be an integer"),  # not a series of order 2
+    ({"p": True, "bound": 1.0}, "p must be an integer"),
+    ({"p": 2, "bound": 1.0, "s_gap": 2.5}, "s_gap must be an integer"),
+    ({"p": 2, "bound": 1.0, "N": 2.5}, "N must be an integer"),
+], ids=["p0", "s_gap1", "bound0", "bound-half-pi", "N1", "bound-first", "N-before-p",
+        "p-float", "p-bool", "s_gap-float", "N-float"])
 def test_sampler_names_each_bad_argument(kw, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sample_hypothesis_function(1, **kw)
@@ -2108,6 +2122,18 @@ def test_scan_rejects_bad_args():
         counterexample_scan("T5", trials=2, seed=1, p=7, s=2, delta=0.3)  # draws have order s
     with pytest.raises(ParamOutOfRange, match="unknown theorem id 'Q7'"):
         counterexample_scan("Q7", trials=2, seed=1)  # the id is named before the missing p
+
+
+@pytest.mark.parametrize("kw,error,message", [
+    ({"trials": 2.5}, ValueError, "trials must be an integer"),
+    ({"N": 2.5}, ValueError, "N must be an integer"),
+    ({"p": 2.5}, ParamOutOfRange, "T1 scan requires an integer p"),
+    ({"p": True}, ParamOutOfRange, "T1 scan requires an integer p"),  # not reported as p = True
+], ids=["trials-float", "N-float", "p-float", "p-bool"])
+def test_scan_rejects_non_integer_arguments(kw, error, message):
+    args = {"trials": 2, "seed": 1, "p": 2, "alpha1": 0.5, **kw}
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        counterexample_scan("T1", **args)
 
 
 def test_unknown_id_is_named_first():
