@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -26,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floatrepr
 from .roots import (
     ABS_TOL,
     MAX_ITER,
@@ -239,19 +238,40 @@ def _write(text: str, out: Optional[str]) -> None:
 
 # ------------------------------------------------------------------- heatmap
 
+# values laid out per pass of the writer: its working arrays stay near 1 MB
+_HEATMAP_BLOCK = 4096
+
+
+def _fields(x: np.ndarray) -> np.ndarray:
+    """repr of each element and a comma, as rows of bytes with NULs among them:
+    the slots of floatrepr.repr_slots that some element fills, then ","."""
+    cols = floatrepr.repr_slots(x)
+    cols = np.concatenate((cols[cols.any(axis=1)], np.full((1, x.size), ord(","), dtype=np.uint8)))
+    return cols.T
+
+
 def emit_heatmap(f: PowerSeries, quantity: str, grid: DiskGrid, path) -> None:
     """Write quantity sampled over the grid as CSV rows r,theta,value in
-    (radial, angular) order (see verify.heatmap_values), one ring at a time.
-    A list's repr writes each float as its repr, so one repr per ring formats
-    its values, split apart at the list's separators."""
+    (radial, angular) order (see verify.heatmap_values), each float as its
+    repr. The lines of a block of rings are laid out as rows of bytes with
+    NULs among them (see floatrepr.repr_slots), whose removal leaves the text."""
     vals = heatmap_values(f, quantity, grid)
-    thetas = [repr(t) for t in grid.angles.tolist()]
+    nr, na = vals.shape
+    fields = _fields(np.concatenate((grid.radii, grid.angles)))
+    w = fields.shape[1]
+    rings = max(1, _HEATMAP_BLOCK // na)
+    lines = np.empty((min(rings, nr), na, 2 * w + floatrepr.SLOTS + 1), dtype=np.uint8)
+    lines[:, :, w:2 * w] = fields[nr:]
+    lines[:, :, -1] = ord("\n")
     with open(path, "w") as out:
         out.write("r,theta,value\n")
-        for r, row in zip(grid.radii.tolist(), vals):
-            texts = repr(row.tolist())[1:-1].split(", ")
-            out.write("\n".join(map(",".join, zip(itertools.repeat(repr(r)), thetas, texts))))
-            out.write("\n")
+        for first in range(0, nr, rings):
+            block = vals[first:first + rings]
+            part = lines[:len(block)]
+            part[:, :, :w] = fields[first:first + len(block), None]
+            part[:, :, 2 * w:-1] = floatrepr.repr_slots(block.ravel()).T.reshape(*block.shape, -1)
+            for ring in part:  # a ring at a time keeps the text's copies small
+                out.write(ring.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 # ------------------------------------------------------------------ handlers

@@ -816,7 +816,7 @@ THEOREMS = {
 }
 
 # Each parameter's admissible test and the message when it fails, in the
-# order a call's parameters are checked.
+# order a call's parameters are checked. A bool fails every test.
 _PARAMS = {
     "alpha1": (lambda alpha1: 0 < alpha1 <= 1, "alpha1 must lie in (0, 1]"),
     "alpha0": (lambda alpha0: 0 < alpha0 <= 1.5, "alpha0 must lie in (0, 3/2]"),
@@ -848,7 +848,7 @@ def _build_plan(theorem_id, p, alpha1, alpha0, delta, s) -> _Plan:
         if (value is not None) != (name in theorem.params):
             raise ParamOutOfRange(f"{theorem_id} {'requires' if value is None else 'does not take'} parameter {name}")
     for name, (admissible, message) in _PARAMS.items():
-        if name in theorem.params and not admissible(given[name]):
+        if name in theorem.params and (isinstance(given[name], bool) or not admissible(given[name])):
             raise ParamOutOfRange(message)
     given.update(p=p, s=None if s is None else int(s))
     params = {name: given[name] for name in (theorem.params if "s" in theorem.params else ("p", *theorem.params))}
@@ -1303,7 +1303,7 @@ def _scan_uniforms(seed: int, first: int, size: int, count: int) -> np.ndarray:
     (raw >> 11) * 2**-53 turns the raw 64-bit outputs of all draws into
     doubles at once.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     raw, state_words = np.empty((size, count), dtype=np.uint64), _state_words()
     for b, words in enumerate(_seed_states(int(seed), first, size)):

@@ -54,6 +54,7 @@ FILES = {
     "overflow.json": {"p": 2, "coefficients": [[1.7e308 / 3, 0.0], [1.7e308 / 6, 0.0]]},
     "long.json": {"p": 1, "coefficients": [[0.3 / (j + 1) ** 2, 0.0] for j in range(80)]},
     "negligible.json": {"p": 1, "coefficients": [[2.0, 0.0]] + [[1e-320, 0.0]] * 1998},
+    "cplx.json": {"p": 2, "coefficients": [[0.21, -0.13], [-0.07, 0.05], [0.011, 0.019]]},
 }
 
 _T4 = ["scan", "--theorem", "t4", "--p", "3", "--alpha0", "1.0", "--trials", "20", "--seed"]
@@ -147,6 +148,12 @@ ROWS = [
     ["lemma1", "--function", "qbig.json", "--gamma", "0.5"],
     ["lemma1", "--function", "probe.json", "--gamma", "1e-17"],
     ["verify", "--theorem", "t5", "--delta", "0.5", "--function", "gap4z.json", "--rmax", "1e-200"],
+    # full default-grid (64x512) heatmaps of multi-coefficient specs: the CSV bytes of every quantity
+    ["heatmap", "--function", "long.json", "--quantity", "arg-fp1-over-z", "--out", OUT],
+    ["heatmap", "--function", "f.json", "--quantity", "arg-jst", "--out", OUT],
+    ["heatmap", "--function", "p3.json", "--quantity", "re-ratio", "--out", OUT],
+    ["heatmap", "--function", "cplx.json", "--quantity", "arg-jst", "--out", OUT],
+    ["heatmap", "--function", "cplx.json", "--quantity", "re-ratio", "--rmax", "0.9", "--out", OUT],
 ]
 
 

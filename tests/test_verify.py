@@ -799,6 +799,19 @@ def test_parameter_validation(tid, kw):
     assert str(scanned.value) == str(checked.value)
 
 
+@pytest.mark.parametrize("tid,kw,message", [
+    ("T1", {"alpha1": True}, "alpha1 must lie in (0, 1]"),
+    ("T3", {"alpha0": True}, "alpha0 must lie in (0, 3/2]"),
+    ("T5", {"delta": True, "s": 2}, "delta must satisfy delta > 0 and 2 delta + (2/pi)atan(delta) < 2"),
+], ids=["alpha1", "alpha0", "delta"])
+def test_bool_parameters_are_rejected(tid, kw, message):
+    # True lies in (0, 1] as a number; it would be echoed as params {..: True}
+    with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
+        check_theorem(tid, make_series(2, [0.1]), **kw)
+    with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
+        counterexample_scan(tid, trials=1, seed=1, p=None if tid == "T5" else 2, **kw)
+
+
 def test_t5_gap_structure_enforced():
     # coefficient of z^(s-1) must vanish, of z^s must not
     with pytest.raises(ParamOutOfRange):
@@ -1707,7 +1720,7 @@ def test_scan_uniforms_are_numpys_per_draw_seeding(seed, first, size):
         assert uniforms[b].tobytes() == np.random.default_rng(seq).random(31).tobytes(), b
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])  # True would run as seed 1
 def test_scan_names_a_bad_seed(seed):
     with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed}$"):
         counterexample_scan("C1", trials=2, seed=seed, p=3, grid=DiskGrid(n_radial=1, n_angular=64))
