@@ -2,12 +2,22 @@
 
 repr prints the shortest decimal that reads back to the same float, and of
 those the closest. ``shortest_digits`` finds it as Ryū does (U. Adams, "Ryū:
-fast float-to-string conversion", PLDI 2018), for every element in one pass
-of numpy integer arithmetic, on Ryū's common path: normal values below 2^54
-with q >= 2 whose scaled value carries no trailing decimal zeros, which leaves
-out every value from 2^49 up. ``repr_slots`` lays the digits out as repr does
-and hands every other element to repr itself: zeros, subnormals, nan,
-infinities, the values above and Ryū's trailing-zero cases.
+fast float-to-string conversion", PLDI 2018): from the floors of the scaled
+value V = |x| 10^t and of its two rounding bounds, halfway to the
+neighbouring floats, it drops decimal digits while the bounds stay apart. It
+computes the three floors for every element in one pass of float64
+arithmetic: Dekker's error-free product (T. J. Dekker, "A floating-point
+technique for extending the available precision", Numer. Math. 18, 1971)
+against 10^t held as a double-double, an unevaluated sum hi + lo of two
+float64 values, gives each floor's remainder to within 2^-41, and a floor is
+taken only where its remainder lies at least 2^-32 from a whole number.
+
+The fast path is every normal value below 2^49 whose three remainders clear
+that margin. ``repr_slots`` lays its digits out as repr does and hands every
+other element to repr itself: zeros, subnormals, nan, infinities, values
+from 2^49 up, and values whose scaled value or a bound is a whole number (or
+lies within 2^-32 of one). The last class holds every exact case of Ryū's
+trailing-zero branch, such as 0.5, 1.0 and the whole numbers.
 """
 
 from __future__ import annotations
@@ -18,76 +28,120 @@ import numpy as np
 
 SLOTS = 29  # bytes per element of repr_slots; the longest repr of a float64 has 24
 
-_POW5_BITS = 125  # Ryū's DOUBLE_POW5_BITCOUNT
-_M32 = np.uint64(0xFFFFFFFF)
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)  # 10^0 .. 10^17
 _PLACES = np.arange(18, dtype=np.uint8)
 _EXPONENTS = 400  # beyond the decimal exponents of float64
+_NORMAL = np.uint64(1 << 52)  # the bits of the smallest normal float64
+_SPAN = np.uint64((1072 - 1) << 52)  # from there to 2^49, whose biased exponent is 1072
+_SCALED = 300  # from t = 301 on, the table holds 10^t / 2^128 and x is scaled by 2^128
+_SPLIT = float(2**27 + 1)  # Veltkamp's splitter: a float64 into two halves of 26 bits
+_ERROR = 2.0**-41  # bound on the error of a remainder of _scaled_floors, derived there
+_DELTA = 2**9 * _ERROR  # 2^-32: the least distance of a remainder from a whole number
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = a1 + a2 exactly, each of at most 26 bits."""
+    c = a * _SPLIT
+    a1 = c - (c - a)
+    return a1, a - a1
 
 
 @functools.cache
-def _pow5_limbs() -> np.ndarray:
-    """5^i for i = 0..325, each scaled by a power of two to 125 bits (Ryū's
-    DOUBLE_POW5_SPLIT), as four 32-bit limbs, least significant first: shape (4, 326)."""
+def _pow10_dd() -> np.ndarray:
+    """10^t for t = 0..325 as a double-double, scaled by 2^-128 from t = 301
+    on: rows hi, lo, hi's two halves by _split, and the scale 2^128 or 1 that
+    x takes; shape (5, 326).
+
+    Python's int true division rounds correctly, so hi is the scaled 10^t,
+    T, rounded to float64 and lo the rest rounded: |T - hi| <= 2^-53 T and
+    |T - hi - lo| <= 2^-106 T. The scaling keeps T and hi * _SPLIT finite."""
     rows = []
-    for i in range(326):
-        p = 5**i
-        shift = p.bit_length() - _POW5_BITS
-        scaled = p >> shift if shift >= 0 else p << -shift
-        rows.append([(scaled >> s) & 0xFFFFFFFF for s in (0, 32, 64, 96)])
-    table = np.array(rows, dtype=np.uint64).T.copy()  # limb-major: a gather of each limb is contiguous
+    for t in range(326):
+        shift = 128 if t > _SCALED else 0
+        hi = 10**t / 2**shift
+        rows.append((hi, (10**t - (int(hi) << shift)) / 2**shift, 2.0**shift))
+    hi, lo, scale = np.array(rows).T
+    table = np.stack((hi, lo, *_split(hi), scale))
     table.flags.writeable = False  # shared by every call
     return table
 
 
-def _mul_shift(a: np.ndarray, limbs: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """floor(a * L / 2^j) for a < 2^55, L of 125 bits as four 32-bit limbs
-    and j in [118, 121].
+def _scaled_floors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(floors, rests, t, ok) for a 1-d float64 array: the floors vr, vp, vm
+    of the scaled value V = |x| 10^t and of its two rounding bounds, as a
+    (3, n) uint64 array, and the remainders each floor left, (3, n) float64.
+    ok is the fast path: x normal and below 2^49, and each remainder at
+    least _DELTA from a whole number. Where x is normal and below 2^49,
+    floor + remainder lies within _ERROR of the exact value; where ok, the
+    floors are exact.
 
-    Schoolbook multiplication in 32-bit columns: each 64-bit product of a half
-    of a and a limb adds its low and high words to two columns, and each
-    column then carries its excess into the next. The result is read from
-    columns 3-5 (bits 96-191) of the 180-bit product."""
-    cols = [np.zeros_like(a) for _ in range(6)]
-    for h, half in enumerate((a & _M32, a >> np.uint64(32))):
-        for k in range(4):
-            p = half * limbs[k]  # below 2^64
-            cols[h + k] += p & _M32
-            cols[h + k + 1] += p >> np.uint64(32)
-    for c in range(1, 6):
-        cols[c] += cols[c - 1] >> np.uint64(32)
-        cols[c - 1] &= _M32
-    s = (j - 96).astype(np.uint64)
-    return (cols[5] << (64 - s)) | (cols[4] << (32 - s)) | (cols[3] >> s)
+    Scale. For |x| in [2^E, 2^(E+1)), t = 17 - floor(E log10 2) puts
+    V = |x| 10^t in [10^17, 2 10^18), above 2^56 and below 2^61: 18 or 19
+    digits, so at least one goes and the round-up digit is defined. The
+    table's row t holds T = 10^t / scale, and y = |x| scale, so V = y T; both
+    scalings are exact.
+
+    Product. Veltkamp's split of y and of hi gives Dekker's TwoProduct,
+    p + e = y hi exactly, and p is a whole number, since p > 2^56. Then
+    s = fl(e + fl(y lo)), and vr = p + floor(s). The bounds lie halfway to
+    the neighbouring floats: U = u T above V, u half the gap above |x|,
+    scaled, and likewise below, where the gap is half as wide at a power of
+    two (Ryū's mm_shift). u is a power of two, so u hi is exact, and
+    Fast2Sum gives p + u hi = ap + bp exactly, ap a whole number. The
+    remainder of the upper bound is rp = fl(bp + s), and vp = ap + floor(rp);
+    vm likewise.
+
+    Error bound. hi is within 2^-53 T of T, and hi + lo within 2^-106 T.
+    V < 2^61, so |e|, |bp| <= 2^7 (half an ulp of p or ap), |y lo| < 2^8,
+    u T <= 2^-53 V < 2^8, and rounding a value below 2^k moves it by at most
+    2^(k-53):
+      - the table: y |T - hi - lo| <= 2^-106 V < 2^-45;
+      - fl(y lo), below 2^8: 2^-45;
+      - s, below 2^9: 2^-44;
+    so |s - (V - p)| < 2^-43. A bound adds
+      - the table: u |T - hi| <= 2^-53 u T < 2^-45;
+      - fl(bp + s), below 2^10: 2^-43;
+    so each remainder is within 2^-43 + 2^-45 + 2^-43 < 2^-41 = _ERROR of
+    its exact value. A remainder at least _DELTA = 2^-32 from a whole
+    number, 2^9 times that bound, has the floor of its exact value, and that
+    exact value is not a whole number: an exact scaled value or bound, Ryū's
+    trailing-zero case, never reaches the digit loop."""
+    a = np.abs(np.asarray(x, dtype=np.float64))
+    ok = a.view(np.uint64) - _NORMAL < _SPAN  # normal, below 2^49
+    a = np.where(ok, a, 1.0)  # a safe stand-in where not ok
+    bits = a.view(np.uint64)
+    t = 17 - ((((bits >> np.uint64(52)).view(np.int64) - 1023) * 78913) >> 18)  # Ryū's floor(E log10 2)
+    hi, lo, hi1, hi2, scale = np.take(_pow10_dd(), t, axis=1)
+    y = a * scale
+    up = ((bits + np.uint64(1)).view(np.float64) - a) * scale * 0.5
+    down = (a - (bits - np.uint64(1)).view(np.float64)) * scale * 0.5
+
+    y1, y2 = _split(y)
+    p = y * hi
+    s = (((y1 * hi1 - p) + y1 * hi2 + y2 * hi1) + y2 * hi2) + y * lo  # e + fl(y lo)
+    uh, dh = up * hi, down * hi
+    ap = p + uh
+    bp = uh - (ap - p)
+    am = p - dh
+    bm = (p - am) - dh
+    rest = np.stack((s, bp + s, bm + s))
+    whole = np.floor(rest)
+    rest -= whole
+    ok &= ((rest >= _DELTA) & (rest <= 1 - _DELTA)).all(axis=0)
+    floors = (np.stack((p, ap, am)).astype(np.int64) + whole.astype(np.int64)).view(np.uint64)
+    return floors, rest, t, ok
 
 
 def shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(digits, exponent, ok) for a 1-d float64 array: where ok, |x| reads as
     digits * 10**exponent, the shortest such decimal that rounds back to x,
     and the closest to x of those; digits has no trailing zero. Where not ok,
-    x is off Ryū's common path and the digits and exponent mean nothing."""
-    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
-    e = ((bits >> 52) & 0x7FF).astype(np.int64)
-    m = bits & np.uint64((1 << 52) - 1)
-    ok = (e > 0) & (e < 1077)  # normal, below 2^54: Ryū's e2 = e - 1077 < 0
-    minus_e2 = np.where(ok, 1077 - e, 64)  # a safe stand-in where not ok
-    q = ((minus_e2 * 732923) >> 20) - (minus_e2 > 1)  # floor(-e2 log10(5)), less one below e2 = -1
-    i = minus_e2 - q
-    j = q - (((i * 1217359) >> 19) + 1 - _POW5_BITS)  # 118..121
-    mv = (m | np.uint64(1 << 52)) << np.uint64(2)
-    # off the common path: mv a multiple of 2^q, where vr may end in zeros; that
-    # takes every q <= 2 (Ryū's q < 2 branch among them), as mv = 4 m2
-    ok &= (mv & ((np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1))) != 0
-    mm_shift = ((m != 0) | (e <= 1)).astype(np.uint64)
-
-    # the scaled value and its halfway bounds: floor(4 m2 * 5^i / 2^j), and the
-    # same for 4 m2 + 2 and 4 m2 - 1 - mm_shift, as one (3, n) product
-    a = np.stack((mv, mv + np.uint64(2), mv - np.uint64(1) - mm_shift))
-    vr, vp, vm = _mul_shift(a, _pow5_limbs()[:, i], j)
+    x is off the fast path and the digits and exponent mean nothing."""
+    (vr, vp, vm), _, t, ok = _scaled_floors(x)
 
     # drop digits while the bounds stay apart: two at once, then one at a time;
     # each element stops at the first step whose bounds meet, and so stays stopped
-    exp10 = q - minus_e2
+    exp10 = -t
     go = vp // 100 > vm // 100
     vr100 = vr // 100
     round_up = go & (vr - vr100 * np.uint64(100) >= 50)
@@ -124,7 +178,7 @@ def repr_slots(x: np.ndarray) -> np.ndarray:
     with NULs among them: shape (SLOTS, x.size), uint8, so that every step
     runs along the elements. Dropping the NULs of a column leaves repr of its
     element. The digits of shortest_digits are laid out by _layout, and repr
-    itself fills the columns off Ryū's common path."""
+    itself fills the columns off its fast path."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     digits, exp10, ok = shortest_digits(x)
     cols = _layout(digits, exp10, np.signbit(x))
@@ -176,5 +230,7 @@ def _layout(digits: np.ndarray, exp10: np.ndarray, negative: np.ndarray) -> np.n
     body[1:17] = chars[1:] + (_PLACES[1:17, None] > dot) * (chars[:16] - chars[1:])
     body[17] = chars[16] * (dot < 17)
     body[1:] += (_PLACES[1:18, None] == dot) * (ord(".") - body[1:])
-    cols[24:] = _exponents()[:, np.clip(point, -_EXPONENTS, _EXPONENTS) + _EXPONENTS] * ~fixed
+    cols[24:] = 0
+    sci = np.flatnonzero(~fixed)  # few or none: gather their exponents alone
+    cols[24:, sci] = _exponents()[:, np.clip(point[sci], -_EXPONENTS, _EXPONENTS) + _EXPONENTS]
     return cols

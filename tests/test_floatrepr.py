@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -83,13 +84,70 @@ def test_layout_of_every_form():
     assert _strings(floatrepr._layout(digits, exp10, np.signbit(x))) == [repr(v) for v in x.tolist()]
 
 
+def _binades(per_binade: int, seed: int) -> np.ndarray:
+    """The power of two and per_binade random floats in each binade [2^E, 2^(E+1))
+    for E = -1022..48, with their neighbours one ulp up and down, where normal and below 2^49."""
+    rng = np.random.default_rng(seed)
+    tops = np.arange(1, 1072, dtype=np.uint64)[:, None] << np.uint64(52)  # biased exponents 1..1071
+    mantissas = rng.integers(0, 2**52, size=(tops.size, per_binade + 1), dtype=np.uint64)
+    mantissas[:, 0] = 0
+    x = from_bits((tops | mantissas).ravel())
+    x = np.concatenate((x, np.nextafter(x, np.inf), np.nextafter(x, 0)))
+    return x[(x >= np.finfo(np.float64).tiny) & (x < 2.0**49)]
+
+
+def test_scaled_floors_are_exact():
+    # V = |x| 10^t and the bounds halfway to the neighbouring floats, in exact
+    # arithmetic: each floor + remainder lies within _ERROR, and where the kernel
+    # takes the fast path each floor is exact
+    x = _binades(4, 1971)
+    floors, rests, t, ok = floatrepr._scaled_floors(x)
+    assert ok.mean() > 0.97 and ok[t > 300].any()  # the range scaled by 2^128 among them
+    worst = Fraction(0)
+    for i, (v, up, down) in enumerate(zip(x.tolist(), np.nextafter(x, np.inf).tolist(),
+                                          np.nextafter(x, 0).tolist())):
+        scale = 10 ** int(t[i])
+        exact = [Fraction(v) * scale, (Fraction(v) + Fraction(up)) / 2 * scale,
+                 (Fraction(v) + Fraction(down)) / 2 * scale]
+        assert 10**17 <= exact[0] < 2 * 10**18, v
+        for k, value in enumerate(exact):
+            floor = int(floors[k, i])
+            worst = max(worst, abs(floor + Fraction(float(rests[k, i])) - value))
+            if ok[i]:
+                assert floor == math.floor(value), (v, k)
+    assert worst < floatrepr._ERROR
+
+
+def test_remainder_margin_exceeds_the_error_bound_tenfold():
+    # _scaled_floors derives the bound from two errors of 2^-43 and the table's 2^-45
+    assert 2 * 2.0**-43 + 2.0**-45 < floatrepr._ERROR
+    assert floatrepr._DELTA >= 10 * floatrepr._ERROR
+
+
 def test_common_path_covers_the_ordinary_floats():
     # the repr fallback is for zeros, subnormals, nan, infinities, |x| >= 2^49
-    # and Ryū's trailing-zero cases, not for values such as these
+    # and scaled values or bounds within 2^-32 of a whole number, which holds
+    # every exact one (0.5, 1.0, the whole numbers), not for values such as these
     x = np.array([math.pi, -math.e, 0.1, 1e-5, 123456.789, 1.5e15 / 7, -2.5e-300])
     assert floatrepr.shortest_digits(x)[2].all()
     x = np.array([0.0, -0.0, 5e-324, math.nan, math.inf, 2.0**54, 1.5e300, 0.5, 1.0])
     assert not floatrepr.shortest_digits(x)[2].any()
+
+
+def test_near_whole_remainders_fall_back():
+    # for x = m / 2^52 in [1, 2), t = 17: V = m 5^17 / 2^35 and the bounds are
+    # (2m +- 1) 5^17 / 2^36; each m puts one of the three 2^-35 or 2^-36 from a
+    # whole number, too rare for a random sweep to find
+    ms = []
+    for c35, c36 in ((pow(5**17, -1, 2**35), pow(5**17, -1, 2**36)),
+                     (-pow(5**17, -1, 2**35) % 2**35, -pow(5**17, -1, 2**36) % 2**36)):
+        ms += [c35, (c36 - 1) // 2, (c36 + 1) // 2]  # V, then 2m + 1 and 2m - 1 congruent to c36
+    x = np.array([(2**52 + m) / 2**52 for m in ms])
+    _, rests, t, ok = floatrepr._scaled_floors(x)
+    assert (t == 17).all() and not ok.any()
+    near = np.minimum(rests, 1 - rests)[np.arange(6) % 3, np.arange(6)]
+    assert (near < 2.0**-34).all()
+    assert_reprs(x)
 
 
 def test_shortest_digits_read_back():
@@ -124,8 +182,8 @@ def test_sampled_heatmaps_need_no_fallback(seed, monkeypatch, tmp_path):
 
 def test_table_is_built_on_first_use():
     code = ("import argstar.cli, argstar.floatrepr as fr; import numpy as np; "
-            "assert fr._pow5_limbs.cache_info().currsize == 0; "
-            "fr.repr_slots(np.array([0.25])); assert fr._pow5_limbs.cache_info().currsize == 1")
+            "assert fr._pow10_dd.cache_info().currsize == 0; "
+            "fr.repr_slots(np.array([0.25])); assert fr._pow10_dd.cache_info().currsize == 1")
     src = str(Path(floatrepr.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     subprocess.run([sys.executable, "-W", "error", "-c", code], check=True, env=env, timeout=60)

@@ -997,33 +997,40 @@ def _full_ratio(f, upper, grid):
     return _full_grid(f, upper, p - upper, grid) / _full_grid(f, upper - 1, p - upper + 1, grid)
 
 
-def _brute_force(tid, f, grid, s=None):
-    """(hypothesis value, conclusion values) over every grid point."""
+def _functionals(tid, f, grid, s=None):
+    """The hypothesis, then each conclusion, over every grid point: ("sup", its
+    |arg|) or ("low", its real part), whose max or min the check reports."""
     def sup(v):
-        return float(np.abs(np.angle(v)).max())
+        return "sup", np.abs(np.angle(v))
 
     def low(v):
-        return float(v.real.min())
+        return "low", v.real
 
     p = f.order_p
     if tid == "L2":
-        return low(_full_ratio(f, p, grid)), [low(_full_ratio(f, k, grid)) for k in range(1, p + 1)]
+        return [low(_full_ratio(f, p, grid))] + [low(_full_ratio(f, k, grid)) for k in range(1, p + 1)]
     if tid == "L3":
-        return low(p + _full_ratio(f, p + 1, grid)), [low(k + _full_ratio(f, k + 1, grid)) for k in range(1, p)]
+        return [low(p + _full_ratio(f, p + 1, grid))] + [low(k + _full_ratio(f, k + 1, grid)) for k in range(1, p)]
     if tid == "T5":
-        return sup(_full_grid(f, s, 0, grid)), [sup(_full_ratio(f, s, grid))]
+        return [sup(_full_grid(f, s, 0, grid)), sup(_full_ratio(f, s, grid))]
     hyp = sup(_full_grid(f, p, 0, grid))
     if tid == "T1":
-        return hyp, [sup(_full_grid(f, p - 1, 1, grid))]
+        return [hyp, sup(_full_grid(f, p - 1, 1, grid))]
     if tid == "C1":
-        return hyp, [sup(_full_grid(f, p - 1, 1, grid))] + [
+        return [hyp, sup(_full_grid(f, p - 1, 1, grid))] + [
             low(_full_grid(f, p - k - 1, k + 1, grid)) for k in range(p)]
     if tid == "C2":
-        return hyp, [sup(_full_ratio(f, 1, grid))]
+        return [hyp, sup(_full_ratio(f, 1, grid))]
     if tid == "T3":
-        return hyp, [sup(_full_grid(f, p - k, k, grid)) for k in range(1, p + 1)]
+        return [hyp] + [sup(_full_grid(f, p - k, k, grid)) for k in range(1, p + 1)]
     # T4 at alpha0 = 1, p = 3: s = 1..3 (alpha0 + alpha1 < 2), then starlike (sigma = 3)
-    return hyp, [sup(_full_ratio(f, p - s_ + 1, grid)) for s_ in range(1, p + 1)] + [sup(_full_ratio(f, 1, grid))]
+    return [hyp] + [sup(_full_ratio(f, p - s_ + 1, grid)) for s_ in range(1, p + 1)] + [sup(_full_ratio(f, 1, grid))]
+
+
+def _brute_force(tid, f, grid, s=None):
+    """(hypothesis value, conclusion values) over every grid point."""
+    values = [float(v.max() if kind == "sup" else v.min()) for kind, v in _functionals(tid, f, grid, s)]
+    return values[0], values[1:]
 
 
 RING_CASES = [
@@ -1056,6 +1063,102 @@ def test_ring_matches_full_grid(tid, params, sampler):
             c.bound - v if c.kind == "sup_arg" else v - c.bound for c, v in zip(rep.conclusions, values)
         ]
         assert rep.verdict == ("PASS" if min(margins, default=0.0) >= -SLACK else "FAIL")
+
+
+# --------------------------------------------------------- metamorphic relations
+# Each implication is invariant under rotation, f(z) -> e^{-ipt} f(e^{it} z),
+# which multiplies the coefficient of z^(p+k) by e^{ikt}, and under
+# conjugation, f(z) -> conj f(conj z): every hypothesis and conclusion of the
+# image at z is that of f at w = e^{it} z or w = conj z. At a grid angle
+# t = 2 pi m/n either map permutes the ring samples, so the two checks must
+# give the same verdicts and error types, values within the rounding
+# allowance, and sampled witnesses that map back to f's exactly.
+
+_RING = DiskGrid(n_radial=1)  # the ring |z| = r_max that check_theorem samples by default
+
+
+def _with_root(f, k, zeta):
+    """f with its tail times the one complex factor that gives f^(k)/z^(p-k) a root at zeta."""
+    p, j = f.order_p, np.arange(f.coeffs.size)
+    row = f.coeffs * np.array([math.perm(p + i, k) for i in j.tolist()], dtype=float)
+    coeffs = f.coeffs.copy()
+    coeffs[1:] *= -row[0] / (row[1:] @ zeta ** j[1:])
+    return PowerSeries(p, coeffs)
+
+
+@st.composite
+def _invariance_draws(draw, sampler, tid):
+    """A draw of the sampler as it is, with its tail scaled by up to 3, or with a
+    root in the disk: in f^(p-1)/z for L2, whose hypothesis divides by it, else in f^(p)."""
+    f = sample_hypothesis_function(np.random.SeedSequence((16, draw(st.integers(0, 2**32 - 1)))),
+                                   N=16, **sampler)
+    kind = draw(st.sampled_from(["default", "scaled", "root"]))
+    if kind == "scaled":
+        coeffs = f.coeffs.copy()
+        coeffs[1:] *= draw(st.floats(1.0, 3.0))
+        return PowerSeries(f.order_p, coeffs)
+    if kind == "root":
+        zeta = cmath.rect(draw(st.floats(0.05, 0.95)) * _RING.r_max, draw(st.floats(-math.pi, math.pi)))
+        return _with_root(f, f.order_p - (tid == "L2"), zeta)
+    return f
+
+
+def _checked(tid, f, params):
+    try:
+        return check_theorem(tid, f, **params)
+    except ArithmeticError as exc:
+        return exc
+
+
+def _assert_invariant(tid, params, f, image, index, point):
+    """image's check is f's with each witness mapped: a ring sample j of image
+    to sample index(j) of f, unless that ties f's value within the allowance,
+    and any other point (a root) by point, within rounding."""
+    want, got = _checked(tid, f, params), _checked(tid, image, params)
+    assert type(got) is type(want), (want, got)
+    if isinstance(want, ZeroOnGrid):
+        if want.magnitude is None:  # a root in the disk; a sampled one is the first in ring order, which the map permutes
+            assert got.magnitude is None and abs(point(got.point) - want.point) <= 1e-9, (want, got)
+        return
+    assert got.verdict == want.verdict and got.hypothesis_satisfied == want.hypothesis_satisfied
+    assert len(got.conclusions) == len(want.conclusions)
+    allowance = verify._rounding_allowance(f.coeffs.size, _RING.n_angular)
+    ring = _RING.points[0]
+    values = [(want.hypothesis_sup, got.hypothesis_sup)] + [
+        (a.value, b.value) for a, b in zip(want.conclusions, got.conclusions)]
+    for j, ((a, b), wa, wb) in enumerate(zip(values, want.witnesses, got.witnesses)):
+        tol = allowance * max(1.0, abs(a))
+        assert abs(a - b) <= tol, (j, a, b)
+        sample = np.flatnonzero(ring == wb)
+        if not sample.size:
+            assert abs(point(wb) - wa) <= 1e-9, (j, wa, wb)
+            continue
+        mapped = index(int(sample[0]))
+        if ring[mapped] != wa:  # a tie: f's own sample there reaches its value
+            _, v = _functionals(tid, f, _RING, params.get("s"))[j]
+            assert abs(v[0, mapped] - a) <= 2 * tol, (j, wa, wb)
+
+
+@pytest.mark.parametrize("tid,params,sampler", RING_CASES, ids=[c[0] for c in RING_CASES])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_rotation_by_a_grid_angle_keeps_every_check(tid, params, sampler, data):
+    f = data.draw(_invariance_draws(sampler, tid))
+    n = _RING.n_angular
+    m = data.draw(st.integers(0, n - 1))
+    turn = cmath.exp(2j * math.pi * m / n)
+    image = PowerSeries(f.order_p, f.coeffs * turn ** np.arange(f.coeffs.size))
+    _assert_invariant(tid, params, f, image, lambda j: (j + m) % n, lambda w: turn * w)
+
+
+@pytest.mark.parametrize("tid,params,sampler", RING_CASES, ids=[c[0] for c in RING_CASES])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_conjugation_keeps_every_check(tid, params, sampler, data):
+    f = data.draw(_invariance_draws(sampler, tid))
+    n = _RING.n_angular
+    image = PowerSeries(f.order_p, f.coeffs.conj())
+    _assert_invariant(tid, params, f, image, lambda j: -j % n, lambda w: w.conjugate())
 
 
 def _leading_zero_spec(tid, p, s=None):
